@@ -182,13 +182,11 @@ def _run(seed: int, seconds: float, trace: bool, out_dir: Path,
 
     sink = obs.MemorySink()
     with obs.tracing(sink):
-        with obs.span("bench.pass", rows=N):
-            _, traced_final, traced_offers, traced_queries, _ = _pass(
-                *rows, speed, checks, span=True
-            )
+        _, traced_final, traced_offers, traced_queries, _ = _pass(
+            *rows, speed, checks, span=True
+        )
     checks.same(answer_key(traced_final), answer_key(finals[0]), "traced pass")
-    records = [r for r in sink.records if r.get("name") != "bench.pass"]
-    selfs = self_seconds(records)
+    selfs = self_seconds(sink.records)
     write_trace(out_dir / f"session-query-seed{seed}.jsonl", sink.records)
     per_query = speed.factor() * 1000.0 / len(traced_queries)
     untraced_pass = (sum(offers) + sum(queries)) / len(finals)
