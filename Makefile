@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast cov golden bench-smoke bench-batch bench-parallel bench-hot bench-window bench-index bench-obs bench-serving bench-quality serve-smoke trace-smoke perf-gate docs-check api-check api-surface ci
+.PHONY: test test-fast cov golden bench-smoke bench-batch bench-parallel bench-hot bench-window bench-obs bench-serving bench-quality serve-smoke trace-smoke perf-gate docs-check api-check api-surface ci
 
 ## Run the full test suite (tier-1 gate).
 test:
@@ -35,7 +35,6 @@ bench-smoke:
 	REPRO_BENCH_BATCH_N=5000 $(PYTHON) -m pytest benchmarks/bench_batch_throughput.py -q -s
 	REPRO_BENCH_PARALLEL_N=4000 $(PYTHON) -m pytest benchmarks/bench_parallel_scaling.py -q -s
 	REPRO_BENCH_WINDOW_N=6000 $(PYTHON) -m pytest benchmarks/bench_window.py -q -s
-	REPRO_BENCH_INDEX_N=4000 $(PYTHON) -m pytest benchmarks/bench_index.py -q -s
 	REPRO_BENCH_OBS_N=8000 $(PYTHON) -m pytest benchmarks/bench_obs_overhead.py -q -s
 	REPRO_BENCH_SERVING_ROWS=4000 $(PYTHON) -m pytest benchmarks/bench_serving.py -q -s
 	REPRO_BENCH_QUALITY_N=2000 $(PYTHON) -m pytest benchmarks/bench_quality.py -q -s
@@ -68,13 +67,6 @@ bench-hot:
 ## Refreshes the `window` section of BENCH_hot_paths.json.
 bench-window:
 	$(PYTHON) -m pytest benchmarks/bench_window.py -q -s
-
-## Acceptance-scale spatial-index benchmark (SFDM2 + GMM, indexed vs
-## brute kernels at n = 100_000: identical solutions, >= 2x fewer counted
-## distance evaluations on SFDM2). Refreshes the `index` section of
-## BENCH_hot_paths.json.
-bench-index:
-	$(PYTHON) -m pytest benchmarks/bench_index.py -q -s
 
 ## Acceptance-scale observability-overhead benchmark (disabled tracing
 ## path <= 2% of SFDM2 ingest at n = 100_000; traced and untraced runs

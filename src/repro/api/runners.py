@@ -28,7 +28,6 @@ from repro.core.result import RunResult
 from repro.core.sfdm1 import SFDM1
 from repro.core.sfdm2 import SFDM2
 from repro.core.streaming_dm import StreamingDiversityMaximization
-from repro.index.tree import INDEX_KINDS
 from repro.parallel.backends import resolve_backend
 from repro.parallel.driver import ParallelFDM
 from repro.parallel.planner import ShardPlanner
@@ -44,22 +43,7 @@ from repro.utils.validation import require_positive_int
 _LOGGER = obs.get_logger("api")
 
 #: Options shared by every streaming-ladder algorithm.
-_STREAMING_OPTIONS = ("batch_size", "warmup_size", "distance_bounds", "index")
-
-
-def _validate_index(options: Mapping[str, Any]) -> None:
-    """Eager membership check for the spatial-index option.
-
-    Metric compatibility (only the Minkowski family has box bounds) is
-    checked where the algorithm is built, via
-    :func:`repro.index.tree.resolve_index_kind` — the metric is not in
-    scope here.
-    """
-    index = options.get("index")
-    if index is not None and index not in INDEX_KINDS:
-        raise InvalidParameterError(
-            f"index must be one of {INDEX_KINDS}, got {index!r}"
-        )
+_STREAMING_OPTIONS = ("batch_size", "warmup_size", "distance_bounds")
 
 
 def _validate_streaming(options: Mapping[str, Any]) -> None:
@@ -70,7 +54,6 @@ def _validate_streaming(options: Mapping[str, Any]) -> None:
     warmup = options.get("warmup_size")
     if warmup is not None and warmup < 2:
         raise InvalidParameterError("warmup_size must be at least 2")
-    _validate_index(options)
 
 
 def _make_streaming_dm(context: RunContext) -> StreamingDiversityMaximization:
@@ -81,7 +64,6 @@ def _make_streaming_dm(context: RunContext) -> StreamingDiversityMaximization:
         distance_bounds=context.option("distance_bounds"),
         warmup_size=context.option("warmup_size", 64),
         batch_size=context.option("batch_size"),
-        index=context.option("index"),
     )
 
 
@@ -94,7 +76,6 @@ def _make_sfdm1(context: RunContext) -> SFDM1:
         warmup_size=context.option("warmup_size", 64),
         fallback=context.option("fallback", True),
         batch_size=context.option("batch_size"),
-        index=context.option("index"),
     )
 
 
@@ -108,7 +89,6 @@ def _make_sfdm2(context: RunContext) -> SFDM2:
         fallback=context.option("fallback", True),
         greedy_augmentation=context.option("greedy_augmentation", True),
         batch_size=context.option("batch_size"),
-        index=context.option("index"),
     )
 
 
@@ -185,14 +165,10 @@ def _run_sfdm2(context: RunContext) -> RunResult:
     streaming=False,
     constrained=False,
     constraint_kinds=(),
-    options=("index",),
-    validator=_validate_index,
 )
 def _run_gmm(context: RunContext) -> RunResult:
     """Run the offline GMM baseline on the full element list."""
-    return gmm(
-        context.elements, context.metric, context.k, index=context.option("index")
-    )
+    return gmm(context.elements, context.metric, context.k)
 
 
 @register_algorithm(
@@ -278,7 +254,6 @@ def _validate_coreset(options: Mapping[str, Any]) -> None:
     """Eager checks for the coreset options."""
     if "num_parts" in options:
         require_positive_int(options["num_parts"], "num_parts")
-    _validate_index(options)
 
 
 @register_algorithm(
@@ -287,7 +262,7 @@ def _validate_coreset(options: Mapping[str, Any]) -> None:
     aliases=("coreset",),
     description="Sequential composable-coreset route (per-group GMM summaries)",
     streaming=False,
-    options=("num_parts", "refine_with_swap", "index"),
+    options=("num_parts", "refine_with_swap"),
     validator=_validate_coreset,
 )
 def _run_coreset(context: RunContext) -> RunResult:
@@ -302,7 +277,6 @@ def _run_coreset(context: RunContext) -> RunResult:
             constraint,
             num_parts=num_parts,
             refine_with_swap=context.option("refine_with_swap", True),
-            index=context.option("index"),
         )
     size = context.size if context.size is not None else len(context.elements)
     stats = StreamStats(
@@ -325,7 +299,6 @@ def _validate_window(options: Mapping[str, Any]) -> None:
         require_positive_int(options["window"], "window")
     if "blocks" in options:
         require_positive_int(options["blocks"], "blocks")
-    _validate_index(options)
 
 
 def _make_windowed(
@@ -360,7 +333,6 @@ def _make_windowed(
         constraint=context.require_constraint(),
         window=window,
         blocks=blocks,
-        index=context.option("index"),
     )
 
 
@@ -425,7 +397,7 @@ def _run_windowed(context: RunContext, factory: Any) -> RunResult:
     description="Checkpointed sliding-window fair DM via per-block GMM summaries",
     streaming=True,
     sessions=True,
-    options=("window", "blocks", "index"),
+    options=("window", "blocks"),
     validator=_validate_window,
     session_factory=_windowed_session(CheckpointedWindowFDM),
 )
@@ -441,7 +413,7 @@ def _run_window(context: RunContext) -> RunResult:
     description="Incremental sliding-window fair DM via retiring per-block coresets",
     streaming=True,
     sessions=True,
-    options=("window", "blocks", "index"),
+    options=("window", "blocks"),
     validator=_validate_window,
     session_factory=_windowed_session(SlidingWindowFDM),
 )

@@ -338,7 +338,7 @@ class StreamingSession(SessionBase):
     @property
     def _batched(self) -> bool:
         """Whether ingestion runs through the vectorized batch path."""
-        batch_size = self._algorithm._effective_batch_size
+        batch_size = self._algorithm.batch_size
         return batch_size is not None and batch_size > 1 and self._counting.supports_batch
 
     # ------------------------------------------------------------------
@@ -369,7 +369,7 @@ class StreamingSession(SessionBase):
             self._ladder, self._counting
         )
         if self._batched:
-            self._stats.extra["batch_size"] = float(self._algorithm._effective_batch_size)
+            self._stats.extra["batch_size"] = float(self._algorithm.batch_size)
 
     def _activate_from_pending(self) -> None:
         """Estimate bounds from the buffered warmup and start ingesting.
@@ -408,7 +408,7 @@ class StreamingSession(SessionBase):
                     chunk, self._blind, self._specific, self._stats
                 )
             return
-        size = self._algorithm._effective_batch_size
+        size = self._algorithm.batch_size
         while len(self._pending) >= size:
             chunk = self._pending[:size]
             del self._pending[:size]

@@ -16,7 +16,6 @@ import numpy as np
 from repro.core.result import RunResult
 from repro.core.solution import Solution
 from repro.data.store import ElementStore
-from repro.index.tree import resolve_index_kind
 from repro.metrics.base import Metric, stack_vectors
 from repro.metrics.cached import CountingMetric
 from repro.data.element import Element
@@ -32,7 +31,6 @@ def gmm_elements(
     k: int,
     start_index: int = 0,
     restrict_group: Optional[int] = None,
-    index: Optional[str] = None,
 ) -> List[Element]:
     """Run the farthest-point greedy and return the selected elements.
 
@@ -56,16 +54,8 @@ def gmm_elements(
     restrict_group:
         If given, only elements of this group are considered — used by
         FairSwap and FairGMM to build group-specific candidate sets.
-    index:
-        Optional spatial-index kind (``"kd"``/``"ball"``) for the batched
-        paths: each round's nearest-array refresh runs as a pruned
-        :class:`~repro.index.farthest.FarthestPointIndex` traversal.  The
-        nearest array — and therefore the selection — is bitwise identical
-        to the brute sweep on fewer (never more) counted evaluations.
-        Ignored on the scalar path.
     """
     k = require_positive_int(k, "k")
-    index = resolve_index_kind(index, metric)
     if isinstance(elements, ElementStore):
         sub = elements
         if restrict_group is not None:
@@ -77,7 +67,7 @@ def gmm_elements(
                 f"start_index {start_index} out of range for a pool of {len(sub)} elements"
             )
         if metric.supports_batch:
-            return _gmm_store_batched(sub, metric, k, start_index, index)
+            return _gmm_store_batched(sub, metric, k, start_index)
         pool: List[Element] = sub.elements()
     else:
         pool = [
@@ -92,7 +82,7 @@ def gmm_elements(
             f"start_index {start_index} out of range for a pool of {len(pool)} elements"
         )
     if metric.supports_batch:
-        return _gmm_elements_batched(pool, metric, k, start_index, index)
+        return _gmm_elements_batched(pool, metric, k, start_index)
     selected = [pool[start_index]]
     # Maintain, for every pool element, its distance to the current selection.
     nearest = [metric.distance(element.vector, selected[0].vector) for element in pool]
@@ -113,37 +103,11 @@ def gmm_elements(
     return selected
 
 
-def _make_refresh(matrix: np.ndarray, metric: Metric, index: Optional[str]):
-    """The per-round nearest-array refresh, indexed when requested.
-
-    Returns a callable folding one new center into the nearest array in
-    place.  Already-selected entries are masked with ``-1`` by the greedy
-    loops; a masked entry stays ``-1`` either way (``min(-1, d) = -1`` on
-    the brute path, and the indexed traversal prunes subtrees whose
-    nearest maximum it cannot lower), so the arrays remain bitwise equal.
-    """
-    if index is not None and matrix.shape[0] > 1:
-        from repro.index.farthest import FarthestPointIndex
-
-        point_index = FarthestPointIndex(matrix, metric, kind=index)
-
-        def refresh(vector: np.ndarray, nearest: np.ndarray) -> None:
-            point_index.update(vector, nearest, metric)
-
-        return refresh
-
-    def refresh(vector: np.ndarray, nearest: np.ndarray) -> None:
-        np.minimum(nearest, metric.distances_to(vector, matrix), out=nearest)
-
-    return refresh
-
-
 def _gmm_store_batched(
     store: ElementStore,
     metric: Metric,
     k: int,
     start_index: int,
-    index: Optional[str] = None,
 ) -> List[Element]:
     """Columnar farthest-point greedy: selection over store rows.
 
@@ -153,7 +117,6 @@ def _gmm_store_batched(
     are materialised (as zero-copy views) only for the ``k`` winners.
     """
     matrix = store.features
-    refresh = _make_refresh(matrix, metric, index)
     selected_rows = [start_index]
     nearest = metric.distances_to(matrix[start_index], matrix)
     nearest[start_index] = -1.0
@@ -162,7 +125,7 @@ def _gmm_store_batched(
         if nearest[best_index] < 0:
             break
         selected_rows.append(best_index)
-        refresh(matrix[best_index], nearest)
+        np.minimum(nearest, metric.distances_to(matrix[best_index], matrix), out=nearest)
         nearest[best_index] = -1.0
     return [store.element(row) for row in selected_rows]
 
@@ -172,7 +135,6 @@ def _gmm_elements_batched(
     metric: Metric,
     k: int,
     start_index: int,
-    index: Optional[str] = None,
 ) -> List[Element]:
     """Vectorized farthest-point greedy over an already-filtered pool.
 
@@ -181,7 +143,6 @@ def _gmm_elements_batched(
     are masked with ``-1`` exactly as the scalar path does.
     """
     matrix = stack_vectors(pool)
-    refresh = _make_refresh(matrix, metric, index)
     selected = [pool[start_index]]
     nearest = metric.distances_to(pool[start_index].vector, matrix)
     nearest[start_index] = -1.0
@@ -191,28 +152,21 @@ def _gmm_elements_batched(
             break
         chosen = pool[best_index]
         selected.append(chosen)
-        refresh(chosen.vector, nearest)
+        np.minimum(nearest, metric.distances_to(chosen.vector, matrix), out=nearest)
         nearest[best_index] = -1.0
     return selected
 
 
-def gmm(
-    elements: Sequence[Element],
-    metric: Metric,
-    k: int,
-    index: Optional[str] = None,
-) -> RunResult:
+def gmm(elements: Sequence[Element], metric: Metric, k: int) -> RunResult:
     """Offline GMM baseline packaged as a :class:`RunResult`.
 
     The offline baselines keep the full dataset in memory, so the stored-
     element count equals the dataset size (as in the paper's accounting).
-    ``index`` routes the per-round refreshes through the spatial-index
-    layer (see :func:`gmm_elements`).
     """
     counting = CountingMetric(metric)
     timer = Timer()
     with timer.measure():
-        selected = gmm_elements(elements, counting, k, index=index)
+        selected = gmm_elements(elements, counting, k)
     stats = StreamStats(
         elements_processed=len(elements),
         stream_distance_computations=counting.calls,

@@ -300,16 +300,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         help="number of blocks the window is divided into (default 8)",
     )
     parser.add_argument(
-        "--index",
-        choices=("kd", "ball", "none", "auto"),
-        default=None,
-        help=(
-            "spatial index for the candidate screens and farthest-point "
-            "rounds; solutions are identical, distance evaluations drop "
-            "(default: brute-force kernels)"
-        ),
-    )
-    parser.add_argument(
         "--iterations",
         type=int,
         default=None,
@@ -391,7 +381,6 @@ def _options_for(args: argparse.Namespace, name: str) -> dict:
         "transport": args.transport,
         "window": args.window,
         "blocks": args.blocks,
-        "index": args.index,
         "iterations": args.iterations,
         "rounds": args.rounds,
     }
@@ -412,7 +401,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     algorithms = default_algorithms(
         include_fair_gmm=args.include_fair_gmm,
         batch_size=args.batch_size,
-        index=args.index,
     )
     if args.include_extended:
         algorithms += extended_algorithms(

@@ -21,7 +21,6 @@ from repro.core.guesses import GuessLadder
 from repro.core.result import RunResult
 from repro.core.solution import Solution
 from repro.data.store import ElementStore, store_rows_of
-from repro.index.tree import resolve_index_kind
 from repro.metrics.base import Metric
 from repro.metrics.cached import CountingMetric
 from repro.metrics.space import exact_distance_bounds
@@ -41,13 +40,6 @@ from repro.utils.validation import require_in_open_interval
 #: for the fair algorithms — one group-specific candidate per (level,
 #: group) pair (``None`` for the unconstrained Algorithm 1).
 CandidateState = Tuple[List[Candidate], Optional[List[Dict[int, Candidate]]]]
-
-#: Chunk size used by the store ingestion path when an index is requested
-#: but no explicit ``batch_size`` was given: the indexed screen works on
-#: chunks, so the scalar element-at-a-time path would never engage it.
-#: Solutions are identical across chunk sizes (the store-equivalence suite
-#: pins this), so the default only affects scheduling.
-DEFAULT_INDEX_BATCH = 128
 
 
 class IngestPlan:
@@ -148,19 +140,6 @@ class StreamingAlgorithm:
         only changes how the arithmetic is scheduled.  Metrics without
         vectorized kernels (e.g. custom callables) silently fall back to
         the scalar path.
-    index:
-        Spatial-index kind for the candidate screens: ``"kd"`` or
-        ``"ball"`` build a :class:`repro.index.tree.SpatialIndex` over the
-        union members and prune provably irrelevant distance evaluations;
-        ``"auto"`` picks ``"kd"`` when the metric supports box bounds and
-        falls back to the brute screens otherwise; ``None``/``"none"``
-        (default) keeps the brute screens.  Indexed runs produce
-        bit-identical solutions on fewer (never more) counted distance
-        evaluations — the differential suite
-        (``tests/property/test_index_equivalence.py``) pins both claims.
-        When an index is active and ``batch_size`` is ``None``, the stream
-        is chunked at :data:`DEFAULT_INDEX_BATCH` so the columnar screens
-        (where the index lives) engage.
     """
 
     #: Overridden by subclasses; used in reports.
@@ -173,7 +152,6 @@ class StreamingAlgorithm:
         distance_bounds: Optional[Tuple[float, float]] = None,
         warmup_size: int = 64,
         batch_size: Optional[int] = None,
-        index: Optional[str] = None,
     ) -> None:
         self.metric = metric
         self.epsilon = require_in_open_interval(epsilon, 0.0, 1.0, "epsilon")
@@ -190,22 +168,6 @@ class StreamingAlgorithm:
         if batch_size is not None and batch_size < 1:
             raise InvalidParameterError(f"batch_size must be positive, got {batch_size}")
         self.batch_size = None if batch_size is None else int(batch_size)
-        self.index = index
-        self._index_kind = resolve_index_kind(index, metric)
-
-    @property
-    def _effective_batch_size(self) -> Optional[int]:
-        """The chunk size ingestion actually runs at.
-
-        ``batch_size`` when given; otherwise :data:`DEFAULT_INDEX_BATCH`
-        when a spatial index is active (the indexed screens live on the
-        columnar chunked path); otherwise ``None`` (scalar updates).
-        """
-        if self.batch_size is not None:
-            return self.batch_size
-        if self._index_kind is not None:
-            return DEFAULT_INDEX_BATCH
-        return None
 
     # ------------------------------------------------------------------
     # Template run: resolve bounds, build candidates, ingest, extract
@@ -412,14 +374,10 @@ class StreamingAlgorithm:
         counts) because candidates are mutually independent and each one
         sees the elements in stream order.
         """
-        size = self._effective_batch_size
+        size = self.batch_size
         batched = size is not None and size > 1 and metric.supports_batch
         if batched:
             stats.extra["batch_size"] = float(size)
-        if self._index_kind is not None and batched and plan.store is not None:
-            # Only the columnar screens route through the index; the object
-            # batch path keeps the per-candidate kernels.
-            stats.index_kind = self._index_kind
         if plan.store is not None and batched:
             self._ingest_store(plan, blind, specific, stats, metric, size)
         elif batched:
@@ -492,19 +450,6 @@ class StreamingAlgorithm:
                     if candidate is not None:
                         candidate.offer_batch(sub_elements, sub_vectors)
 
-    def _make_screen(self, candidates: List[Candidate]) -> "_UnionScreen":
-        """One chunk screen over ``candidates``: indexed when requested.
-
-        The indexed variant lives in :mod:`repro.index.screen` and is
-        imported lazily — the index package imports :class:`_UnionScreen`
-        from this module, so a top-level import would be circular.
-        """
-        if self._index_kind is not None:
-            from repro.index.screen import IndexedScreen
-
-            return IndexedScreen(candidates, kind=self._index_kind)
-        return _UnionScreen(candidates)
-
     def _ingest_store(
         self,
         plan: IngestPlan,
@@ -535,7 +480,7 @@ class StreamingAlgorithm:
         store, order = plan.store, plan.order
         features, group_column = store.features, store.groups
         total = len(plan)
-        blind_screen = self._make_screen(
+        blind_screen = _UnionScreen(
             [candidate for candidate in blind if not candidate.is_full]
         )
         group_screens: Dict[int, _UnionScreen] = {}
@@ -546,7 +491,7 @@ class StreamingAlgorithm:
                     if not candidate.is_full:
                         by_group.setdefault(group, []).append(candidate)
             group_screens = {
-                group: self._make_screen(candidates)
+                group: _UnionScreen(candidates)
                 for group, candidates in by_group.items()
             }
         for start in range(0, total, size):
@@ -637,7 +582,6 @@ class _UnionScreen:
         "_union_rows",
         "_member_columns",
         "_total_members",
-        "_fallback",
     )
 
     def __init__(self, candidates: List[Candidate]) -> None:
@@ -646,14 +590,13 @@ class _UnionScreen:
         self._union_rows: Optional[np.ndarray] = None
         self._member_columns: List[Optional[np.ndarray]] = []
         self._total_members = 0
-        self._fallback = False
 
     @property
     def exhausted(self) -> bool:
         """Whether every candidate has reached capacity."""
         return not self.candidates
 
-    def _rebuild(self, store: ElementStore) -> None:
+    def _rebuild(self) -> None:
         """Recompute the union layout for the current member sets."""
         column_of: Dict[int, int] = {}
         union_rows: List[int] = []
@@ -669,12 +612,6 @@ class _UnionScreen:
             for position, member in enumerate(members):
                 column = column_of.get(member.uid)
                 if column is None:
-                    if member.store is not store:
-                        # A member that is not a view of this store (never
-                        # produced by this loop, but cheap to stay safe
-                        # against): screen candidate-by-candidate instead.
-                        self._fallback = True
-                        return
                     column = len(union_rows)
                     column_of[member.uid] = column
                     union_rows.append(member.row)
@@ -694,19 +631,21 @@ class _UnionScreen:
         vectors: np.ndarray,
     ) -> None:
         """Screen one chunk and resolve each candidate's survivors."""
-        if self._fallback:
-            self._process_individually(store, rows, vectors)
-            return
         version = (len(self.candidates), sum(len(c) for c in self.candidates))
         if version != self._version:
-            self._rebuild(store)
+            self._rebuild()
             self._version = version
-            if self._fallback:
-                self._process_individually(store, rows, vectors)
-                return
         distances: Optional[np.ndarray] = None
         if self._union_rows is not None:
-            distances = self._screen_distances(metric, store, vectors)
+            distances = metric.pairwise(vectors, store.features[self._union_rows])
+            # ``pairwise`` counted each union member once; charge the shared
+            # columns again so every level's screen is billed in full.
+            charge = getattr(metric, "charge", None)
+            if charge is not None:
+                charge(
+                    vectors.shape[0]
+                    * (self._total_members - self._union_rows.shape[0])
+                )
         filled = False
         for candidate, columns in zip(self.candidates, self._member_columns):
             if columns is None:
@@ -720,41 +659,5 @@ class _UnionScreen:
             if survivors.size:
                 candidate.resolve_rows(store, rows, vectors, survivors)
                 filled |= candidate.is_full
-        if filled:
-            self.candidates = [c for c in self.candidates if not c.is_full]
-
-    def _screen_distances(
-        self, metric: Metric, store: ElementStore, vectors: np.ndarray
-    ) -> np.ndarray:
-        """The chunk-vs-union distance matrix the per-level reductions read.
-
-        The hook the index layer overrides
-        (:class:`repro.index.screen.IndexedScreen`): the brute version
-        evaluates every (chunk element, union member) pair and charges each
-        level's screen in full; an override may leave provably irrelevant
-        entries at ``+inf`` (and permute columns, as long as
-        ``_member_columns`` is permuted to match) provided every omitted
-        entry's true distance is at least the ``mu`` of every level
-        containing its member — that keeps the ``min >= mu`` decisions
-        bitwise identical.
-        """
-        union_matrix = store.features[self._union_rows]
-        distances = metric.pairwise(vectors, union_matrix)
-        charge = getattr(metric, "charge", None)
-        if charge is not None:
-            charge(
-                vectors.shape[0]
-                * (self._total_members - self._union_rows.shape[0])
-            )
-        return distances
-
-    def _process_individually(
-        self, store: ElementStore, rows: np.ndarray, vectors: np.ndarray
-    ) -> None:
-        """Per-candidate screening fallback (no shared union screen)."""
-        filled = False
-        for candidate in self.candidates:
-            candidate.offer_rows(store, rows, vectors)
-            filled |= candidate.is_full
         if filled:
             self.candidates = [c for c in self.candidates if not c.is_full]

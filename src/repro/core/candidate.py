@@ -15,10 +15,11 @@ Three update paths exist:
   screened against the current members with one batched min-distance
   computation, and only the survivors (typically few once the candidate
   fills) are resolved sequentially against each other;
-* :meth:`Candidate.offer_rows` — the columnar rule used by the
+* :meth:`Candidate.resolve_rows` — the columnar rule used by the
   store-backed ingestion: the chunk arrives as row indices into an
   :class:`~repro.data.store.ElementStore` plus an already-sliced payload
-  matrix, so no per-element Python work happens at all.  Elements are only
+  matrix, pre-screened once for every guess level by the shared union
+  screen, so no per-element Python work happens at all.  Elements are only
   materialised (as zero-copy store views) for the rows actually accepted.
 
 All three produce the identical accepted set for the same arrival order —
@@ -262,41 +263,6 @@ class Candidate:
             alive = alive[distances >= self.mu]
         return accepted
 
-    def offer_rows(self, store, rows: np.ndarray, vectors: Optional[np.ndarray] = None) -> int:
-        """Columnar batch update: offer store rows instead of element objects.
-
-        Parameters
-        ----------
-        store:
-            The :class:`~repro.data.store.ElementStore` the rows index into.
-        rows:
-            Absolute store row indices of the chunk, in stream order.  For
-            group-specific candidates the caller must pre-filter the rows
-            by group (a vectorized mask over ``store.groups``); no
-            per-element safety net runs here.
-        vectors:
-            Optional pre-sliced ``store.features[rows]`` aligned with
-            ``rows``; avoids slicing once per guess level.
-
-        The accept/reject sequence — and the number of distances charged —
-        is identical to :meth:`offer_batch` over the same elements: the
-        same pre-chunk screen (through the fused ``pairwise_min`` kernel,
-        which is bitwise equal to ``pairwise(...).min(axis=1)``) followed
-        by the same round-based in-chunk resolution.  Accepted rows are
-        materialised as zero-copy store views; rejected rows never become
-        objects at all.
-        """
-        if self.is_full or rows.size == 0:
-            return 0
-        if vectors is None:
-            vectors = store.features[rows]
-        if self._elements:
-            min_distances = self.metric.pairwise_min(vectors, self.member_matrix())
-            survivor_indices = np.nonzero(min_distances >= self.mu)[0]
-        else:
-            survivor_indices = np.arange(rows.size)
-        return self.resolve_rows(store, rows, vectors, survivor_indices)
-
     def resolve_rows(
         self, store, rows: np.ndarray, vectors: np.ndarray, survivor_indices: np.ndarray
     ) -> int:
@@ -304,8 +270,7 @@ class Candidate:
 
         The consolidated ingestion path screens a whole chunk against every
         guess level with one segmented kernel call and then hands each
-        candidate its own survivors here; :meth:`offer_rows` is the
-        self-contained equivalent for callers without a shared screen.
+        candidate its own survivors here.
         """
         if self.is_full or survivor_indices.size == 0:
             return 0

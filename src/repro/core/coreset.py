@@ -17,7 +17,7 @@ an additional baseline in the ablation benchmarks.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Sequence, Union
 
 import numpy as np
 
@@ -61,7 +61,6 @@ def gmm_coreset(
     k: int,
     per_group: bool = False,
     start_index: int = 0,
-    index: Optional[str] = None,
 ) -> List[Element]:
     """A GMM-based coreset of one data part.
 
@@ -84,16 +83,12 @@ def gmm_coreset(
         The parallel driver derives it from its run seed, which makes the
         per-shard summaries reproducible for a fixed seed while still
         letting experiments vary the GMM seed element.
-    index:
-        Optional spatial-index kind for the farthest-point rounds
-        (forwarded to :func:`~repro.baselines.gmm.gmm_elements`); the
-        summary is identical either way.
     """
     if not len(elements):
         return []
     summary: Dict[int, Element] = {}
     for element in gmm_elements(
-        elements, metric, k, start_index=start_index % len(elements), index=index
+        elements, metric, k, start_index=start_index % len(elements)
     ):
         summary.setdefault(element.uid, element)
     if per_group:
@@ -111,24 +106,20 @@ def gmm_coreset(
                 k,
                 start_index=start_index % group_sizes[group],
                 restrict_group=group,
-                index=index,
             ):
                 summary.setdefault(element.uid, element)
     return list(summary.values())
 
 
 def composable_fair_coreset(
-    parts: Iterable[Sequence[Element]],
-    metric: Metric,
-    k: int,
-    index: Optional[str] = None,
+    parts: Iterable[Sequence[Element]], metric: Metric, k: int
 ) -> List[Element]:
     """Union of per-part, per-group GMM summaries — a fair composable coreset."""
     union: Dict[int, Element] = {}
     for part in parts:
         if not part:
             continue
-        for element in gmm_coreset(part, metric, k, per_group=True, index=index):
+        for element in gmm_coreset(part, metric, k, per_group=True):
             union.setdefault(element.uid, element)
     return list(union.values())
 
@@ -139,7 +130,6 @@ def coreset_fair_diversity(
     constraint: FairnessConstraint,
     num_parts: int = 4,
     refine_with_swap: bool = True,
-    index: Optional[str] = None,
 ) -> FairSolution:
     """Fair diversity maximization via the composable-coreset route.
 
@@ -153,15 +143,12 @@ def coreset_fair_diversity(
     refine_with_swap:
         When ``True``, a final pass of same-group local-search swaps against
         the coreset is applied (cheap, because the coreset is small).
-    index:
-        Optional spatial-index kind for the per-part GMM summaries and the
-        greedy extraction; the solution is identical either way.
     """
     require_non_empty(elements, "elements")
     k = constraint.total_size
     parts = partition_elements(elements, num_parts)
-    coreset = composable_fair_coreset(parts, metric, k, index=index)
-    selection = greedy_fair_fill(coreset, constraint, metric, index=index)
+    coreset = composable_fair_coreset(parts, metric, k)
+    selection = greedy_fair_fill(coreset, constraint, metric)
     if refine_with_swap:
         from repro.core.local_search import local_search_improve
 

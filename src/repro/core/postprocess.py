@@ -14,14 +14,13 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
 from repro import obs
 from repro.data.store import store_rows_of
 from repro.fairness.constraints import FairnessConstraint
-from repro.index.tree import resolve_index_kind
 from repro.metrics.base import Metric, stack_vectors
 from repro.data.element import Element
 
@@ -186,7 +185,6 @@ def greedy_fair_fill(
     constraint: FairnessConstraint,
     metric: Metric,
     initial: Optional[Sequence[Element]] = None,
-    index: Optional[str] = None,
 ) -> List[Element]:
     """Best-effort fair selection from ``pool`` by farthest-point greedy.
 
@@ -204,14 +202,10 @@ def greedy_fair_fill(
     Metrics with vectorized kernels maintain a nearest-to-selection array
     over the whole pool (one batched ``distances_to`` per accepted element)
     instead of rescanning the selection per pool element; the selected set
-    is the same either way.  ``index`` (``"kd"``/``"ball"``, ``None`` for
-    brute force) prunes the per-round nearest refresh through a
-    :class:`~repro.index.farthest.FarthestPointIndex` — the nearest array,
-    and therefore the selection, stays bitwise identical on fewer counted
-    evaluations.
+    is the same either way.
     """
     with obs.span("postprocess.fill", pool=len(pool), k=constraint.total_size):
-        return _greedy_fair_fill(pool, constraint, metric, initial, index)
+        return _greedy_fair_fill(pool, constraint, metric, initial)
 
 
 def _greedy_fair_fill(
@@ -219,10 +213,8 @@ def _greedy_fair_fill(
     constraint: FairnessConstraint,
     metric: Metric,
     initial: Optional[Sequence[Element]],
-    index: Optional[str],
 ) -> List[Element]:
     """Implementation behind :func:`greedy_fair_fill` (span-wrapped there)."""
-    index = resolve_index_kind(index, metric)
     selection: List[Element] = list(initial) if initial else []
     selected_uids = {element.uid for element in selection}
     counts = {group: 0 for group in constraint.groups}
@@ -233,7 +225,7 @@ def _greedy_fair_fill(
     candidates = [element for element in pool if element.uid not in selected_uids]
     if metric.supports_batch and candidates:
         return _greedy_fair_fill_batched(
-            candidates, selection, selected_uids, counts, constraint, metric, index
+            candidates, selection, selected_uids, counts, constraint, metric
         )
     while len(selection) < constraint.total_size:
         eligible = [
@@ -263,7 +255,6 @@ def _greedy_fair_fill_batched(
     counts: Dict[int, int],
     constraint: FairnessConstraint,
     metric: Metric,
-    index: Optional[str] = None,
 ) -> List[Element]:
     """Vectorized body of :func:`greedy_fair_fill`.
 
@@ -272,8 +263,7 @@ def _greedy_fair_fill_batched(
     round — the same greedy choice (with the same first-index tie-breaking)
     as the scalar loop.  Store-backed pools gather the payload matrix and
     the group/uid columns straight from the store instead of looping over
-    the elements.  With ``index`` set, each nearest-array refresh runs as
-    a pruned tree traversal instead of a full ``distances_to`` sweep.
+    the elements.
     """
     backing = store_rows_of(candidates)
     if backing is not None:
@@ -286,21 +276,9 @@ def _greedy_fair_fill_batched(
         pool_groups = np.array([element.group for element in candidates])
         pool_uids = np.array([element.uid for element in candidates])
     taken = np.zeros(len(candidates), dtype=bool)
-    point_index = None
-    if index is not None and len(candidates) > 1:
-        from repro.index.farthest import FarthestPointIndex
-
-        point_index = FarthestPointIndex(matrix, metric, kind=index)
-
-    def refresh(vector: Any, nearest: np.ndarray) -> None:
-        if point_index is not None:
-            point_index.update(vector, nearest, metric)
-        else:
-            np.minimum(nearest, metric.distances_to(vector, matrix), out=nearest)
-
     nearest = np.full(len(candidates), np.inf)
     for member in selection:
-        refresh(member.vector, nearest)
+        np.minimum(nearest, metric.distances_to(member.vector, matrix), out=nearest)
 
     while len(selection) < constraint.total_size:
         eligible = ~taken
@@ -323,5 +301,5 @@ def _greedy_fair_fill_batched(
         # Mask every pool entry with the selected uid, not just the chosen
         # index — the scalar path removes all duplicates of the uid too.
         taken |= pool_uids == best.uid
-        refresh(best.vector, nearest)
+        np.minimum(nearest, metric.distances_to(best.vector, matrix), out=nearest)
     return selection

@@ -47,10 +47,6 @@ class SFDM1(StreamingAlgorithm):
         Optional chunk size for the vectorized batch ingestion path (see
         :class:`~repro.core.base.StreamingAlgorithm`); ``None`` keeps
         element-at-a-time updates.
-    index:
-        Optional spatial-index kind (``"kd"``/``"ball"``/``"auto"``) for
-        the candidate screens and the fallback fill; see
-        :class:`~repro.core.base.StreamingAlgorithm`.
     """
 
     name = "SFDM1"
@@ -64,7 +60,6 @@ class SFDM1(StreamingAlgorithm):
         warmup_size: int = 64,
         fallback: bool = True,
         batch_size: Optional[int] = None,
-        index: Optional[str] = None,
     ) -> None:
         super().__init__(
             metric,
@@ -72,7 +67,6 @@ class SFDM1(StreamingAlgorithm):
             distance_bounds=distance_bounds,
             warmup_size=warmup_size,
             batch_size=batch_size,
-            index=index,
         )
         if constraint.num_groups != 2:
             raise InvalidParameterError(
@@ -143,9 +137,7 @@ class SFDM1(StreamingAlgorithm):
         if best is None and self.fallback:
             pool = self._stored_elements(blind, specific)
             with obs.span("sfdm1.fallback_fill", pool=len(pool)):
-                filled = greedy_fair_fill(
-                    pool, self.constraint, metric, index=self._index_kind
-                )
+                filled = greedy_fair_fill(pool, self.constraint, metric)
             candidate_solution = FairSolution(filled, metric, self.constraint)
             if candidate_solution.is_fair:
                 best = candidate_solution

@@ -60,10 +60,6 @@ class SFDM2(StreamingAlgorithm):
         Optional chunk size for the vectorized batch ingestion path (see
         :class:`~repro.core.base.StreamingAlgorithm`); ``None`` keeps
         element-at-a-time updates.
-    index:
-        Optional spatial-index kind (``"kd"``/``"ball"``/``"auto"``) for
-        the candidate screens and the fallback fill; see
-        :class:`~repro.core.base.StreamingAlgorithm`.
     """
 
     name = "SFDM2"
@@ -78,7 +74,6 @@ class SFDM2(StreamingAlgorithm):
         fallback: bool = True,
         greedy_augmentation: bool = True,
         batch_size: Optional[int] = None,
-        index: Optional[str] = None,
     ) -> None:
         super().__init__(
             metric,
@@ -86,7 +81,6 @@ class SFDM2(StreamingAlgorithm):
             distance_bounds=distance_bounds,
             warmup_size=warmup_size,
             batch_size=batch_size,
-            index=index,
         )
         self.constraint = constraint
         self.fallback = bool(fallback)
@@ -151,9 +145,7 @@ class SFDM2(StreamingAlgorithm):
         if best is None and self.fallback:
             pool = self._stored_elements(blind, specific)
             with obs.span("sfdm2.fallback_fill", pool=len(pool)):
-                filled = greedy_fair_fill(
-                    pool, self.constraint, metric, index=self._index_kind
-                )
+                filled = greedy_fair_fill(pool, self.constraint, metric)
             candidate_solution = FairSolution(filled, metric, self.constraint)
             if candidate_solution.is_fair:
                 best = candidate_solution

@@ -36,10 +36,6 @@ class StreamingDiversityMaximization(StreamingAlgorithm):
         Optional chunk size for the vectorized batch ingestion path (see
         :class:`~repro.core.base.StreamingAlgorithm`); ``None`` keeps
         element-at-a-time updates.
-    index:
-        Optional spatial-index kind (``"kd"``/``"ball"``/``"auto"``) for
-        the candidate screens; see
-        :class:`~repro.core.base.StreamingAlgorithm`.
     """
 
     name = "StreamingDM"
@@ -52,7 +48,6 @@ class StreamingDiversityMaximization(StreamingAlgorithm):
         distance_bounds: Optional[Tuple[float, float]] = None,
         warmup_size: int = 64,
         batch_size: Optional[int] = None,
-        index: Optional[str] = None,
     ) -> None:
         super().__init__(
             metric,
@@ -60,7 +55,6 @@ class StreamingDiversityMaximization(StreamingAlgorithm):
             distance_bounds=distance_bounds,
             warmup_size=warmup_size,
             batch_size=batch_size,
-            index=index,
         )
         self.k = require_positive_int(k, "k")
 

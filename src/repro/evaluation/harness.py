@@ -98,9 +98,7 @@ def algorithm_spec(name: str, **options: Any) -> AlgorithmSpec:
     )
 
 
-def streaming_algorithms(
-    batch_size: Optional[int] = None, index: Optional[str] = None
-) -> List[AlgorithmSpec]:
+def streaming_algorithms(batch_size: Optional[int] = None) -> List[AlgorithmSpec]:
     """The paper's proposed streaming algorithms (a registry query).
 
     Parameters
@@ -110,14 +108,10 @@ def streaming_algorithms(
         batch ingestion path in chunks of this size; ``None`` (default)
         keeps the element-at-a-time updates.  Validated eagerly, before any
         run starts.
-    index:
-        Optional spatial-index kind (``"kd"``/``"ball"``/``"auto"``) for
-        the candidate screens; solutions are identical, counted distance
-        evaluations drop.
     """
     return [
-        algorithm_spec("SFDM1", batch_size=batch_size, index=index),
-        algorithm_spec("SFDM2", batch_size=batch_size, index=index),
+        algorithm_spec("SFDM1", batch_size=batch_size),
+        algorithm_spec("SFDM2", batch_size=batch_size),
     ]
 
 
@@ -228,7 +222,6 @@ def extended_algorithms(
 def default_algorithms(
     include_fair_gmm: bool = False,
     batch_size: Optional[int] = None,
-    index: Optional[str] = None,
 ) -> List[AlgorithmSpec]:
     """Offline baselines followed by the streaming algorithms (Table II order).
 
@@ -239,12 +232,9 @@ def default_algorithms(
     batch_size:
         Forwarded to :func:`streaming_algorithms` to enable the vectorized
         batch ingestion path for SFDM1/SFDM2.
-    index:
-        Forwarded to :func:`streaming_algorithms` to route the candidate
-        screens through the spatial-index layer.
     """
     return offline_algorithms(include_fair_gmm=include_fair_gmm) + streaming_algorithms(
-        batch_size=batch_size, index=index
+        batch_size=batch_size
     )
 
 

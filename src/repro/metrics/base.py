@@ -45,40 +45,9 @@ class Metric(ABC):
     #: the short-circuiting element-at-a-time code paths.
     supports_batch: bool = False
 
-    #: Whether the metric provides the axis-aligned bounding-box bound
-    #: kernels :meth:`box_lower_bounds` / :meth:`box_upper_bounds` required
-    #: by the spatial index layer (:mod:`repro.index`).  Only geometric
-    #: metrics where distances to a box can be bounded coordinate-wise (the
-    #: Minkowski family) set this; everything else keeps the brute-force
-    #: screens.
-    supports_index: bool = False
-
     @abstractmethod
     def distance(self, x: Any, y: Any) -> float:
         """Return the distance between two payloads as a ``float``."""
-
-    def box_lower_bounds(self, Q: Any, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Per-query lower bounds on the distance to the box ``[lo, hi]``.
-
-        ``Q`` is a stack of query payloads; ``lo``/``hi`` are the
-        coordinate-wise bounds of an axis-aligned box.  Entry ``i`` must
-        satisfy ``box_lower_bounds(Q, lo, hi)[i] <= distance(Q[i], x)`` for
-        every point ``x`` inside the box.  Bound arithmetic is geometry,
-        not a distance evaluation: the counting/caching wrappers forward it
-        without touching their counters, which is what keeps the index
-        layer's accounting honest.  Only metrics with
-        :attr:`supports_index` implement it.
-        """
-        raise NotImplementedError(f"{self.name} does not support box bounds")
-
-    def box_upper_bounds(self, Q: Any, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Per-query upper bounds on the distance to any point in ``[lo, hi]``.
-
-        The counterpart of :meth:`box_lower_bounds`: entry ``i`` must
-        satisfy ``box_upper_bounds(Q, lo, hi)[i] >= distance(Q[i], x)`` for
-        every point ``x`` inside the box.
-        """
-        raise NotImplementedError(f"{self.name} does not support box bounds")
 
     def distances_to(self, point: Any, X: Any) -> np.ndarray:
         """Distances from one ``point`` to every payload in the stack ``X``.
@@ -133,12 +102,12 @@ class Metric(ABC):
     def pairwise_min(self, X: Any, Y: Any) -> np.ndarray:
         """Row-wise minimum of :meth:`pairwise`: ``min_j d(X[i], Y[j])``.
 
-        This is the candidate screening primitive of the streaming
-        algorithms — a whole chunk against the current members, keeping
-        only each row's nearest distance.  The base implementation
-        materialises the full matrix; metrics may override it with a fused
-        kernel that skips work which cannot affect the row minima (the
-        Euclidean metric defers the square root to the reduced vector).
+        A screening primitive — a whole chunk against a candidate's
+        members, keeping only each row's nearest distance.  The base
+        implementation materialises the full matrix; metrics may override
+        it with a fused kernel that skips work which cannot affect the row
+        minima (the Euclidean metric defers the square root to the reduced
+        vector).
         Overrides must agree with ``pairwise(X, Y).min(axis=1)`` bitwise so
         screening decisions are independent of the code path.
         """
@@ -192,19 +161,6 @@ def stack_vectors(elements: Sequence[Any]) -> np.ndarray:
         store, rows = backing
         return store.features[rows]
     return np.asarray([element.vector for element in elements])
-
-
-def unwrap_metric(metric: Any) -> Any:
-    """The innermost metric under any chain of decorators.
-
-    The counting and caching wrappers expose their wrapped metric as
-    ``inner``; index-layer code unwraps the chain to reach the raw
-    geometric metric whose bound kernels must run *uncounted* (bound
-    arithmetic is not a distance evaluation in the paper's cost model).
-    """
-    while hasattr(metric, "inner"):
-        metric = metric.inner
-    return metric
 
 
 class CallableMetric(Metric):

@@ -40,19 +40,6 @@ class CountingMetric(Metric):
         """Whether the wrapped metric has vectorized batch kernels."""
         return self.inner.supports_batch
 
-    @property
-    def supports_index(self) -> bool:
-        """Whether the wrapped metric has the index-layer bound kernels."""
-        return self.inner.supports_index
-
-    def box_lower_bounds(self, Q: Any, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Bound arithmetic forwarded **uncounted** — it is geometry, not a distance."""
-        return self.inner.box_lower_bounds(Q, lo, hi)
-
-    def box_upper_bounds(self, Q: Any, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Bound arithmetic forwarded **uncounted** — it is geometry, not a distance."""
-        return self.inner.box_upper_bounds(Q, lo, hi)
-
     def distance(self, x: Any, y: Any) -> float:
         """Distance via the wrapped metric; increments the call counter by one."""
         self.calls += 1
@@ -137,24 +124,6 @@ class CachedMetric(Metric):
     def supports_batch(self) -> bool:
         """Whether the wrapped metric has vectorized batch kernels."""
         return self.inner.supports_batch
-
-    @property
-    def supports_index(self) -> bool:
-        """Whether the wrapped metric has the index-layer bound kernels."""
-        return self.inner.supports_index
-
-    def box_lower_bounds(self, Q: Any, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Bound arithmetic forwarded without touching the hit/miss counters.
-
-        An indexed screen that short-circuits through box bounds must not
-        look like cache activity: bounds are not pair distances, so they
-        neither hit nor miss the memo dictionary.
-        """
-        return self.inner.box_lower_bounds(Q, lo, hi)
-
-    def box_upper_bounds(self, Q: Any, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Bound arithmetic forwarded without touching the hit/miss counters."""
-        return self.inner.box_upper_bounds(Q, lo, hi)
 
     def distance(self, x: Any, y: Any) -> float:
         """Uncached distance via the wrapped metric (no key available)."""

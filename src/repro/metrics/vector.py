@@ -61,45 +61,11 @@ def _row_chunks(A: np.ndarray, cols: int) -> Iterator[Tuple[int, np.ndarray]]:
         yield start, A[start : start + step]
 
 
-def _box_gaps(Q: Any, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per-coordinate distance from each query to the box ``[lo, hi]``.
-
-    Zero along coordinates where the query lies inside the box; otherwise
-    the one-dimensional gap to the nearer face.  The Minkowski-family
-    norm of these gaps is the exact distance from the query to the box,
-    hence a valid lower bound on the distance to any point inside it.
-    """
-    Q = _as_batch(Q)
-    return np.maximum(np.maximum(lo - Q, Q - hi), 0.0)
-
-
-def _box_spans(Q: Any, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per-coordinate distance from each query to the farther box face.
-
-    The Minkowski-family norm of these spans upper-bounds the distance
-    from the query to every point inside ``[lo, hi]`` (each coordinate of
-    any box point differs from the query by at most the span).
-    """
-    Q = _as_batch(Q)
-    return np.maximum(np.abs(Q - lo), np.abs(hi - Q))
-
-
 class EuclideanMetric(Metric):
     """The Euclidean (L2) distance ``sqrt(sum_i (x_i - y_i)^2)``."""
 
     name = "euclidean"
     supports_batch = True
-    supports_index = True
-
-    def box_lower_bounds(self, Q: Any, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Euclidean distance from each query to the box ``[lo, hi]``."""
-        gaps = _box_gaps(Q, lo, hi)
-        return np.sqrt(np.einsum("ij,ij->i", gaps, gaps))
-
-    def box_upper_bounds(self, Q: Any, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Euclidean distance from each query to the farthest box corner."""
-        spans = _box_spans(Q, lo, hi)
-        return np.sqrt(np.einsum("ij,ij->i", spans, spans))
 
     def distance(self, x: Any, y: Any) -> float:
         """Scalar Euclidean distance between payloads ``x`` and ``y``."""
@@ -146,15 +112,6 @@ class ManhattanMetric(Metric):
 
     name = "manhattan"
     supports_batch = True
-    supports_index = True
-
-    def box_lower_bounds(self, Q: Any, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Manhattan distance from each query to the box ``[lo, hi]``."""
-        return _box_gaps(Q, lo, hi).sum(axis=1)
-
-    def box_upper_bounds(self, Q: Any, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Manhattan distance from each query to the farthest box corner."""
-        return _box_spans(Q, lo, hi).sum(axis=1)
 
     def distance(self, x: Any, y: Any) -> float:
         """Scalar Manhattan distance between payloads ``x`` and ``y``."""
@@ -181,15 +138,6 @@ class ChebyshevMetric(Metric):
 
     name = "chebyshev"
     supports_batch = True
-    supports_index = True
-
-    def box_lower_bounds(self, Q: Any, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Chebyshev distance from each query to the box ``[lo, hi]``."""
-        return _box_gaps(Q, lo, hi).max(axis=1)
-
-    def box_upper_bounds(self, Q: Any, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Chebyshev distance from each query to the farthest box corner."""
-        return _box_spans(Q, lo, hi).max(axis=1)
 
     def distance(self, x: Any, y: Any) -> float:
         """Scalar Chebyshev distance between payloads ``x`` and ``y``."""
@@ -219,17 +167,6 @@ class MinkowskiMetric(Metric):
     """
 
     supports_batch = True
-    supports_index = True
-
-    def box_lower_bounds(self, Q: Any, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Minkowski distance from each query to the box ``[lo, hi]``."""
-        gaps = _box_gaps(Q, lo, hi)
-        return np.power(np.power(gaps, self.p).sum(axis=1), 1.0 / self.p)
-
-    def box_upper_bounds(self, Q: Any, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Minkowski distance from each query to the farthest box corner."""
-        spans = _box_spans(Q, lo, hi)
-        return np.power(np.power(spans, self.p).sum(axis=1), 1.0 / self.p)
 
     def __init__(self, p: float) -> None:
         if not (p >= 1):

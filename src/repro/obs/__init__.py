@@ -14,9 +14,8 @@
   while tracing is disabled).
 * **Logging** — the package-level ``logging.getLogger("repro")`` with a
   ``NullHandler`` (silent by default, per library convention); engine
-  layers route warning-worthy events (silent ``index="auto"``
-  degradation, clamped window ``blocks``, metric-cache eviction) through
-  :func:`get_logger`.
+  layers route warning-worthy events (clamped window ``blocks``,
+  metric-cache eviction) through :func:`get_logger`.
 
 Enable tracing globally with :func:`configure`, for one scope with
 :func:`tracing`, per call with ``repro.solve(..., trace=...)``, per
@@ -150,8 +149,8 @@ def observe(name: str, value: Union[int, float]) -> None:
 def gauges(prefix: str, values: Mapping[str, Any]) -> None:
     """Set ``<prefix>.<key>`` gauges for every numeric item in ``values``.
 
-    Non-numeric values (for example the ``index_kind`` string in
-    :meth:`StreamStats.as_dict`) are skipped; booleans count as numeric.
+    Non-numeric values (for example a string in
+    :attr:`StreamStats.extra`) are skipped; booleans count as numeric.
     """
     if not _TRACER.enabled:
         return

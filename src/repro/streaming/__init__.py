@@ -10,22 +10,4 @@ __all__ = [
     "iter_batches",
     "stream_from_arrays",
     "StreamStats",
-    "SlidingWindowStream",
-    "CheckpointedWindowFDM",
 ]
-
-#: The windowing layer sits *above* the core algorithms in the layering (it
-#: reuses the coreset and greedy-fill machinery), so importing it eagerly
-#: here would close a cycle through ``repro.core`` — the names are served
-#: lazily instead (PEP 562), straight from their new home in
-#: :mod:`repro.windowing`, and every historical import keeps working.
-_WINDOW_EXPORTS = ("SlidingWindowStream", "CheckpointedWindowFDM")
-
-
-def __getattr__(name):
-    """Resolve the window-layer exports on first access."""
-    if name in _WINDOW_EXPORTS:
-        from repro import windowing
-
-        return getattr(windowing, name)
-    raise AttributeError(f"module 'repro.streaming' has no attribute {name!r}")

@@ -9,7 +9,7 @@ attached to every :class:`repro.core.result.RunResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro import obs
 
@@ -32,11 +32,6 @@ class StreamStats:
     stream_seconds: float = 0.0
     #: Wall-clock seconds spent in post-processing.
     postprocess_seconds: float = 0.0
-    #: Spatial-index kind the run's screens used (``"kd"``/``"ball"``), or
-    #: ``None`` for the brute-force kernels.  Informational only: indexed
-    #: runs produce identical solutions, so this records *how* the distance
-    #: counts above were achieved.
-    index_kind: Optional[str] = None
     #: Extra named values (e.g. number of guesses, candidates balanced).
     #: Values are JSON-safe scalars — usually numbers, occasionally strings.
     extra: Dict[str, Any] = field(default_factory=dict)
@@ -67,9 +62,9 @@ class StreamStats:
     def as_dict(self) -> Dict[str, Any]:
         """Flatten all counters into one JSON-serializable dictionary.
 
-        Most values are numbers, but ``index_kind`` (when set) is a
-        string — hence the ``Any`` value type.  The result always
-        round-trips through ``json.dumps``.
+        Most values are numbers, but ``extra`` may carry strings — hence
+        the ``Any`` value type.  The result always round-trips through
+        ``json.dumps``.
         """
         data: Dict[str, Any] = {
             "elements_processed": self.elements_processed,
@@ -82,8 +77,6 @@ class StreamStats:
             "total_seconds": self.total_seconds,
             "average_update_seconds": self.average_update_seconds,
         }
-        if self.index_kind is not None:
-            data["index_kind"] = self.index_kind
         data.update(self.extra)
         return data
 

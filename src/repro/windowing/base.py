@@ -13,7 +13,6 @@ from typing import Iterable, List, Optional
 
 from repro.core.postprocess import greedy_fair_fill
 from repro.core.solution import FairSolution
-from repro.index.tree import resolve_index_kind
 from repro.data.element import Element
 from repro.fairness.constraints import FairnessConstraint
 from repro.metrics.base import Metric
@@ -40,12 +39,6 @@ class WindowedAlgorithm:
     blocks:
         Number of blocks the window is divided into (must not exceed the
         window length; subclasses may require a higher minimum).
-    index:
-        Optional spatial-index kind (``"kd"``/``"ball"``/``"auto"``) for
-        the per-block GMM summaries and the extraction's greedy fill —
-        forwarded to :func:`~repro.baselines.gmm.gmm_elements` /
-        :func:`~repro.core.postprocess.greedy_fair_fill`.  Solutions are
-        identical either way; only counted distance evaluations drop.
     """
 
     #: Registry / reporting name of the algorithm (set by subclasses).
@@ -60,11 +53,8 @@ class WindowedAlgorithm:
         constraint: FairnessConstraint,
         window: int,
         blocks: int = 8,
-        index: Optional[str] = None,
     ) -> None:
         self.metric = metric
-        self.index = index
-        self._index_kind = resolve_index_kind(index, metric)
         self.constraint = constraint
         self.window = require_positive_int(window, "window")
         self.blocks = require_positive_int(blocks, "blocks")
@@ -120,9 +110,7 @@ class WindowedAlgorithm:
         pool = self.candidate_pool()
         if not pool:
             return None
-        selection = greedy_fair_fill(
-            pool, self.constraint, self.metric, index=self._index_kind
-        )
+        selection = greedy_fair_fill(pool, self.constraint, self.metric)
         result = FairSolution(selection, self.metric, self.constraint)
         return result if result.is_fair else None
 

@@ -15,7 +15,7 @@ block length).  The incremental algorithm fixes exactly this.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Tuple
 
 from repro import obs
 from repro.core.coreset import gmm_coreset
@@ -41,9 +41,6 @@ class CheckpointedWindowFDM(WindowedAlgorithm):
         Number of blocks the window is divided into; more blocks means a
         fresher summary (stale elements are dropped at block granularity)
         at the cost of proportionally more stored summaries.
-    index:
-        Optional spatial-index kind for the per-block GMM summaries (see
-        :class:`~repro.windowing.base.WindowedAlgorithm`).
     """
 
     #: Registry / reporting name of this algorithm.
@@ -55,9 +52,8 @@ class CheckpointedWindowFDM(WindowedAlgorithm):
         constraint: FairnessConstraint,
         window: int,
         blocks: int = 8,
-        index: Optional[str] = None,
     ) -> None:
-        super().__init__(metric, constraint, window, blocks, index=index)
+        super().__init__(metric, constraint, window, blocks)
         #: Completed blocks, oldest first: (start_index, summary elements).
         self._summaries: Deque[Tuple[int, List[Element]]] = deque()
         #: Elements of the block currently being filled.
@@ -87,7 +83,6 @@ class CheckpointedWindowFDM(WindowedAlgorithm):
                 self.metric,
                 self.constraint.total_size,
                 per_group=True,
-                index=self._index_kind,
             )
             self._summaries.append((self._current_start, summary))
             self._current_block = []

@@ -89,9 +89,6 @@ class SlidingWindowFDM(WindowedAlgorithm):
         blocks mean finer coverage (at most ``w // blocks - 1`` of the
         oldest live elements are outside the pool) at the cost of
         proportionally more stored summaries and retirements.
-    index:
-        Optional spatial-index kind for the per-block GMM reductions (see
-        :class:`~repro.windowing.base.WindowedAlgorithm`).
     """
 
     #: Registry / reporting name of this algorithm.
@@ -100,10 +97,8 @@ class SlidingWindowFDM(WindowedAlgorithm):
     #: every block boundary; two is the smallest non-degenerate count.
     _min_blocks = 2
 
-    def __init__(
-        self, metric, constraint, window, blocks: int = 8, index=None
-    ) -> None:
-        super().__init__(metric, constraint, window, blocks, index=index)
+    def __init__(self, metric, constraint, window, blocks: int = 8) -> None:
+        super().__init__(metric, constraint, window, blocks)
         #: Summaries of the wholly-live sealed blocks, oldest first.
         #: Invariant: every block starts at or after the window start, and
         #: every sealed block boundary inside the window has an entry.
@@ -139,7 +134,6 @@ class SlidingWindowFDM(WindowedAlgorithm):
             self.metric,
             self.constraint.total_size,
             per_group=True,
-            index=self._index_kind,
         )
 
     def _seal_block(self) -> None:

@@ -120,9 +120,12 @@ class TestConfiguration:
         with pytest.raises(InvalidParameterError, match="conflicts"):
             repro.solve(dataset, k=8, constraint=constraint)
 
-    def test_unknown_option_rejected_eagerly(self, dataset):
+    @pytest.mark.parametrize(
+        "option", [{"shards": 4}, {"index": "kd"}], ids=["shards", "index"]
+    )
+    def test_unknown_option_rejected_eagerly(self, dataset, option):
         with pytest.raises(InvalidParameterError, match="does not accept"):
-            repro.solve(dataset, k=6, algorithm="SFDM2", shards=4)
+            repro.solve(dataset, k=6, algorithm="SFDM2", **option)
 
     def test_unknown_algorithm_rejected(self, dataset):
         with pytest.raises(InvalidParameterError, match="unknown algorithm"):

@@ -50,11 +50,14 @@ class TestParser:
         assert args.shards == 8
         assert args.backend == "process"
 
-    def test_unknown_backend_rejected(self):
+    @pytest.mark.parametrize(
+        "flags",
+        [["--backend", "gpu"], ["--index", "kd"]],
+        ids=["unknown-backend", "removed-index-flag"],
+    )
+    def test_bad_run_flag_rejected(self, flags):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "--dataset", "adult-sex", "--backend", "gpu"]
-            )
+            build_parser().parse_args(["run", "--dataset", "adult-sex", *flags])
 
     def test_compare_include_extended_flag(self):
         args = build_parser().parse_args(

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.metrics.base import CallableMetric, unwrap_metric
 from repro.metrics.cached import CachedMetric, CountingMetric
 from repro.metrics.vector import EuclideanMetric
 
@@ -126,68 +125,3 @@ class TestCachedMetric:
         assert metric.hits == 0
         assert metric.misses == 0
         assert metric.evictions == 0
-
-
-class TestIndexLayerInteraction:
-    """The decorators forward the index bound kernels without side effects.
-
-    Regression guard: an :class:`~repro.index.screen.IndexedScreen` running
-    over a cached/counting metric stack must not inflate any counter — box
-    bounds are geometry, not distance evaluations, so they neither charge
-    the counting metric nor register as cache hits/misses/evictions.
-    """
-
-    def test_supports_index_delegated(self):
-        assert CountingMetric(EuclideanMetric()).supports_index is True
-        assert CachedMetric(EuclideanMetric()).supports_index is True
-        scalar = CallableMetric(lambda x, y: 0.0)
-        assert CountingMetric(scalar).supports_index is False
-        assert CachedMetric(scalar).supports_index is False
-
-    def test_unwrap_reaches_the_innermost_metric(self):
-        inner = EuclideanMetric()
-        stacked = CountingMetric(CachedMetric(inner))
-        assert unwrap_metric(stacked) is inner
-
-    def test_counting_metric_does_not_charge_box_bounds(self):
-        metric = CountingMetric(EuclideanMetric())
-        Q = np.array([[0.0, 0.0], [5.0, 5.0]])
-        lo, hi = np.array([1.0, 1.0]), np.array([2.0, 2.0])
-        lower = metric.box_lower_bounds(Q, lo, hi)
-        upper = metric.box_upper_bounds(Q, lo, hi)
-        assert metric.calls == 0
-        assert (lower <= upper).all()
-
-    def test_cached_metric_box_bounds_do_not_touch_the_memo(self):
-        metric = CachedMetric(EuclideanMetric())
-        metric.distance_keyed(1, [0.0, 0.0], 2, [1.0, 1.0])
-        before = metric.stats()
-        Q = np.array([[0.0, 0.0], [5.0, 5.0]])
-        metric.box_lower_bounds(Q, np.array([1.0, 1.0]), np.array([2.0, 2.0]))
-        metric.box_upper_bounds(Q, np.array([1.0, 1.0]), np.array([2.0, 2.0]))
-        stats = metric.stats()
-        assert stats == before
-        assert len(metric) == 1
-
-    def test_indexed_screen_leaves_cached_stats_consistent(self):
-        # End-to-end: drive an IndexedScreen over a counting(cached(...))
-        # stack and verify the cache saw no activity while the counter saw
-        # exactly the screen's leaf kernels.
-        from repro.index import SpatialIndex
-
-        cached = CachedMetric(EuclideanMetric())
-        counting = CountingMetric(cached)
-        rng = np.random.default_rng(9)
-        matrix = rng.normal(size=(120, 3))
-        tree = SpatialIndex(matrix, counting, kind="kd", leaf_size=8)
-        Q = rng.normal(size=(6, 3))
-        node_max = tree.node_maxes(rng.uniform(0.2, 0.8, size=120))
-        screened = tree.screen_distances(Q, node_max, metric=counting)
-        assert counting.calls > 0
-        assert counting.calls <= Q.shape[0] * matrix.shape[0]
-        assert int(np.isfinite(screened).sum()) <= counting.calls
-        stats = cached.stats()
-        assert stats["hits"] == 0
-        assert stats["misses"] == 0
-        assert stats["evictions"] == 0
-        assert len(cached) == 0

@@ -1,10 +1,9 @@
 """Tests for the ``repro`` package logging: routed warnings stay visible.
 
 The library is silent by default (``NullHandler`` on the ``repro``
-logger), but three degradations warrant a warning an embedding
-application can surface: ``index="auto"`` silently degrading to the
-brute-force kernels, a window ``blocks`` request clamped to the window
-length, and the bounded distance cache starting to evict.
+logger), but two degradations warrant a warning an embedding
+application can surface: a window ``blocks`` request clamped to the
+window length, and the bounded distance cache starting to evict.
 """
 
 import logging
@@ -14,9 +13,8 @@ import pytest
 import repro
 from repro import obs
 from repro.datasets.synthetic import synthetic_blobs
-from repro.index.tree import resolve_index_kind
 from repro.metrics.cached import CachedMetric
-from repro.metrics.vector import cosine, euclidean
+from repro.metrics.vector import euclidean
 
 
 class TestPackageLogger:
@@ -26,23 +24,8 @@ class TestPackageLogger:
 
     def test_get_logger_returns_children(self):
         assert obs.get_logger() is logging.getLogger("repro")
-        assert obs.get_logger("index").name == "repro.index"
+        assert obs.get_logger("api").name == "repro.api"
         assert obs.get_logger("metrics").parent.name == "repro"
-
-
-class TestAutoIndexDegradation:
-    def test_auto_on_unsupported_metric_warns_and_degrades(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="repro"):
-            kind = resolve_index_kind("auto", cosine())
-        assert kind is None
-        messages = [r.message for r in caplog.records if r.name == "repro.index"]
-        assert any("brute-force" in message for message in messages)
-
-    def test_auto_on_supported_metric_is_silent(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="repro"):
-            kind = resolve_index_kind("auto", euclidean())
-        assert kind == "kd"
-        assert not [r for r in caplog.records if r.name.startswith("repro")]
 
 
 class TestClampedBlocks:

@@ -235,16 +235,3 @@ class TestSlidingWindowFDM:
         for element in _elements(37):
             algorithm.process(element)
         assert algorithm.elements_processed == 37
-
-
-def test_streaming_window_module_is_a_deprecation_shim():
-    """The historical module keeps working but points at repro.windowing."""
-    import importlib
-
-    legacy = importlib.import_module("repro.streaming.window")
-    with pytest.warns(DeprecationWarning, match="repro.windowing"):
-        assert legacy.CheckpointedWindowFDM is CheckpointedWindowFDM
-    with pytest.warns(DeprecationWarning, match="repro.windowing"):
-        assert legacy.SlidingWindowStream is SlidingWindowStream
-    with pytest.raises(AttributeError):
-        legacy.NoSuchName

@@ -1,6 +1,5 @@
 """Unit tests for the Element value object."""
 
-import pytest
 import numpy as np
 
 from repro.data.element import Element
@@ -39,28 +38,3 @@ class TestElement:
     def test_label_in_repr(self):
         element = Element(uid=0, vector=[0.0], group=1, label="female")
         assert "female" in repr(element)
-
-
-class TestDeprecatedImportPath:
-    """`repro.streaming.element` is a warning shim over `repro.data.element`."""
-
-    def test_module_attribute_emits_deprecation_warning(self):
-        import repro.streaming.element as legacy
-
-        with pytest.warns(DeprecationWarning, match="repro.data"):
-            legacy_class = legacy.Element
-        assert legacy_class is Element
-
-    def test_from_import_warns_and_behaves_identically(self):
-        with pytest.warns(DeprecationWarning):
-            from repro.streaming.element import Element as LegacyElement
-
-        assert LegacyElement is Element
-        element = LegacyElement(uid=3, vector=np.array([1.0, 2.0]), group=1)
-        assert element == Element(uid=3, vector=np.array([1.0, 2.0]), group=1)
-
-    def test_other_attributes_raise_attribute_error(self):
-        import repro.streaming.element as legacy
-
-        with pytest.raises(AttributeError):
-            legacy.NotAThing

@@ -44,17 +44,17 @@ class TestStreamStats:
         assert "average_update_seconds" in data
 
     def test_as_dict_round_trips_through_json_with_string_extras(self):
-        """Regression: ``extra`` holds strings too (e.g. ``index_kind``).
+        """Regression: ``extra`` holds strings too, not only numbers.
 
-        The annotation used to claim ``Dict[str, float]`` while the index
-        layer stored the resolved tree kind as a string; ``as_dict`` must
-        stay JSON-serializable either way.
+        The annotation used to claim ``Dict[str, float]`` while callers
+        stored strings there; ``as_dict`` must stay JSON-serializable
+        either way.
         """
         stats = StreamStats(
-            elements_processed=42, extra={"index_kind": "kd", "num_guesses": 9}
+            elements_processed=42, extra={"summarizer": "gmm", "num_guesses": 9}
         )
         data = stats.as_dict()
         restored = json.loads(json.dumps(data))
         assert restored == data
-        assert restored["index_kind"] == "kd"
+        assert restored["summarizer"] == "gmm"
         assert restored["num_guesses"] == 9

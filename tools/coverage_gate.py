@@ -38,9 +38,8 @@ SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
 
 #: Pinned line-coverage floor (percent).  Ratchet: only ever raise it.
-#: Measured 94.1% when pinned (index layer + differential suites); the
-#: margin absorbs thread-timing noise in the backend tests, not
-#: structural regressions.
+#: Measured 94.1% when pinned; the margin absorbs thread-timing noise in
+#: the backend tests, not structural regressions.
 THRESHOLD = 93.5
 
 #: Pytest selection the gate measures (slow tests excluded by default).

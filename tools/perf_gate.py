@@ -14,13 +14,7 @@ in ``BENCH_hot_paths.json`` at the repo root:
   allow a ``--tolerance`` factor (default 2.5x) for scheduler noise and
   slower-but-same-shaped hardware.
 
-The gate also covers the spatial-index layer (``benchmarks/bench_index.py``):
-the committed acceptance-scale ``index`` section must show indexed counts
-at or below the brute counts with at least one ≥ 2x reduction, and a fresh
-smoke run of the index bench must reproduce the ``index_smoke`` evaluation
-counts exactly (the accounting is deterministic for a fixed seed/scale).
-
-And it covers the observability layer
+The gate also covers the observability layer
 (``benchmarks/bench_obs_overhead.py``): the committed ``obs_overhead``
 section and a fresh smoke run must both show the disabled tracing path
 accounting for <= 2% of the SFDM2 ingest wall-clock, with traced and
@@ -72,8 +66,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = REPO_ROOT / "BENCH_hot_paths.json"
 SMOKE_SECTION = "hot_paths_smoke"
-INDEX_SECTION = "index"
-INDEX_SMOKE_SECTION = "index_smoke"
 OBS_SECTION = "obs_overhead"
 OBS_SMOKE_SECTION = "obs_overhead_smoke"
 PARALLEL_SECTION = "parallel_scaling"
@@ -132,17 +124,6 @@ TIMED_KEYS = (
     "greedy_fair_fill_store_s",
     "gmm_store_s",
 )
-
-#: ``(brute, indexed)`` evaluation-count key pairs of the index bench
-#: sections; the indexed count must never exceed the brute count.
-INDEX_EVAL_PAIRS = (
-    ("sfdm2_brute_evals", "sfdm2_indexed_evals"),
-    ("gmm_brute_evals", "gmm_indexed_evals"),
-)
-
-#: Acceptance bar on the committed acceptance-scale `index` section: at
-#: least one path must save this factor of counted distance evaluations.
-INDEX_TARGET_REDUCTION = 2.0
 
 
 def _run_bench(module: str, env_extra: dict, scratch_json: Path, section: str) -> dict:
@@ -262,21 +243,6 @@ def _check_quality(section: dict, label: str, failures: list) -> None:
         )
 
 
-def _check_index_counts(section: dict, label: str, failures: list) -> None:
-    """The never-more-evaluations invariant over one index bench section."""
-    for brute_key, indexed_key in INDEX_EVAL_PAIRS:
-        brute = section.get(brute_key)
-        indexed = section.get(indexed_key)
-        if brute is None or indexed is None:
-            failures.append(f"{label}: missing {brute_key}/{indexed_key}")
-            continue
-        if int(indexed) > int(brute):
-            failures.append(
-                f"{label}: indexed charged MORE evaluations than brute "
-                f"({indexed_key}={indexed} > {brute_key}={brute})"
-            )
-
-
 def main(argv=None) -> int:
     """Compare a fresh smoke run with the committed baseline; 0 = green."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -295,15 +261,6 @@ def main(argv=None) -> int:
     if baseline is None:
         raise SystemExit(
             f"perf gate: baseline {BASELINE_PATH.name} has no {SMOKE_SECTION!r} section"
-        )
-
-    index_baseline = baseline_data.get(INDEX_SECTION)
-    index_smoke_baseline = baseline_data.get(INDEX_SMOKE_SECTION)
-    if index_baseline is None or index_smoke_baseline is None:
-        raise SystemExit(
-            f"perf gate: baseline {BASELINE_PATH.name} is missing the "
-            f"{INDEX_SECTION!r}/{INDEX_SMOKE_SECTION!r} sections; run "
-            f"`make bench-index` and the smoke bench, then commit the JSON"
         )
 
     obs_baseline = baseline_data.get(OBS_SECTION)
@@ -345,12 +302,6 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="perf-gate-") as scratch_dir:
         fresh = _run_smoke_bench(
             int(baseline.get("n", 8000)), Path(scratch_dir) / "bench.json"
-        )
-        fresh_index = _run_bench(
-            "benchmarks/bench_index.py",
-            {"REPRO_BENCH_INDEX_N": str(index_smoke_baseline.get("n", 4000))},
-            Path(scratch_dir) / "bench_index.json",
-            INDEX_SMOKE_SECTION,
         )
         fresh_obs = _run_bench(
             "benchmarks/bench_obs_overhead.py",
@@ -408,31 +359,6 @@ def main(argv=None) -> int:
             f"{OBS_SMOKE_SECTION}.stream_distance_computations changed: "
             f"{actual_obs_calls} != baseline {expected_obs_calls}"
         )
-
-    # --- Index layer -------------------------------------------------
-    # The committed acceptance-scale section carries the headline claim:
-    # strictly fewer evaluations everywhere, >= 2x on at least one path.
-    _check_index_counts(index_baseline, INDEX_SECTION, failures)
-    best_reduction = max(
-        float(index_baseline.get("sfdm2_reduction", 0.0)),
-        float(index_baseline.get("gmm_reduction", 0.0)),
-    )
-    if best_reduction < INDEX_TARGET_REDUCTION:
-        failures.append(
-            f"{INDEX_SECTION}: best recorded reduction {best_reduction:.2f}x "
-            f"below the {INDEX_TARGET_REDUCTION:g}x acceptance bar"
-        )
-    # The fresh smoke run re-proves the invariant on this machine, and its
-    # deterministic counts must match the committed smoke baseline exactly.
-    _check_index_counts(fresh_index, f"{INDEX_SMOKE_SECTION} (fresh)", failures)
-    for key in ("sfdm2_brute_evals", "sfdm2_indexed_evals",
-                "gmm_brute_evals", "gmm_indexed_evals"):
-        expected = index_smoke_baseline.get(key)
-        actual = fresh_index.get(key)
-        if expected is not None and actual != expected:
-            failures.append(
-                f"{INDEX_SMOKE_SECTION}.{key} changed: {actual} != baseline {expected}"
-            )
 
     # --- Parallel layer ----------------------------------------------
     # Solution identity across backends and transports, and the payload
@@ -580,7 +506,6 @@ def main(argv=None) -> int:
         "perf gate: OK "
         f"(ingest {fresh_ratio:.2f}x vs baseline {base_ratio:.2f}x, "
         f"store ingest {float(fresh.get('sfdm2_ingest_store_s', 0.0)):.3f}s, "
-        f"index reduction {best_reduction:.2f}x at acceptance scale, "
         f"tracing overhead {float(fresh_obs.get('disabled_overhead_pct', 0.0)):.3f}%, "
         f"shm payload {float(fresh_parallel.get('payload_reduction', 0.0)):.0f}x "
         f"below pickle, "
