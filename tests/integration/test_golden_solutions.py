@@ -124,6 +124,47 @@ def test_solution_matches_golden(dataset_key, name, golden):
     assert fresh["diversity"] == pytest.approx(recorded["diversity"], rel=1e-9)
 
 
+def _batched_cases():
+    """Every golden case whose algorithm declares the ``batch_size`` option."""
+    return [
+        (dataset_key, name, batch_size)
+        for dataset_key, name in _cases()
+        if "batch_size" in repro.get_algorithm(name).capabilities.options
+        for batch_size in (7, 64)
+    ]
+
+
+@pytest.mark.parametrize(
+    "dataset_key,name,batch_size",
+    _batched_cases(),
+    ids=[f"{d}/{n}/batch{b}" for d, n, b in _batched_cases()],
+)
+def test_batched_solution_matches_golden(dataset_key, name, batch_size, golden):
+    """The batched ingestion reproduces the pinned element-at-a-time solution.
+
+    Only uids, diversity and the element count are asserted: the pins were
+    recorded on the element-at-a-time path, whose short-circuiting scan
+    charges fewer distance evaluations than a batched screen.
+    """
+    recorded = golden["entries"].get(f"{dataset_key}/{name}")
+    assert recorded is not None, f"no golden entry for {dataset_key}/{name}; run `make golden`"
+    result = repro.solve(
+        DATASETS[dataset_key](),
+        k=K,
+        algorithm=name,
+        epsilon=EPSILON,
+        seed=SEED,
+        batch_size=batch_size,
+        **OPTIONS.get(name, {}),
+    )
+    assert result.solution is not None, f"{name} found no solution on {dataset_key}"
+    assert [int(uid) for uid in result.solution.uids] == recorded["uids"], (
+        f"batched {name} on {dataset_key} diverged from the pinned solution"
+    )
+    assert result.stats.elements_processed == recorded["elements_processed"]
+    assert float(result.solution.diversity) == pytest.approx(recorded["diversity"], rel=1e-9)
+
+
 if __name__ == "__main__":  # pragma: no cover - exercised via `make golden`
     if "--write" not in sys.argv:
         print("usage: python tests/integration/test_golden_solutions.py --write")
