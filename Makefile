@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast cov golden bench-smoke bench-batch bench-parallel bench-hot bench-window bench-obs bench-serving bench-quality serve-smoke trace-smoke perf-gate docs-check api-check api-surface ci
+.PHONY: test test-fast cov golden bench-smoke bench-parallel bench-hot bench-window bench-obs bench-serving bench-quality serve-smoke trace-smoke perf-gate docs-check api-check api-surface ci
 
 ## Run the full test suite (tier-1 gate).
 test:
@@ -27,22 +27,17 @@ cov:
 golden:
 	$(PYTHON) tests/integration/test_golden_solutions.py --write
 
-## Small-scale end-to-end benchmark pass: the batch-throughput and
-## parallel-scaling benches at a reduced n plus one representative figure
-## bench. The full acceptance runs are `make bench-batch` and
-## `make bench-parallel`.
+## Small-scale end-to-end benchmark pass: the parallel-scaling, window,
+## observability, serving and quality benches at a reduced n plus one
+## representative figure bench. The full acceptance runs are the
+## per-bench targets below.
 bench-smoke:
-	REPRO_BENCH_BATCH_N=5000 $(PYTHON) -m pytest benchmarks/bench_batch_throughput.py -q -s
 	REPRO_BENCH_PARALLEL_N=4000 $(PYTHON) -m pytest benchmarks/bench_parallel_scaling.py -q -s
 	REPRO_BENCH_WINDOW_N=6000 $(PYTHON) -m pytest benchmarks/bench_window.py -q -s
 	REPRO_BENCH_OBS_N=8000 $(PYTHON) -m pytest benchmarks/bench_obs_overhead.py -q -s
 	REPRO_BENCH_SERVING_ROWS=4000 $(PYTHON) -m pytest benchmarks/bench_serving.py -q -s
 	REPRO_BENCH_QUALITY_N=2000 $(PYTHON) -m pytest benchmarks/bench_quality.py -q -s
 	REPRO_BENCH_N=500 $(PYTHON) -m pytest benchmarks/bench_fig7_time_vs_k.py -q -s
-
-## Acceptance-scale batch engine benchmark (SFDM2, n = 50_000, >= 5x).
-bench-batch:
-	$(PYTHON) -m pytest benchmarks/bench_batch_throughput.py -q -s
 
 ## Acceptance-scale parallel engine benchmark (ParallelFDM, n = 100_000:
 ## per-shard-count process+shm vs serial scan, cross-backend/transport
@@ -55,9 +50,10 @@ bench-batch:
 bench-parallel:
 	$(PYTHON) -m pytest benchmarks/bench_parallel_scaling.py -q -s
 
-## Acceptance-scale columnar-store benchmark (SFDM2 ingest store vs object
-## path at n = 100_000, >= 3x, plus post-processing and baseline hot
-## paths). Refreshes the `hot_paths` section of BENCH_hot_paths.json.
+## Acceptance-scale columnar-store benchmark (SFDM2 ingest of a store vs
+## an element list at n = 100_000 with identical solutions and counts, plus
+## post-processing and baseline hot paths). Refreshes the `hot_paths`
+## section of BENCH_hot_paths.json.
 bench-hot:
 	$(PYTHON) -m pytest benchmarks/bench_hot_paths.py -q -s
 

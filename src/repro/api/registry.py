@@ -60,7 +60,7 @@ class Capabilities:
     max_groups:
         Largest supported number of groups (``None`` = unlimited).
     batch:
-        Whether the vectorized ``batch_size`` ingestion option applies.
+        Whether the ``batch_size`` (ingestion chunk size) option applies.
     store:
         Whether the algorithm consumes columnar
         :class:`~repro.data.store.ElementStore` sources natively.

@@ -9,8 +9,8 @@ the same candidate state the one-shot run builds:
 
 * :meth:`~StreamingSession.offer` / :meth:`~StreamingSession.offer_batch` /
   :meth:`~StreamingSession.offer_rows` feed elements (or raw feature rows)
-  incrementally, through the identical warmup / scalar / batched ingestion
-  rules as ``run()``;
+  incrementally into the same ingestion engine
+  (:class:`~repro.core.base.IngestState`) that ``run()`` drives;
 * :meth:`~StreamingSession.solution` extracts the current best solution as a
   full :class:`~repro.core.result.RunResult` **without mutating the
   session** — ingestion continues afterwards exactly as if the query never
@@ -35,29 +35,27 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Any, Iterable, List, Optional, Sequence, Union
+from typing import Any, Iterable, List, Optional, Union
 
 import numpy as np
 
 from repro import obs
-from repro.core.base import StreamingAlgorithm
+from repro.core.base import IngestState, StreamChunk, StreamingAlgorithm
 from repro.core.result import RunResult
 from repro.data.element import Element
 from repro.metrics.cached import CountingMetric
-from repro.metrics.space import exact_distance_bounds
 from repro.streaming.stats import StreamStats
 from repro.utils.errors import (
     CheckpointError,
     EmptyStreamError,
     InvalidParameterError,
-    NoFeasibleSolutionError,
 )
 from repro.utils.timer import Timer
 
 #: Magic header of session checkpoint payloads.
 CHECKPOINT_FORMAT = "repro-session"
 #: Bumped whenever the pickled session layout changes incompatibly.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class SessionBase:
@@ -133,34 +131,40 @@ class SessionBase:
             )
         n = matrix.shape[0]
         if groups is None:
-            group_list = [0] * n
+            codes = np.zeros(n, dtype=np.int64)
         else:
-            group_list = [int(g) for g in np.asarray(groups).reshape(-1)]
-            if len(group_list) != n:
+            codes = np.asarray(groups).reshape(-1).astype(np.int64)
+            if codes.shape[0] != n:
                 raise InvalidParameterError(
-                    f"got {n} feature rows but {len(group_list)} group labels"
+                    f"got {n} feature rows but {codes.shape[0]} group labels"
                 )
         if uids is None:
-            uid_list = list(range(self._next_uid, self._next_uid + n))
+            uid_array = np.arange(self._next_uid, self._next_uid + n, dtype=np.int64)
         else:
-            uid_list = [int(u) for u in np.asarray(uids).reshape(-1)]
-            if len(uid_list) != n:
+            uid_array = np.asarray(uids).reshape(-1).astype(np.int64)
+            if uid_array.shape[0] != n:
                 raise InvalidParameterError(
-                    f"got {n} feature rows but {len(uid_list)} uids"
+                    f"got {n} feature rows but {uid_array.shape[0]} uids"
                 )
-        self.offer_batch(
-            Element(uid=uid_list[i], vector=matrix[i], group=group_list[i])
-            for i in range(n)
-        )
+        if n:
+            self._offer_rows(matrix, codes, uid_array)
 
     def _offer_many(self, chunk: List[Element]) -> None:
         """Subclasses ingest an in-order, non-empty chunk here."""
         raise NotImplementedError
 
-    def _track_uids(self, chunk: Sequence[Element]) -> None:
-        """Advance the auto-uid watermark past every ingested element."""
-        self._offered += len(chunk)
-        highest = max(element.uid for element in chunk)
+    def _offer_rows(self, matrix: np.ndarray, codes: np.ndarray, uids: np.ndarray) -> None:
+        """Ingest validated, non-empty feature rows (as elements by default)."""
+        self._offer_many(
+            [
+                Element(uid=uids[i], vector=matrix[i], group=codes[i])
+                for i in range(matrix.shape[0])
+            ]
+        )
+
+    def _track_uids(self, count: int, highest: int) -> None:
+        """Count ``count`` ingested elements; keep auto-uids past ``highest``."""
+        self._offered += count
         if highest >= self._next_uid:
             self._next_uid = highest + 1
 
@@ -289,22 +293,19 @@ class StreamingSession(SessionBase):
         (SFDM1, SFDM2, or StreamingDiversityMaximization).  The session owns
         the run state; the algorithm object itself is never mutated.
 
-    The session reproduces the one-shot ``run()`` behaviour stage by stage:
+    Offers go straight into the algorithm's ingestion engine
+    (:class:`~repro.core.base.IngestState`), the one ``run()`` drives:
+    the warmup buffers until the bounds can be estimated, and rows are
+    screened in ``batch_size`` chunks aligned to the stream start whatever
+    the offer sizes, so a session ends in exactly the state of a one-shot
+    run over the same element order.  :meth:`offer_rows` hands the offered
+    matrix to the engine as is; an element is built only for a row some
+    candidate accepts.
 
-    * while fewer than ``warmup_size`` elements have arrived (and no
-      explicit ``distance_bounds`` were given), elements are buffered and
-      the guess ladder does not exist yet;
-    * once the warmup fills, bounds are estimated exactly as ``run()``
-      estimates them, the ladder and its candidates are built, and the
-      buffered prefix is ingested;
-    * afterwards, elements flow straight into the candidates — one at a
-      time, or through the vectorized batch path when the algorithm was
-      configured with a ``batch_size`` (chunk boundaries are aligned to the
-      stream start, matching the one-shot chunking).
-
-    :meth:`solution` works on a deep-copied snapshot, so queries are pure:
-    the live ingestion schedule — and therefore the distance accounting —
-    is unaffected by how often (or whether) the session is queried.
+    :meth:`solution` works on a deep-copied snapshot of that state, so
+    queries are pure: the live ingestion schedule — and therefore the
+    distance accounting — is unaffected by how often (or whether) the
+    session is queried.
     """
 
     def __init__(self, algorithm: StreamingAlgorithm, trace: Any = None) -> None:
@@ -315,14 +316,7 @@ class StreamingSession(SessionBase):
                 f"got {type(algorithm).__name__}"
             )
         self._algorithm = algorithm
-        self._counting = algorithm._counting_metric()
-        self._stats = StreamStats()
-        self._ladder = None
-        self._blind = None
-        self._specific = None
-        self._pending: List[Element] = []
-        if algorithm.distance_bounds is not None:
-            self._activate(algorithm.distance_bounds)
+        self._state = IngestState(algorithm)
 
     # ------------------------------------------------------------------
     @property
@@ -333,93 +327,22 @@ class StreamingSession(SessionBase):
     @property
     def is_active(self) -> bool:
         """Whether the guess ladder exists yet (warmup complete)."""
-        return self._ladder is not None
-
-    @property
-    def _batched(self) -> bool:
-        """Whether ingestion runs through the vectorized batch path."""
-        batch_size = self._algorithm.batch_size
-        return batch_size is not None and batch_size > 1 and self._counting.supports_batch
+        return self._state.is_active
 
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
     def _offer_many(self, chunk: List[Element]) -> None:
-        obs.event(
-            "session.offer", algorithm=self._algorithm.name, count=len(chunk)
-        )
+        self._ingest(StreamChunk.of_elements(chunk), max(element.uid for element in chunk))
+
+    def _offer_rows(self, matrix: np.ndarray, codes: np.ndarray, uids: np.ndarray) -> None:
+        self._ingest(StreamChunk(matrix, codes, uids), int(uids.max()))
+
+    def _ingest(self, chunk: StreamChunk, highest_uid: int) -> None:
+        obs.event("session.offer", algorithm=self._algorithm.name, count=len(chunk))
         with self._stream_timer.measure():
-            self._track_uids(chunk)
-            if self._ladder is None:
-                self._pending.extend(chunk)
-                if len(self._pending) >= self._algorithm.warmup_size:
-                    self._activate_from_pending()
-            elif self._batched:
-                self._pending.extend(chunk)
-                self._drain(final=False)
-            else:
-                self._algorithm._ingest_elements(
-                    chunk, self._blind, self._specific, self._stats
-                )
-
-    def _activate(self, bounds) -> None:
-        """Build the guess ladder and its candidates for ``bounds``."""
-        self._ladder = self._algorithm._build_ladder(bounds)
-        self._blind, self._specific = self._algorithm._make_candidates(
-            self._ladder, self._counting
-        )
-        if self._batched:
-            self._stats.extra["batch_size"] = float(self._algorithm.batch_size)
-
-    def _activate_from_pending(self) -> None:
-        """Estimate bounds from the buffered warmup and start ingesting.
-
-        Mirrors :meth:`StreamingAlgorithm._resolve_bounds`: the estimate is
-        computed on the first ``warmup_size`` buffered elements (all of
-        them, when the session is finalised early) and widened by the same
-        factor; a single-element stream gets the trivial bounds.
-        """
-        if not self._pending:
-            raise EmptyStreamError(
-                f"{self._algorithm.name} session received no elements"
-            )
-        if len(self._pending) == 1:
-            self._activate((1.0, 1.0))
-        else:
-            warmup = self._pending[: self._algorithm.warmup_size]
-            d_min, d_max = exact_distance_bounds(warmup, self._counting)
-            self._activate((d_min / 4.0, d_max * 4.0))
-        self._drain(final=False)
-
-    def _drain(self, final: bool) -> None:
-        """Move pending elements into the candidates.
-
-        In scalar mode everything drains immediately.  In batch mode only
-        whole ``batch_size`` chunks drain — the remainder stays pending so
-        chunk boundaries always align with the stream start, exactly like
-        the one-shot run's chunking — unless ``final`` forces the trailing
-        partial chunk out (done only on query snapshots, never on the live
-        session).
-        """
-        if not self._batched:
-            if self._pending:
-                chunk, self._pending = self._pending, []
-                self._algorithm._ingest_elements(
-                    chunk, self._blind, self._specific, self._stats
-                )
-            return
-        size = self._algorithm.batch_size
-        while len(self._pending) >= size:
-            chunk = self._pending[:size]
-            del self._pending[:size]
-            self._algorithm._ingest_batches(
-                chunk, self._blind, self._specific, self._stats, size
-            )
-        if final and self._pending:
-            chunk, self._pending = self._pending, []
-            self._algorithm._ingest_batches(
-                chunk, self._blind, self._specific, self._stats, size
-            )
+            self._track_uids(len(chunk), highest_uid)
+            self._state.offer(chunk)
 
     # ------------------------------------------------------------------
     # Queries
@@ -427,12 +350,13 @@ class StreamingSession(SessionBase):
     def solution(self) -> RunResult:
         """The best solution over everything offered so far, as a RunResult.
 
-        The extraction runs on a deep-copied snapshot of the session, so
-        the live state is untouched: pending batch chunks are flushed only
-        inside the snapshot, and post-processing distance evaluations are
-        charged to the snapshot's counters.  Querying is therefore free of
-        side effects — a session queried a thousand times mid-stream ends
-        with exactly the accounting of one that was never queried.
+        The extraction runs on a deep-copied snapshot of the ingestion
+        state, so the live state is untouched: the pending partial chunk is
+        flushed only inside the snapshot, and post-processing distance
+        evaluations are charged to the snapshot's counters.  Querying is
+        therefore free of side effects — a session queried a thousand times
+        mid-stream ends with exactly the accounting of one that was never
+        queried.
 
         Raises
         ------
@@ -450,47 +374,13 @@ class StreamingSession(SessionBase):
             algorithm=self._algorithm.name,
             offered=self._offered,
         ):
-            snapshot = copy.deepcopy(self)
-            return snapshot._finalize()
-
-    def _finalize(self) -> RunResult:
-        """Flush, extract, and package the result (runs on a snapshot)."""
-        if self._ladder is None:
-            self._activate_from_pending()
-        self._drain(final=True)
-        stream_calls = self._counting.calls
-
-        timer = Timer()
-        with timer.measure():
-            best, extract_stats = self._algorithm._extract(
-                self._ladder, self._blind, self._specific, self._counting
-            )
-        stored = len(self._algorithm._stored_elements(self._blind, self._specific))
-        stats = self._stats
-        stats.extra["num_guesses"] = len(self._ladder)
-        stats.extra.update(extract_stats)
-        stats.stream_seconds = self._stream_seconds
-        stats.postprocess_seconds = timer.elapsed
-        stats.stream_distance_computations = stream_calls
-        stats.postprocess_distance_computations = self._counting.calls - stream_calls
-        stats.record_stored(stored)
-        stats.publish(self._algorithm.name)
-
-        if best is None:
-            raise NoFeasibleSolutionError(self._algorithm._infeasible_message())
-        return RunResult(
-            algorithm=self._algorithm.name,
-            solution=best,
-            stats=stats,
-            params=self._algorithm._run_params(),
-        )
+            snapshot = copy.deepcopy(self._state)
+            snapshot.flush()
+            return snapshot.result(snapshot.extract(self._stream_seconds))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "active" if self.is_active else "warming up"
-        return (
-            f"StreamingSession({self._algorithm.name}, offered={self._offered}, "
-            f"{state}, pending={len(self._pending)})"
-        )
+        return f"StreamingSession({self._algorithm.name}, offered={self._offered}, {state})"
 
 
 class WindowSession(SessionBase):
@@ -547,7 +437,7 @@ class WindowSession(SessionBase):
             "session.offer", algorithm=self.algorithm_name, count=len(chunk)
         )
         with self._stream_timer.measure():
-            self._track_uids(chunk)
+            self._track_uids(len(chunk), max(element.uid for element in chunk))
             for element in chunk:
                 self._algorithm.process(element)
                 self._stats.elements_processed += 1

@@ -6,7 +6,7 @@ Run SFDM2 on the Adult (race) surrogate with k = 20::
 
     python -m repro run --dataset adult-race --algorithm SFDM2 -k 20
 
-Run SFDM2 with the vectorized batch ingestion path on a large stream::
+Run SFDM2 on a large stream with 1024-row ingestion chunks::
 
     python -m repro run --dataset synthetic-m2 --algorithm SFDM2 -k 20 \
         --n 50000 --batch-size 1024
@@ -252,8 +252,8 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help=(
-            "chunk size for the vectorized batch ingestion path of SFDM1/SFDM2 "
-            "(default: element-at-a-time updates)"
+            "rows per chunk of the stream ingestion engine of StreamingDM/SFDM1/"
+            "SFDM2 (default: 512); the solution does not depend on it"
         ),
     )
     parser.add_argument(

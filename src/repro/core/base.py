@@ -4,14 +4,25 @@ All three streaming algorithms (Algorithm 1, SFDM1, SFDM2) share the same
 skeleton: estimate or accept distance bounds, build the guess ladder,
 maintain per-guess candidates while consuming the stream once, then
 post-process and select the best candidate.  :class:`StreamingAlgorithm`
-hosts the common pieces (bounds handling, counting metric, stats plumbing,
-and the element-at-a-time vs. batched stream ingestion) so the algorithm
-classes read close to the paper's pseudocode.
+hosts the hooks the algorithm classes fill in, so they read close to the
+paper's pseudocode, and :class:`IngestState` is the one ingestion engine
+behind both the one-shot :meth:`StreamingAlgorithm.run` and the long-lived
+sessions of :mod:`repro.api.session`.
+
+The engine applies the paper's stream rule (lines 4–8 of Algorithms 1–3)
+chunk-wise: every source is cut into :class:`StreamChunk` objects — a
+payload matrix, a group-code array and a way to materialise accepted rows
+as elements — and each ``batch_size``-row chunk, aligned to the stream
+start, is screened against every guess level at once by a
+:class:`_UnionScreen`.  The accepted candidates are exactly those of the
+element-at-a-time rule (:meth:`~repro.core.candidate.Candidate.offer`);
+only the arithmetic is scheduled differently.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -21,9 +32,9 @@ from repro.core.guesses import GuessLadder
 from repro.core.result import RunResult
 from repro.core.solution import Solution
 from repro.data.store import ElementStore, store_rows_of
-from repro.metrics.base import Metric
+from repro.metrics.base import Metric, stack_payloads, stack_vectors
 from repro.metrics.cached import CountingMetric
-from repro.metrics.space import exact_distance_bounds
+from repro.metrics.space import payload_distance_bounds
 from repro.data.element import Element
 from repro.streaming.stats import StreamStats
 from repro.streaming.stream import iter_batches
@@ -32,7 +43,7 @@ from repro.utils.errors import (
     InvalidParameterError,
     NoFeasibleSolutionError,
 )
-from repro.utils.timer import StageTimer
+from repro.utils.timer import Timer
 from repro.utils.validation import require_in_open_interval
 
 #: The candidate state one run (or one live session) of a streaming
@@ -41,77 +52,126 @@ from repro.utils.validation import require_in_open_interval
 #: group) pair (``None`` for the unconstrained Algorithm 1).
 CandidateState = Tuple[List[Candidate], Optional[List[Dict[int, Candidate]]]]
 
+#: Rows per screened chunk when an algorithm's ``batch_size`` is ``None``.
+#: 512 runs as fast as 1024 on the default ``solve`` workload while keeping
+#: the chunk-by-union distance matrix (and so peak memory) half as large.
+DEFAULT_BATCH_SIZE = 512
 
-class IngestPlan:
-    """A resolved one-pass element source, columnar when possible.
 
-    Produced by :meth:`StreamingAlgorithm._resolve_bounds` and consumed by
-    :meth:`StreamingAlgorithm._ingest`.  Exactly one of two shapes:
+class StreamChunk:
+    """A run of consecutive stream rows, in the form the engine screens.
 
-    * **store-backed** — ``store`` is an :class:`ElementStore` and
-      ``order`` the row iteration order (``None`` for canonical order);
-      the batched ingestion then runs on store row-ranges with no
-      per-element Python work;
-    * **object-backed** — ``store`` is ``None`` and the source is the
-      buffered warmup ``prefix`` chained with the ``rest`` iterator, as in
-      the original object path.
+    Parameters
+    ----------
+    vectors:
+        Payload matrix; row ``i`` is the payload of the chunk's ``i``-th
+        row (a 1-D array for scalar payloads, an object array for ragged
+        ones).
+    codes:
+        int64 group label of every row.
+    source:
+        How an accepted row becomes an :class:`Element`: the offered
+        element list itself (accepted elements stay the offered objects), a
+        ``(store, rows)`` pair of :class:`ElementStore` rows (accepted rows
+        become zero-copy store views), or an int64 uid array for raw offered
+        rows (an element is built only for an accepted row).
     """
 
-    __slots__ = ("store", "order", "prefix", "rest")
+    __slots__ = ("vectors", "codes", "source")
 
-    def __init__(
-        self,
-        store: Optional[ElementStore] = None,
-        order: Optional[np.ndarray] = None,
-        prefix: Optional[List[Element]] = None,
-        rest: Optional[Iterator[Element]] = None,
-    ) -> None:
-        self.store = store
-        self.order = order
-        self.prefix = prefix if prefix is not None else []
-        self.rest = rest if rest is not None else iter(())
+    def __init__(self, vectors: np.ndarray, codes: np.ndarray, source: Any) -> None:
+        self.vectors = vectors
+        self.codes = codes
+        self.source = source
+
+    @classmethod
+    def of_elements(cls, elements: List[Element]) -> "StreamChunk":
+        """One stack of an element list (one gather if they are store views)."""
+        codes = np.fromiter(
+            (element.group for element in elements), dtype=np.int64, count=len(elements)
+        )
+        return cls(stack_vectors(elements), codes, elements)
 
     def __len__(self) -> int:
-        if self.store is None:
-            raise TypeError("object-backed ingest plans have no known length")
-        return len(self.store) if self.order is None else int(self.order.shape[0])
+        return self.codes.shape[0]
 
-    def row(self, position: int) -> int:
-        """Absolute store row at iteration ``position`` (store-backed only)."""
-        return position if self.order is None else int(self.order[position])
+    def __getitem__(self, window: slice) -> "StreamChunk":
+        source = self.source
+        if isinstance(source, tuple):
+            source = (source[0], source[1][window])
+        else:
+            source = source[window]
+        return StreamChunk(self.vectors[window], self.codes[window], source)
 
-    def elements(self) -> Iterator[Element]:
-        """The one-pass element sequence, whichever shape the plan has."""
-        if self.store is not None:
-            return self.store.iter_elements(self.order)
-        return StreamingAlgorithm._chain(self.prefix, self.rest)
+    def element(self, position: int) -> Element:
+        """The element of row ``position``."""
+        source = self.source
+        if isinstance(source, list):
+            return source[position]
+        if isinstance(source, tuple):
+            store, rows = source
+            return store.element(rows[position])
+        return Element(
+            uid=int(source[position]),
+            vector=np.array(self.vectors[position]),
+            group=int(self.codes[position]),
+        )
+
+    @staticmethod
+    def join(pieces: List["StreamChunk"]) -> "StreamChunk":
+        """The rows of ``pieces`` in order, as one chunk sharing no array with them."""
+        sources = [piece.source for piece in pieces]
+        if all(isinstance(source, np.ndarray) for source in sources):
+            source = np.concatenate(sources)
+        else:
+            source = [piece.element(i) for piece in pieces for i in range(len(piece))]
+        return StreamChunk(
+            np.concatenate([piece.vectors for piece in pieces]),
+            np.concatenate([piece.codes for piece in pieces]),
+            source,
+        )
 
 
-def _plan_for_stream(stream: Iterable[Element]) -> Optional[IngestPlan]:
-    """A store-backed :class:`IngestPlan` for ``stream``, or ``None``.
+def _store_plan(stream: Iterable[Element]) -> Optional[Tuple[ElementStore, Optional[np.ndarray]]]:
+    """``(store, order)`` when ``stream`` is store-backed, else ``None``.
 
     Recognises three columnar sources: a bare :class:`ElementStore`, a
     stream exposing ``store_plan()`` (a store-backed
     :class:`~repro.streaming.stream.DataStream`, which resolves its shuffle
     permutation here), and a concrete sequence whose elements are all views
-    of one store.  Generators and object-element sequences fall through to
-    the object path.
+    of one store.  ``order`` is ``None`` for canonical row order.
     """
     if isinstance(stream, ElementStore):
-        return IngestPlan(store=stream)
+        return stream, None
     store_plan = getattr(stream, "store_plan", None)
     if store_plan is not None:
-        resolved = store_plan()
-        if resolved is not None:
-            store, order = resolved
-            return IngestPlan(store=store, order=order)
-        return None
+        return store_plan()
     if isinstance(stream, (list, tuple)):
-        backing = store_rows_of(stream)
-        if backing is not None:
-            store, rows = backing
-            return IngestPlan(store=store, order=rows)
+        return store_rows_of(stream)
     return None
+
+
+def stream_chunks(stream: Iterable[Element], size: int) -> Iterator[StreamChunk]:
+    """Cut a one-pass source into ``size``-row chunks aligned to its start.
+
+    Store-backed sources yield zero-copy row ranges (one gather per chunk
+    under a shuffle); any other iterable — element lists, generators — is
+    consumed once, one stack per chunk.
+    """
+    plan = _store_plan(stream)
+    if plan is None:
+        for batch in iter_batches(stream, size):
+            yield StreamChunk.of_elements(batch)
+        return
+    store, order = plan
+    total = len(store) if order is None else order.shape[0]
+    for start in range(0, total, size):
+        if order is None:
+            window: Any = slice(start, min(start + size, total))
+            rows = np.arange(window.start, window.stop, dtype=np.int64)
+        else:
+            window = rows = order[start : start + size]
+        yield StreamChunk(store.features[window], store.groups[window], (store, rows))
 
 
 class StreamingAlgorithm:
@@ -131,15 +191,17 @@ class StreamingAlgorithm:
         Number of elements buffered for bound estimation when
         ``distance_bounds`` is not supplied.
     batch_size:
-        When set (and the metric has vectorized kernels), the stream is
-        consumed in chunks of this many elements and every guess level
-        screens each chunk with one batched min-distance computation
-        instead of per-element Python loops.  ``None`` (default) keeps the
-        paper's element-at-a-time updates.  The accepted candidates — and
-        therefore the final solution — are the same in both modes; batching
-        only changes how the arithmetic is scheduled.  Metrics without
-        vectorized kernels (e.g. custom callables) silently fall back to
-        the scalar path.
+        Rows per chunk of the ingestion engine: the stream is cut into
+        chunks of this many elements, aligned to the stream start, and every
+        guess level screens each chunk with one batched distance
+        computation.  ``None`` (default) means :data:`DEFAULT_BATCH_SIZE`.
+        The accepted candidates — and therefore the final solution — are
+        those of the paper's element-at-a-time rule for every chunk size;
+        the size only changes how the arithmetic is scheduled (and the
+        counted distance evaluations, since a chunk is screened in full).
+        Metrics without vectorized kernels (e.g. custom callables) run the
+        same chunks through :class:`~repro.metrics.base.Metric`'s scalar
+        loops.
     """
 
     #: Overridden by subclasses; used in reports.
@@ -170,19 +232,19 @@ class StreamingAlgorithm:
         self.batch_size = None if batch_size is None else int(batch_size)
 
     # ------------------------------------------------------------------
-    # Template run: resolve bounds, build candidates, ingest, extract
+    # Template run: offer every chunk, flush, extract
     # ------------------------------------------------------------------
     def run(self, stream: Iterable[Element]) -> RunResult:
         """Consume ``stream`` in one pass and return the best solution found.
 
-        The skeleton is shared by every streaming algorithm: resolve the
-        distance bounds (buffering a warmup prefix when they are not
-        given), build the guess ladder and its candidates
-        (:meth:`_make_candidates`), feed the stream through the ingestion
-        engine, and post-process the candidates into the best solution
-        (:meth:`_extract`).  Subclasses supply only the two hooks plus
-        their parameter/report metadata — the same hooks the long-lived
-        session API (:mod:`repro.api.session`) drives incrementally.
+        The stream is cut into chunks (:func:`stream_chunks`) and offered
+        to a fresh :class:`IngestState`, which resolves the distance bounds,
+        builds the guess ladder and its candidates
+        (:meth:`_make_candidates`) and screens every chunk; the candidates
+        are then post-processed into the best solution (:meth:`_extract`).
+        Subclasses supply only the two hooks plus their parameter/report
+        metadata — the same hooks the long-lived session API
+        (:mod:`repro.api.session`) drives through the same engine.
 
         Raises
         ------
@@ -190,37 +252,20 @@ class StreamingAlgorithm:
             If no candidate state admits a (fair) solution.
         """
         with obs.span("run", algorithm=self.name) as run_span:
-            counting = self._counting_metric()
-            stats, stages = self._new_stats()
-            with stages.stage("stream"), obs.span("ingest", algorithm=self.name):
-                bounds, plan = self._resolve_bounds(stream, counting)
-                ladder = self._build_ladder(bounds)
-                blind, specific = self._make_candidates(ladder, counting)
-                self._ingest(plan, blind, specific, stats, counting)
-            stream_calls = counting.calls
-
-            with stages.stage("postprocess"), obs.span("postprocess", algorithm=self.name):
-                best, extract_stats = self._extract(ladder, blind, specific, counting)
-
-            stored = len(self._stored_elements(blind, specific))
-            stats.extra["num_guesses"] = len(ladder)
-            stats.extra.update(extract_stats)
-            self._finalize_stats(stats, stages, counting, stream_calls, stored)
-            stats.publish(self.name)
+            state = IngestState(self)
+            timer = Timer()
+            with timer.measure(), obs.span("ingest", algorithm=self.name):
+                for chunk in stream_chunks(stream, state.size):
+                    state.offer(chunk)
+                state.flush()
+            with obs.span("postprocess", algorithm=self.name):
+                best = state.extract(timer.elapsed)
             run_span.set(
-                elements=stats.elements_processed,
-                distance_evaluations=counting.calls,
-                stored=stored,
+                elements=state.stats.elements_processed,
+                distance_evaluations=state.counting.calls,
+                stored=state.stats.final_stored_elements,
             )
-
-            if best is None:
-                raise NoFeasibleSolutionError(self._infeasible_message())
-            return RunResult(
-                algorithm=self.name,
-                solution=best,
-                stats=stats,
-                params=self._run_params(),
-            )
+            return state.result(best)
 
     # ------------------------------------------------------------------
     # Subclass hooks
@@ -279,281 +324,235 @@ class StreamingAlgorithm:
         """A fresh counting wrapper around the user metric for one run."""
         return CountingMetric(self.metric)
 
-    def _resolve_bounds(
-        self, stream: Iterable[Element], metric: Metric
-    ) -> Tuple[Tuple[float, float], IngestPlan]:
-        """Return ``(bounds, ingest_plan)`` for ``stream``.
-
-        Columnar sources (see :func:`_plan_for_stream`) resolve to a
-        store-backed plan whose warmup prefix is sliced from the store in
-        iteration order; other sources buffer the first ``warmup_size``
-        elements off the iterator exactly as before.  Either way every
-        element is still processed exactly once, the bound estimate is
-        computed on the same warmup elements, and explicit
-        ``distance_bounds`` skip the warmup entirely.
-        """
-        plan = _plan_for_stream(stream)
-        if plan is not None:
-            total = len(plan)
-            if self.distance_bounds is not None:
-                return self.distance_bounds, plan
-            if total == 0:
-                raise EmptyStreamError(f"{self.name} received an empty stream")
-            if total == 1:
-                # A single element: any positive bounds work, the ladder is trivial.
-                return (1.0, 1.0), plan
-            warmup = [
-                plan.store.element(plan.row(position))
-                for position in range(min(self.warmup_size, total))
-            ]
-            d_min, d_max = exact_distance_bounds(warmup, metric)
-            return (d_min / 4.0, d_max * 4.0), plan
-
-        iterator = iter(stream)
-        if self.distance_bounds is not None:
-            return self.distance_bounds, IngestPlan(rest=iterator)
-        buffered: List[Element] = []
-        for element in iterator:
-            buffered.append(element)
-            if len(buffered) >= self.warmup_size:
-                break
-        if not buffered:
-            raise EmptyStreamError(f"{self.name} received an empty stream")
-        if len(buffered) == 1:
-            # A single element: any positive bounds work, the ladder is trivial.
-            return (1.0, 1.0), IngestPlan(prefix=buffered, rest=iterator)
-        d_min, d_max = exact_distance_bounds(buffered, metric)
-        # Widen the estimate: the sample minimum overestimates the global
-        # d_min and the sample maximum underestimates the global d_max.
-        return (d_min / 4.0, d_max * 4.0), IngestPlan(prefix=buffered, rest=iterator)
-
     def _build_ladder(self, bounds: Tuple[float, float]) -> GuessLadder:
         """Guess ladder for the resolved bounds."""
         d_min, d_max = bounds
         return GuessLadder(d_min=d_min, d_max=d_max, epsilon=self.epsilon)
 
-    @staticmethod
-    def _chain(prefix: List[Element], rest: Iterator[Element]) -> Iterator[Element]:
-        """Iterate the buffered prefix and then the remaining stream."""
-        for element in prefix:
-            yield element
-        for element in rest:
-            yield element
 
-    # ------------------------------------------------------------------
-    # Stream ingestion (element-at-a-time or batched)
-    # ------------------------------------------------------------------
-    def _ingest(
-        self,
-        plan: IngestPlan,
-        blind: List[Candidate],
-        specific: Optional[List[Dict[int, Candidate]]],
-        stats: StreamStats,
-        metric: Metric,
-    ) -> None:
-        """Feed the stream into every guess level's candidates.
+class IngestState:
+    """The ingestion engine: one run's, or one live session's, stream state.
 
-        Parameters
-        ----------
-        plan:
-            The resolved one-pass source from :meth:`_resolve_bounds`.
-        blind:
-            One group-blind candidate per guess level.
-        specific:
-            Per-level mapping from group label to the group-specific
-            candidate, or ``None`` for the unconstrained Algorithm 1.
-        stats:
-            Run statistics; ``elements_processed`` is advanced here.
-        metric:
-            The (counting) metric — consulted for batch-kernel support.
+    Parameters
+    ----------
+    algorithm:
+        The configured algorithm; it supplies the bounds, warmup and chunk
+        settings and the candidate/extraction hooks, and is never mutated.
 
-        Dispatches to the columnar row-range path for store-backed plans in
-        batch mode, to the object batch path for object-backed plans in
-        batch mode, and to the scalar path otherwise.  All paths produce
-        identical candidate contents (and charge identical distance
-        counts) because candidates are mutually independent and each one
-        sees the elements in stream order.
+    Chunks of any size arrive through :meth:`offer` and are screened in
+    ``size``-row chunks aligned to the stream start, whatever the offer
+    boundaries were, so a session fed row by row ends in exactly the state
+    (and distance count) of a one-shot run over the same order:
+
+    * until ``warmup_size`` rows have arrived (and no explicit
+      ``distance_bounds`` were given), rows wait in the pending buffer and
+      the guess ladder does not exist yet;
+    * the bounds are then estimated on the first ``warmup_size`` rows and
+      widened by a factor of four on each side (the sample minimum
+      overestimates the global ``d_min``, the sample maximum underestimates
+      ``d_max``), and the ladder and its candidates are built;
+    * from then on every whole chunk is screened as soon as it completes;
+      :meth:`flush` screens the trailing partial chunk at the end.
+
+    Screened rows are not retained: between offers the state holds the
+    candidates, the pending partial chunk and the counters only, so a
+    pickled session stays small.
+    """
+
+    def __init__(self, algorithm: StreamingAlgorithm) -> None:
+        self.algorithm = algorithm
+        self.counting = algorithm._counting_metric()
+        self.stats = StreamStats()
+        self.size = algorithm.batch_size or DEFAULT_BATCH_SIZE
+        self.stats.extra["batch_size"] = float(self.size)
+        self.ladder: Optional[GuessLadder] = None
+        self.blind: List[Candidate] = []
+        self.specific: Optional[List[Dict[int, Candidate]]] = None
+        self._pending: Deque[StreamChunk] = deque()
+        self._pending_rows = 0
+        #: Union screens over the candidates (blind, per group); a cache
+        #: rebuilt on demand, never pickled.
+        self._screens: Optional[Tuple[_UnionScreen, Dict[int, _UnionScreen]]] = None
+        if algorithm.distance_bounds is not None:
+            self._activate(algorithm.distance_bounds)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state["_screens"] = None
+        return state
+
+    @property
+    def is_active(self) -> bool:
+        """Whether the guess ladder exists yet (warmup complete)."""
+        return self.ladder is not None
+
+    def offer(self, chunk: StreamChunk) -> None:
+        """Append rows to the stream; screen every chunk they complete."""
+        if not len(chunk):
+            return
+        self._pending.append(chunk)
+        self._pending_rows += len(chunk)
+        if self.ladder is None:
+            if self._pending_rows < self.algorithm.warmup_size:
+                return
+            self._activate_from_pending()
+        self._drain(final=False)
+
+    def flush(self) -> None:
+        """End of input: activate if still warming up, screen the partial chunk.
+
+        Raises
+        ------
+        EmptyStreamError
+            If no row was ever offered and no explicit bounds were given.
         """
-        size = self.batch_size
-        batched = size is not None and size > 1 and metric.supports_batch
-        if batched:
-            stats.extra["batch_size"] = float(size)
-        if plan.store is not None and batched:
-            self._ingest_store(plan, blind, specific, stats, metric, size)
-        elif batched:
-            self._ingest_batches(plan.elements(), blind, specific, stats, size)
-        else:
-            self._ingest_elements(plan.elements(), blind, specific, stats)
+        if self.ladder is None:
+            self._activate_from_pending()
+        self._drain(final=True)
 
-    @staticmethod
-    def _ingest_elements(
-        elements: Iterable[Element],
-        blind: List[Candidate],
-        specific: Optional[List[Dict[int, Candidate]]],
-        stats: StreamStats,
-    ) -> None:
-        """The paper's element-at-a-time update loop (lines 4–8)."""
-        levels = len(blind)
-        for element in elements:
-            stats.elements_processed += 1
-            for index in range(levels):
-                blind[index].offer(element)
-                if specific is not None:
-                    candidate = specific[index].get(element.group)
-                    if candidate is not None:
-                        candidate.offer(element)
+    def extract(self, stream_seconds: float) -> Optional[Solution]:
+        """Post-process the candidates and complete (and publish) the stats.
 
-    def _ingest_batches(
-        self,
-        elements: Iterable[Element],
-        blind: List[Candidate],
-        specific: Optional[List[Dict[int, Candidate]]],
-        stats: StreamStats,
-        size: int,
-    ) -> None:
-        """Vectorized update loop: one batched screen per chunk and guess level.
-
-        Each chunk's payloads are stacked once (and pre-split by group once,
-        for the group-specific candidates) so the per-level work reduces to
-        a handful of NumPy kernel calls on the already-stacked matrices.
+        Returns the best solution, or ``None`` when none is feasible.
+        ``stream_seconds`` is the wall-clock the caller spent ingesting.
         """
-        levels = len(blind)
-        for chunk in iter_batches(elements, size):
-            stats.elements_processed += len(chunk)
-            with obs.span("ingest.chunk", size=len(chunk)):
-                self._offer_chunk(chunk, blind, specific, levels)
-
-    @staticmethod
-    def _offer_chunk(
-        chunk: List[Element],
-        blind: List[Candidate],
-        specific: Optional[List[Dict[int, Candidate]]],
-        levels: int,
-    ) -> None:
-        """Offer one object-path chunk to every guess level's candidates."""
-        vectors = np.asarray([element.vector for element in chunk])
-        by_group: Dict[int, Tuple[List[Element], np.ndarray]] = {}
-        if specific is not None:
-            indices_by_group: Dict[int, List[int]] = {}
-            for i, element in enumerate(chunk):
-                indices_by_group.setdefault(element.group, []).append(i)
-            by_group = {
-                group: ([chunk[i] for i in indices], vectors[indices])
-                for group, indices in indices_by_group.items()
-            }
-        for index in range(levels):
-            blind[index].offer_batch(chunk, vectors)
-            if specific is not None:
-                per_group = specific[index]
-                for group, (sub_elements, sub_vectors) in by_group.items():
-                    candidate = per_group.get(group)
-                    if candidate is not None:
-                        candidate.offer_batch(sub_elements, sub_vectors)
-
-    def _ingest_store(
-        self,
-        plan: IngestPlan,
-        blind: List[Candidate],
-        specific: Optional[List[Dict[int, Candidate]]],
-        stats: StreamStats,
-        metric: Metric,
-        size: int,
-    ) -> None:
-        """Columnar update loop: store row-ranges, no per-element Python work.
-
-        Mirrors :meth:`_ingest_batches` decision-for-decision (same chunk
-        boundaries, same per-candidate screens, same in-chunk resolution —
-        so identical candidates and identical distance counts) while
-        removing everything the object path pays per element or per guess
-        level:
-
-        * chunks are contiguous feature-matrix slices (zero-copy in
-          canonical order, one vectorized gather per chunk under a shuffle
-          permutation);
-        * group splitting is a mask over the ``groups`` column computed
-          once per chunk;
-        * the per-level member screens are collapsed into one memoised
-          union screen per chunk (see :class:`_UnionScreen`);
-        * candidates that have reached capacity are dropped from the loop
-          instead of being re-offered a chunk they must refuse.
-        """
-        store, order = plan.store, plan.order
-        features, group_column = store.features, store.groups
-        total = len(plan)
-        blind_screen = _UnionScreen(
-            [candidate for candidate in blind if not candidate.is_full]
-        )
-        group_screens: Dict[int, _UnionScreen] = {}
-        if specific is not None:
-            by_group: Dict[int, List[Candidate]] = {}
-            for per_group in specific:
-                for group, candidate in per_group.items():
-                    if not candidate.is_full:
-                        by_group.setdefault(group, []).append(candidate)
-            group_screens = {
-                group: _UnionScreen(candidates)
-                for group, candidates in by_group.items()
-            }
-        for start in range(0, total, size):
-            stop = min(start + size, total)
-            stats.elements_processed += stop - start
-            if blind_screen.exhausted and not group_screens:
-                continue
-            with obs.span("ingest.chunk", start=start, size=stop - start):
-                if order is None:
-                    rows = np.arange(start, stop, dtype=np.int64)
-                    vectors = features[start:stop]
-                    codes = group_column[start:stop]
-                else:
-                    rows = order[start:stop]
-                    vectors = features[rows]
-                    codes = group_column[rows]
-
-                if not blind_screen.exhausted:
-                    blind_screen.process(metric, store, rows, vectors)
-                if group_screens:
-                    drained = []
-                    for group, screen in group_screens.items():
-                        member_positions = np.nonzero(codes == group)[0]
-                        if member_positions.size == 0:
-                            continue
-                        screen.process(
-                            metric,
-                            store,
-                            rows[member_positions],
-                            vectors[member_positions],
-                        )
-                        if screen.exhausted:
-                            drained.append(group)
-                    for group in drained:
-                        del group_screens[group]
-
-    @staticmethod
-    def _new_stats() -> Tuple[StreamStats, StageTimer]:
-        """Fresh stats object and stage timer for one run."""
-        return StreamStats(), StageTimer()
-
-    @staticmethod
-    def _finalize_stats(
-        stats: StreamStats,
-        stages: StageTimer,
-        counting: CountingMetric,
-        stream_calls: int,
-        stored_elements: int,
-    ) -> None:
-        """Copy timer and counter values into ``stats`` after a run."""
-        stats.stream_seconds = stages.elapsed("stream")
-        stats.postprocess_seconds = stages.elapsed("postprocess")
+        stream_calls = self.counting.calls
+        timer = Timer()
+        with timer.measure():
+            best, extract_stats = self.algorithm._extract(
+                self.ladder, self.blind, self.specific, self.counting
+            )
+        stats = self.stats
+        stats.extra["num_guesses"] = len(self.ladder)
+        stats.extra.update(extract_stats)
+        stats.stream_seconds = stream_seconds
+        stats.postprocess_seconds = timer.elapsed
         stats.stream_distance_computations = stream_calls
-        stats.postprocess_distance_computations = counting.calls - stream_calls
-        stats.record_stored(stored_elements)
+        stats.postprocess_distance_computations = self.counting.calls - stream_calls
+        stats.record_stored(len(self.algorithm._stored_elements(self.blind, self.specific)))
+        stats.publish(self.algorithm.name)
+        return best
+
+    def result(self, best: Optional[Solution]) -> RunResult:
+        """Package an :meth:`extract` outcome, raising when it is infeasible."""
+        if best is None:
+            raise NoFeasibleSolutionError(self.algorithm._infeasible_message())
+        return RunResult(
+            algorithm=self.algorithm.name,
+            solution=best,
+            stats=self.stats,
+            params=self.algorithm._run_params(),
+        )
+
+    # ------------------------------------------------------------------
+    def _activate(self, bounds: Tuple[float, float]) -> None:
+        """Build the guess ladder and its candidates for ``bounds``."""
+        self.ladder = self.algorithm._build_ladder(bounds)
+        self.blind, self.specific = self.algorithm._make_candidates(self.ladder, self.counting)
+
+    def _activate_from_pending(self) -> None:
+        """Estimate the bounds on the first ``warmup_size`` pending rows."""
+        if not self._pending_rows:
+            raise EmptyStreamError(f"{self.algorithm.name} received an empty stream")
+        if self._pending_rows == 1:
+            # A single element: any positive bounds work, the ladder is trivial.
+            self._activate((1.0, 1.0))
+            return
+        count = min(self.algorithm.warmup_size, self._pending_rows)
+        pieces, rows = [], 0
+        for piece in self._pending:
+            pieces.append(piece.vectors)
+            rows += len(piece)
+            if rows >= count:
+                break
+        warmup = np.concatenate(pieces)[:count]
+        d_min, d_max = payload_distance_bounds(warmup, self.counting)
+        self._activate((d_min / 4.0, d_max * 4.0))
+
+    def _drain(self, final: bool) -> None:
+        """Screen every whole pending chunk (and, when ``final``, the rest)."""
+        screened = False
+        while self._pending_rows >= self.size or (final and self._pending_rows):
+            self._screen(self._take(min(self.size, self._pending_rows)))
+            screened = True
+        if screened and self._pending:
+            # The remainder may be a view into an offer whose head was just
+            # screened; copy it so no screened row stays referenced.
+            self._pending[0] = StreamChunk.join([self._pending[0]])
+
+    def _take(self, count: int) -> StreamChunk:
+        """Remove the first ``count`` pending rows, as one chunk."""
+        self._pending_rows -= count
+        pieces = []
+        while count:
+            first = self._pending[0]
+            if len(first) <= count:
+                pieces.append(self._pending.popleft())
+                count -= len(first)
+            else:
+                pieces.append(first[:count])
+                self._pending[0] = first[count:]
+                count = 0
+        return pieces[0] if len(pieces) == 1 else StreamChunk.join(pieces)
+
+    def _screen(self, chunk: StreamChunk) -> None:
+        """Screen one aligned chunk through every non-full candidate."""
+        start = self.stats.elements_processed
+        self.stats.elements_processed += len(chunk)
+        if self._screens is None:
+            by_group: Dict[int, List[Candidate]] = {}
+            for per_group in self.specific or ():
+                for group, candidate in per_group.items():
+                    by_group.setdefault(group, []).append(candidate)
+            self._screens = (
+                _UnionScreen(self.blind),
+                {group: _UnionScreen(levels) for group, levels in by_group.items()},
+            )
+        blind, by_group = self._screens
+        if blind.exhausted and all(screen.exhausted for screen in by_group.values()):
+            return
+        with obs.span("ingest.chunk", start=start, size=len(chunk)):
+            screen_chunk(self.counting, chunk, blind, by_group)
+
+
+def screen_chunk(
+    metric: Metric,
+    chunk: StreamChunk,
+    blind: "_UnionScreen",
+    by_group: Dict[int, "_UnionScreen"],
+) -> None:
+    """Screen one chunk through a blind union screen and the per-group ones.
+
+    Group screens see only the chunk rows of their group.  An accepted row
+    is materialised once, however many levels accept it, so every
+    candidate holding it holds the same element object.
+    """
+    made: Dict[int, Element] = {}
+
+    def element_at(position: int) -> Element:
+        """The element of chunk row ``position``, materialised once."""
+        element = made.get(position)
+        if element is None:
+            element = made[position] = chunk.element(position)
+        return element
+
+    if not blind.exhausted:
+        blind.process(metric, chunk.vectors, element_at)
+    for group, screen in by_group.items():
+        if screen.exhausted:
+            continue
+        positions = np.nonzero(chunk.codes == group)[0]
+        if positions.size:
+            screen.process(
+                metric, chunk.vectors[positions], lambda i: element_at(int(positions[i]))
+            )
 
 
 class _UnionScreen:
-    """Memoised multi-candidate screen over one chunk of store rows.
+    """Memoised multi-candidate screen over one chunk of payload rows.
 
     Screens every chunk against each candidate's *pre-chunk* members —
-    exactly what per-candidate ``offer_batch`` calls would use, since a
+    exactly what a separate screen per candidate would use, since a
     candidate's screen never depends on another candidate's members.
     Adjacent guess levels store heavily overlapping member sets (the union
     of all members is ~3x smaller than their per-level sum), so the chunk
@@ -565,29 +564,30 @@ class _UnionScreen:
     The memoisation changes the arithmetic schedule, not the algorithm:
     every level's screen is still *charged* in full (``chunk × members``
     through :meth:`~repro.metrics.cached.CountingMetric.charge`), so
-    distance accounting stays identical with the object batch path.
+    distance accounting equals one screen per candidate.
 
-    The union layout (member row indices and per-candidate column lists)
-    only changes when some candidate accepts an element or reaches
-    capacity, both of which are rare after the warm-up chunks; the layout
-    is cached between chunks and rebuilt only when the
+    The union (a payload matrix stacked from the members' own rows, plus
+    per-candidate column lists) only changes when some candidate accepts an
+    element or reaches capacity, both of which are rare after the warm-up
+    chunks; it is cached between chunks and rebuilt only when the
     ``(candidate count, total members)`` version moves — accepts strictly
     grow the member total and prunes strictly shrink the candidate count,
-    so the version is change-exact.
+    so the version is change-exact.  Members are keyed by object identity,
+    so two distinct elements never share a column even if their uids clash.
     """
 
     __slots__ = (
         "candidates",
         "_version",
-        "_union_rows",
+        "_union",
         "_member_columns",
         "_total_members",
     )
 
     def __init__(self, candidates: List[Candidate]) -> None:
-        self.candidates = candidates
+        self.candidates = [candidate for candidate in candidates if not candidate.is_full]
         self._version: Optional[Tuple[int, int]] = None
-        self._union_rows: Optional[np.ndarray] = None
+        self._union: Optional[np.ndarray] = None
         self._member_columns: List[Optional[np.ndarray]] = []
         self._total_members = 0
 
@@ -597,9 +597,9 @@ class _UnionScreen:
         return not self.candidates
 
     def _rebuild(self) -> None:
-        """Recompute the union layout for the current member sets."""
+        """Recompute the union for the current member sets."""
         column_of: Dict[int, int] = {}
-        union_rows: List[int] = []
+        payloads: List[Any] = []
         member_columns: List[Optional[np.ndarray]] = []
         total_members = 0
         for candidate in self.candidates:
@@ -608,48 +608,45 @@ class _UnionScreen:
                 member_columns.append(None)
                 continue
             total_members += len(members)
+            matrix = candidate.member_matrix()
             columns = np.empty(len(members), dtype=np.intp)
             for position, member in enumerate(members):
-                column = column_of.get(member.uid)
-                if column is None:
-                    column = len(union_rows)
-                    column_of[member.uid] = column
-                    union_rows.append(member.row)
+                column = column_of.setdefault(id(member), len(payloads))
+                if column == len(payloads):
+                    payloads.append(matrix[position])
                 columns[position] = column
             member_columns.append(columns)
-        self._union_rows = (
-            np.asarray(union_rows, dtype=np.int64) if union_rows else None
-        )
+        self._union = stack_payloads(payloads) if payloads else None
         self._member_columns = member_columns
         self._total_members = total_members
 
     def process(
         self,
         metric: Metric,
-        store: ElementStore,
-        rows: np.ndarray,
         vectors: np.ndarray,
+        element_at: Callable[[int], Element],
     ) -> None:
-        """Screen one chunk and resolve each candidate's survivors."""
+        """Screen one chunk and resolve each candidate's survivors.
+
+        ``element_at(i)`` materialises the element of chunk row ``i``; it
+        is called only for accepted rows.
+        """
         version = (len(self.candidates), sum(len(c) for c in self.candidates))
         if version != self._version:
             self._rebuild()
             self._version = version
         distances: Optional[np.ndarray] = None
-        if self._union_rows is not None:
-            distances = metric.pairwise(vectors, store.features[self._union_rows])
+        if self._union is not None:
+            distances = metric.pairwise(vectors, self._union)
             # ``pairwise`` counted each union member once; charge the shared
             # columns again so every level's screen is billed in full.
             charge = getattr(metric, "charge", None)
             if charge is not None:
-                charge(
-                    vectors.shape[0]
-                    * (self._total_members - self._union_rows.shape[0])
-                )
+                charge(len(vectors) * (self._total_members - len(self._union)))
         filled = False
         for candidate, columns in zip(self.candidates, self._member_columns):
             if columns is None:
-                survivors = np.arange(rows.size)
+                survivors = np.arange(len(vectors))
             else:
                 if columns.shape[0] == 1:
                     level_min = distances[:, columns[0]]
@@ -657,7 +654,7 @@ class _UnionScreen:
                     level_min = distances[:, columns].min(axis=1)
                 survivors = np.nonzero(level_min >= candidate.mu)[0]
             if survivors.size:
-                candidate.resolve_rows(store, rows, vectors, survivors)
+                candidate._resolve_survivors(vectors, survivors, element_at)
                 filled |= candidate.is_full
         if filled:
             self.candidates = [c for c in self.candidates if not c.is_full]

@@ -6,24 +6,19 @@ element is at distance at least ``µ`` from everything already accepted.  By
 construction the minimum pairwise distance within a candidate is at least
 ``µ`` at all times — an invariant the tests verify directly.
 
-Three update paths exist:
+Two update paths exist:
 
 * :meth:`Candidate.offer` — the paper's element-at-a-time rule with an
-  early-exit distance scan;
-* :meth:`Candidate.offer_batch` — the vectorized rule used by the
-  object-path batch ingestion: a whole chunk of arriving elements is
-  screened against the current members with one batched min-distance
-  computation, and only the survivors (typically few once the candidate
-  fills) are resolved sequentially against each other;
-* :meth:`Candidate.resolve_rows` — the columnar rule used by the
-  store-backed ingestion: the chunk arrives as row indices into an
-  :class:`~repro.data.store.ElementStore` plus an already-sliced payload
-  matrix, pre-screened once for every guess level by the shared union
-  screen, so no per-element Python work happens at all.  Elements are only
-  materialised (as zero-copy store views) for the rows actually accepted.
+  early-exit distance scan; the reference the tests compare against;
+* :meth:`Candidate._resolve_survivors` — the in-chunk step of the
+  ingestion engine (:mod:`repro.core.base`): a whole chunk is screened
+  against the pre-chunk members of every guess level at once by the union
+  screen, and only the survivors (typically few once the candidate fills)
+  are resolved here, round by round.  Elements are only materialised for
+  the rows actually accepted.
 
-All three produce the identical accepted set for the same arrival order —
-an element rejected against a prefix of the members can never be accepted
+Both produce the identical accepted set for the same arrival order — an
+element rejected against a prefix of the members can never be accepted
 later, because members only accumulate.
 
 Accepted member payloads are kept in a preallocated, geometrically grown
@@ -35,11 +30,11 @@ fall back to the original lazily re-stacked matrix.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional
 
 import numpy as np
 
-from repro.metrics.base import Metric
+from repro.metrics.base import Metric, stack_payloads
 from repro.data.element import Element
 
 
@@ -114,14 +109,14 @@ class Candidate:
         if self._rows is not None:
             return self._rows[: len(self._elements)]
         if self._matrix is None:
-            self._matrix = np.asarray([element.vector for element in self._elements])
+            self._matrix = stack_payloads([element.vector for element in self._elements])
         return self._matrix
 
     def _append_member(self, element: Element, row: Optional[np.ndarray] = None) -> None:
         """Record an accepted element, maintaining the member-row buffer.
 
         ``row`` is the element's payload as a float64 row when the caller
-        already has it sliced (the batch paths); otherwise the element's
+        already has it sliced (the chunk path); otherwise the element's
         own vector is used.  The buffer starts at 16 rows and doubles up to
         ``capacity``, so appends are amortised O(d).
         """
@@ -168,9 +163,10 @@ class Candidate:
         matches the group restriction, and ``d(x, S_µ) >= µ``.
 
         The distance scan short-circuits on the first member closer than
-        ``µ`` — the decision is identical to computing the full minimum, but
-        the expected per-element cost drops well below ``k`` distance
-        evaluations, which is what makes the stream phase fast in practice.
+        ``µ`` — the decision is identical to computing the full minimum.
+        The ingestion engine takes the same decisions chunk-wise (see
+        :meth:`_resolve_survivors`); this rule is the oracle it is tested
+        against.
         """
         if self.group is not None and element.group != self.group:
             return False
@@ -183,52 +179,6 @@ class Candidate:
                 return False
         self._append_member(element)
         return True
-
-    def offer_batch(
-        self, elements: Sequence[Element], vectors: Optional[np.ndarray] = None
-    ) -> int:
-        """Process a chunk of stream elements; return how many were accepted.
-
-        Parameters
-        ----------
-        elements:
-            The chunk, in stream order.  For group-specific candidates the
-            caller is expected to pre-filter by group (cheaper than doing it
-            per guess level); elements of other groups are skipped here as a
-            safety net.
-        vectors:
-            Optional pre-stacked payload matrix aligned with ``elements``
-            (row ``i`` is ``elements[i].vector``); avoids re-stacking the
-            same chunk once per guess level.
-
-        The decision sequence is equivalent to calling :meth:`offer` on each
-        element in order: an element whose distance to the *pre-chunk*
-        members is below ``µ`` can never be accepted later in the chunk
-        (members only accumulate), so the batched pre-screen rejects exactly
-        the elements the scalar rule would; the surviving elements are then
-        resolved round-by-round against the members accepted within the
-        chunk (see :meth:`_resolve_survivors` for the equivalence argument).
-        """
-        if self.is_full or not elements:
-            return 0
-        if self.group is not None:
-            kept = [i for i, element in enumerate(elements) if element.group == self.group]
-            if not kept:
-                return 0
-            if len(kept) != len(elements):
-                elements = [elements[i] for i in kept]
-                vectors = None if vectors is None else vectors[kept]
-        if vectors is None:
-            vectors = np.asarray([element.vector for element in elements])
-
-        if self._elements:
-            min_distances = self.metric.pairwise(vectors, self.member_matrix()).min(axis=1)
-            survivor_indices = np.nonzero(min_distances >= self.mu)[0]
-        else:
-            survivor_indices = np.arange(len(elements))
-        return self._resolve_survivors(
-            vectors, survivor_indices, lambda i: elements[i]
-        )
 
     def _resolve_survivors(self, vectors, survivor_indices, materialise) -> int:
         """Accept pre-screened chunk survivors, resolving them against each other.
@@ -262,21 +212,6 @@ class Candidate:
             distances = self.metric.distances_to(vectors[index], vectors[alive])
             alive = alive[distances >= self.mu]
         return accepted
-
-    def resolve_rows(
-        self, store, rows: np.ndarray, vectors: np.ndarray, survivor_indices: np.ndarray
-    ) -> int:
-        """In-chunk resolution for store rows whose pre-screen already ran.
-
-        The consolidated ingestion path screens a whole chunk against every
-        guess level with one segmented kernel call and then hands each
-        candidate its own survivors here.
-        """
-        if self.is_full or survivor_indices.size == 0:
-            return 0
-        return self._resolve_survivors(
-            vectors, survivor_indices, lambda i: store.element(int(rows[i]))
-        )
 
     # ------------------------------------------------------------------
     # Inspection

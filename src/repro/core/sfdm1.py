@@ -44,9 +44,10 @@ class SFDM1(StreamingAlgorithm):
         returned instead of raising.  Set to ``False`` to get the strict
         paper behaviour.
     batch_size:
-        Optional chunk size for the vectorized batch ingestion path (see
-        :class:`~repro.core.base.StreamingAlgorithm`); ``None`` keeps
-        element-at-a-time updates.
+        Rows per chunk of the ingestion engine (see
+        :class:`~repro.core.base.StreamingAlgorithm`); ``None`` means
+        :data:`~repro.core.base.DEFAULT_BATCH_SIZE`.  The solution does not
+        depend on it.
     """
 
     name = "SFDM1"

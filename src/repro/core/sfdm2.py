@@ -57,9 +57,10 @@ class SFDM2(StreamingAlgorithm):
         priority (elements are added in arbitrary order) and is provided
         for the ablation study only.
     batch_size:
-        Optional chunk size for the vectorized batch ingestion path (see
-        :class:`~repro.core.base.StreamingAlgorithm`); ``None`` keeps
-        element-at-a-time updates.
+        Rows per chunk of the ingestion engine (see
+        :class:`~repro.core.base.StreamingAlgorithm`); ``None`` means
+        :data:`~repro.core.base.DEFAULT_BATCH_SIZE`.  The solution does not
+        depend on it.
     """
 
     name = "SFDM2"

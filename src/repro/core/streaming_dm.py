@@ -33,9 +33,10 @@ class StreamingDiversityMaximization(StreamingAlgorithm):
         Optional known ``(d_min, d_max)``; estimated from a stream prefix
         when omitted.
     batch_size:
-        Optional chunk size for the vectorized batch ingestion path (see
-        :class:`~repro.core.base.StreamingAlgorithm`); ``None`` keeps
-        element-at-a-time updates.
+        Rows per chunk of the ingestion engine (see
+        :class:`~repro.core.base.StreamingAlgorithm`); ``None`` means
+        :data:`~repro.core.base.DEFAULT_BATCH_SIZE`.  The solution does not
+        depend on it.
     """
 
     name = "StreamingDM"

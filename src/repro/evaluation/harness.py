@@ -104,10 +104,9 @@ def streaming_algorithms(batch_size: Optional[int] = None) -> List[AlgorithmSpec
     Parameters
     ----------
     batch_size:
-        When set, SFDM1 and SFDM2 consume the stream through the vectorized
-        batch ingestion path in chunks of this size; ``None`` (default)
-        keeps the element-at-a-time updates.  Validated eagerly, before any
-        run starts.
+        Rows per chunk of the SFDM1/SFDM2 ingestion engine; ``None``
+        (default) means the engine's default chunk size.  Validated
+        eagerly, before any run starts.
     """
     return [
         algorithm_spec("SFDM1", batch_size=batch_size),
@@ -230,8 +229,8 @@ def default_algorithms(
     include_fair_gmm:
         Also include the enumeration-based FairGMM baseline (small k/m only).
     batch_size:
-        Forwarded to :func:`streaming_algorithms` to enable the vectorized
-        batch ingestion path for SFDM1/SFDM2.
+        Forwarded to :func:`streaming_algorithms` (the SFDM1/SFDM2 chunk
+        size).
     """
     return offline_algorithms(include_fair_gmm=include_fair_gmm) + streaming_algorithms(
         batch_size=batch_size

@@ -10,12 +10,12 @@ Besides the scalar ``distance``, every metric offers two *batch kernels*:
 ``distances_to(point, X)`` (one point against a stack of payloads) and
 ``pairwise(X, Y)`` (all cross distances between two stacks).  The base
 class implements both as scalar loops, so any metric — including user
-callables — works everywhere a batch kernel is requested; the built-in
-vector metrics override them with NumPy-broadcast implementations and
-advertise that via :attr:`Metric.supports_batch`.  Code that wants to take
-a faster route only when it actually pays off (e.g. the streaming batch
-ingestion path) checks ``supports_batch`` before switching away from the
-scalar short-circuiting path.
+callables — works everywhere a batch kernel is requested (the streaming
+ingestion engine screens every chunk through :meth:`Metric.pairwise`,
+whatever the metric); the built-in vector metrics override them with
+NumPy-broadcast implementations and advertise that via
+:attr:`Metric.supports_batch`, which the offline helpers consult to pick
+between a batched and a scalar formulation of the same computation.
 
 The mathematical requirements — non-negativity, symmetry, identity of
 indiscernibles, and the triangle inequality — are not enforced at runtime
@@ -41,8 +41,8 @@ class Metric(ABC):
 
     #: Whether :meth:`distances_to` and :meth:`pairwise` are backed by a
     #: vectorized kernel (``True``) or by the scalar fallback loops
-    #: (``False``).  Consumers use this to decide between the batched and
-    #: the short-circuiting element-at-a-time code paths.
+    #: (``False``).  Offline helpers use this to decide between a batched
+    #: and a scalar formulation of the same computation.
     supports_batch: bool = False
 
     @abstractmethod
@@ -99,20 +99,6 @@ class Metric(ABC):
                 out[i, j] = self.distance(x, y)
         return out
 
-    def pairwise_min(self, X: Any, Y: Any) -> np.ndarray:
-        """Row-wise minimum of :meth:`pairwise`: ``min_j d(X[i], Y[j])``.
-
-        A screening primitive — a whole chunk against a candidate's
-        members, keeping only each row's nearest distance.  The base
-        implementation materialises the full matrix; metrics may override
-        it with a fused kernel that skips work which cannot affect the row
-        minima (the Euclidean metric defers the square root to the reduced
-        vector).
-        Overrides must agree with ``pairwise(X, Y).min(axis=1)`` bitwise so
-        screening decisions are independent of the code path.
-        """
-        return self.pairwise(X, Y).min(axis=1)
-
     def distances_idx(self, store: Any, row: int, indexer: Any) -> np.ndarray:
         """Distances from store row ``row`` to the store rows in ``indexer``.
 
@@ -160,7 +146,24 @@ def stack_vectors(elements: Sequence[Any]) -> np.ndarray:
     if backing is not None:
         store, rows = backing
         return store.features[rows]
-    return np.asarray([element.vector for element in elements])
+    return stack_payloads([element.vector for element in elements])
+
+
+def stack_payloads(payloads: Sequence[Any]) -> np.ndarray:
+    """Stack raw payloads into one array, row ``i`` being ``payloads[i]``.
+
+    Uniform payloads become a regular matrix (or a 1-D array of scalar
+    payloads); ragged ones, which NumPy cannot stack, become a 1-D object
+    array holding the payloads themselves — the layout the scalar-loop
+    kernels of :class:`Metric` iterate over.
+    """
+    try:
+        return np.asarray(payloads)
+    except ValueError:
+        stacked = np.empty(len(payloads), dtype=object)
+        for position, payload in enumerate(payloads):
+            stacked[position] = payload
+        return stacked
 
 
 class CallableMetric(Metric):

@@ -27,7 +27,7 @@ class CountingMetric(Metric):
     invocation is charged the number of scalar distances it evaluates
     (``len(X)`` for :meth:`distances_to`, ``len(X) * len(Y)`` for
     :meth:`pairwise`), so the paper's distance-computation accounting stays
-    comparable between the element-at-a-time and the batched code paths.
+    comparable between scalar :meth:`distance` calls and the batch kernels.
     """
 
     def __init__(self, inner: Metric) -> None:
@@ -55,18 +55,6 @@ class CountingMetric(Metric):
         """Batched distance matrix via the wrapped metric; counts ``len(X) * len(Y)`` calls."""
         result = self.inner.pairwise(X, Y)
         self.calls += int(result.shape[0] * result.shape[1])
-        return result
-
-    def pairwise_min(self, X: Any, Y: Any) -> np.ndarray:
-        """Fused row-minimum screen via the wrapped metric.
-
-        Charged exactly like the :meth:`pairwise` it replaces —
-        ``len(X) * len(Y)`` scalar distances — so screening through the
-        fused kernel and screening through the full matrix stay comparable
-        in the paper's accounting.
-        """
-        result = self.inner.pairwise_min(X, Y)
-        self.calls += int(result.shape[0]) * int(np.shape(Y)[0])
         return result
 
     def charge(self, count: int) -> None:

@@ -9,7 +9,7 @@ algorithms themselves stay free of bulk-distance code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,20 +49,34 @@ def exact_distance_bounds(elements: Sequence[Element], metric: Metric) -> Tuple[
     guess ladder stays meaningful for datasets with repeated rows.
     Vectorized metrics are evaluated with one batched pairwise call.
     """
-    if len(elements) < 2:
+    if metric.supports_batch:
+        return payload_distance_bounds(stack_vectors(elements), metric)
+    return payload_distance_bounds([element.vector for element in elements], metric)
+
+
+def payload_distance_bounds(payloads: Sequence[Any], metric: Metric) -> Tuple[float, float]:
+    """:func:`exact_distance_bounds` over a stack of raw payloads.
+
+    The ingestion engine estimates its guess-ladder bounds on the warmup
+    rows with this, so offered feature rows need no :class:`Element`.
+    Vectorized metrics evaluate one ``pairwise`` over the whole stack;
+    other metrics the scalar ``distance`` over the upper triangle.
+    """
+    n = len(payloads)
+    if n < 2:
         raise InvalidParameterError("need at least two elements to compute distance bounds")
     if metric.supports_batch:
-        matrix = metric.pairwise(stack_vectors(elements))
-        upper = matrix[np.triu_indices(len(elements), k=1)]
+        matrix = metric.pairwise(payloads)
+        upper = matrix[np.triu_indices(n, k=1)]
         d_max = float(upper.max()) if upper.size else 0.0
         positive = upper[upper > 0.0]
         d_min = float(positive.min()) if positive.size else float("inf")
     else:
         d_min = float("inf")
         d_max = 0.0
-        for i in range(len(elements)):
-            for j in range(i + 1, len(elements)):
-                d = metric.distance(elements[i].vector, elements[j].vector)
+        for i in range(n):
+            for j in range(i + 1, n):
+                d = metric.distance(payloads[i], payloads[j])
                 if d > d_max:
                     d_max = d
                 if 0.0 < d < d_min:

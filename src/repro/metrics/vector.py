@@ -87,25 +87,6 @@ class EuclideanMetric(Metric):
             out[start : start + rows.shape[0]] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         return out
 
-    def pairwise_min(self, X: Any, Y: Any) -> np.ndarray:
-        """Fused ``pairwise(X, Y).min(axis=1)`` deferring the square root.
-
-        The row minimum of the squared distances identifies the same entry
-        as the row minimum of the distances (``sqrt`` is monotone and
-        correctly rounded), so taking ``sqrt`` only of the reduced vector
-        is bitwise identical to reducing the full distance matrix — while
-        skipping ``n·m - n`` square roots per screen.
-        """
-        A = _as_batch(X)
-        B = _as_batch(Y)
-        out = np.empty(A.shape[0], dtype=float)
-        for start, rows in _row_chunks(A, B.shape[0]):
-            diff = rows[:, None, :] - B[None, :, :]
-            out[start : start + rows.shape[0]] = np.einsum("ijk,ijk->ij", diff, diff).min(
-                axis=1
-            )
-        return np.sqrt(out, out=out)
-
 
 class ManhattanMetric(Metric):
     """The Manhattan (L1) distance ``sum_i |x_i - y_i|``."""
@@ -259,9 +240,16 @@ class AngularMetric(Metric):
         B = A if Y is None else _as_batch(Y)
         norms_a = np.linalg.norm(A, axis=1)
         norms_b = np.linalg.norm(B, axis=1)
+        zero_a = norms_a == 0.0
+        zero_b = norms_b == 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             U = A / norms_a[:, None]
             V = B / norms_b[:, None]
+        # A zero norm (exact, or underflowed from a tiny row) normalises to
+        # inf/nan; zero those rows so the loop never computes inf - inf.
+        # Their entries are overwritten by the convention below anyway.
+        U[zero_a] = 0.0
+        V[zero_b] = 0.0
         out = np.empty((A.shape[0], B.shape[0]), dtype=float)
         for start, rows in _row_chunks(U, B.shape[0]):
             diff = rows[:, None, :] - V[None, :, :]
@@ -269,8 +257,6 @@ class AngularMetric(Metric):
             chord = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
             anti_chord = np.sqrt(np.einsum("ijk,ijk->ij", plus, plus))
             out[start : start + rows.shape[0]] = 2.0 * np.arctan2(chord, anti_chord)
-        zero_a = norms_a == 0.0
-        zero_b = norms_b == 0.0
         if zero_a.any() or zero_b.any():
             either_zero = zero_a[:, None] | zero_b[None, :]
             both_zero = zero_a[:, None] & zero_b[None, :]

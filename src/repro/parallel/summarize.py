@@ -15,13 +15,13 @@ the process backend can pickle them into workers:
   (:func:`repro.core.coreset.gmm_coreset`), computed with the vectorized
   ``distances_to`` kernels when the metric has them;
 * :class:`StreamShardSummarizer` — a bounded-memory one-pass alternative
-  built on :meth:`repro.core.candidate.Candidate.offer_batch`: the shard
-  is consumed in chunks through a geometric ladder of distance
-  thresholds, maintaining one group-blind and one per-group candidate per
-  level, exactly like the stream phase of the paper's algorithms.  Its
-  working set is ``O(k · m · log(Δ)/ε)`` independent of the shard size,
-  which matters when shards are streamed from disk rather than
-  materialised.
+  built on the streaming algorithms' chunk screen
+  (:func:`repro.core.base.screen_chunk`): the shard is consumed in chunks
+  through a geometric ladder of distance thresholds, maintaining one
+  group-blind and one per-group candidate per level, exactly like the
+  stream phase of the paper's algorithms.  Its working set is
+  ``O(k · m · log(Δ)/ε)`` independent of the shard size, which matters
+  when shards are streamed from disk rather than materialised.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.core.base import StreamChunk, _UnionScreen, screen_chunk
 from repro.core.candidate import Candidate
 from repro.core.coreset import gmm_coreset
 from repro.core.guesses import GuessLadder
@@ -124,13 +125,14 @@ class GMMShardSummarizer(ShardSummarizer):
 
 
 class StreamShardSummarizer(ShardSummarizer):
-    """One-pass chunked summarizer on the ``Candidate.offer_batch`` kernel.
+    """One-pass chunked summarizer on the streaming algorithms' chunk screen.
 
     Parameters
     ----------
     chunk_size:
         Elements per ingestion chunk; each chunk is screened against every
-        threshold level with one batched min-distance computation.
+        threshold level at once, one union screen for the group-blind
+        levels and one per group.
     epsilon:
         Relative step of the threshold ladder in ``(0, 1)``.  The default
         of 0.5 (a factor-2 ladder) keeps the level count — and therefore
@@ -175,30 +177,17 @@ class StreamShardSummarizer(ShardSummarizer):
             return _first_k_per_group(elements, k)
         ladder = GuessLadder(d_min / 4.0, d_max * 4.0, self.epsilon)
         blind: List[Candidate] = [Candidate(mu, k, metric) for mu in ladder]
+        blind_screen = _UnionScreen(blind)
         grouped: Dict[int, List[Candidate]] = {}
+        group_screens: Dict[int, _UnionScreen] = {}
 
-        for chunk in chunks:
-            vectors = (
-                np.asarray([element.vector for element in chunk])
-                if metric.supports_batch
-                else None
-            )
-            for candidate in blind:
-                candidate.offer_batch(chunk, vectors)
-            chunk_groups = np.fromiter(
-                (element.group for element in chunk), dtype=np.int64, count=len(chunk)
-            )
-            for group in sorted(set(chunk_groups.tolist())):
-                levels = grouped.setdefault(
-                    group, [Candidate(mu, k, metric, group=group) for mu in ladder]
-                )
-                indices = np.nonzero(chunk_groups == group)[0]
-                members = [chunk[int(i)] for i in indices]
-                # Slice the already-stacked chunk matrix instead of
-                # re-stacking the members' payloads per group.
-                member_vectors = None if vectors is None else vectors[indices]
-                for candidate in levels:
-                    candidate.offer_batch(members, member_vectors)
+        for batch in chunks:
+            chunk = StreamChunk.of_elements(batch)
+            for group in np.unique(chunk.codes).tolist():
+                if group not in grouped:
+                    grouped[group] = [Candidate(mu, k, metric, group=group) for mu in ladder]
+                    group_screens[group] = _UnionScreen(grouped[group])
+            screen_chunk(metric, chunk, blind_screen, group_screens)
 
         summary: Dict[int, Element] = {}
         for candidate in blind:

@@ -1,17 +1,16 @@
-"""Batch-mode and element-mode streaming runs must produce identical output.
+"""Every chunk size must produce the same streaming output.
 
-The vectorized batch ingestion path only reschedules the arithmetic of the
-paper's update rule — every accept/reject decision is the same as the
-element-at-a-time path on the same stream order.  These tests pin that
-equivalence end-to-end for all three streaming algorithms and for the
-vectorized offline helpers.
+The ingestion engine only reschedules the arithmetic of the paper's update
+rule — every accept/reject decision is the same whatever the chunk size
+(``batch_size``) on the same stream order.  These tests pin that
+equivalence end-to-end for all three streaming algorithms, between the
+default chunk size and explicit ones, and for the vectorized offline
+helpers.
 """
 
-import numpy as np
 import pytest
 
 from repro.baselines.gmm import gmm_elements
-from repro.core.candidate import Candidate
 from repro.core.postprocess import greedy_fair_fill
 from repro.core.sfdm1 import SFDM1
 from repro.core.sfdm2 import SFDM2
@@ -20,7 +19,6 @@ from repro.datasets.synthetic import synthetic_blobs
 from repro.fairness.constraints import equal_representation
 from repro.metrics.base import CallableMetric
 from repro.metrics.vector import EuclideanMetric
-from repro.data.element import Element
 from repro.utils.errors import InvalidParameterError
 
 
@@ -35,7 +33,7 @@ def constraint(dataset):
 
 
 def _scalar_euclidean():
-    """The Euclidean formula without batch kernels (forces the scalar path)."""
+    """The Euclidean formula without batch kernels (the scalar-loop kernels)."""
     inner = EuclideanMetric()
     return CallableMetric(inner.distance, name="scalar-euclidean")
 
@@ -74,54 +72,19 @@ class TestStreamingEquivalence:
         assert result.stats.extra.get("batch_size") == 256.0
 
     def test_scalar_metric_falls_back_silently(self, dataset, constraint):
-        """A batch_size with a kernel-less metric must still work (scalar path)."""
+        """A batch_size with a kernel-less metric must still work (scalar loops)."""
         metric = _scalar_euclidean()
         element = SFDM2(metric=metric, constraint=constraint).run(dataset.stream(seed=5))
         batch = SFDM2(metric=metric, constraint=constraint, batch_size=128).run(
             dataset.stream(seed=5)
         )
         assert sorted(element.solution.uids) == sorted(batch.solution.uids)
-        # The fallback never enters the batched path, so it is not recorded.
-        assert "batch_size" not in batch.stats.extra
+        # Kernel-less metrics run the same chunks; the size used is recorded.
+        assert batch.stats.extra["batch_size"] == 128.0
 
     def test_invalid_batch_size_rejected(self, dataset, constraint):
         with pytest.raises(InvalidParameterError):
             SFDM2(metric=dataset.metric, constraint=constraint, batch_size=0)
-
-
-class TestCandidateOfferBatch:
-    def _elements(self):
-        rng = np.random.default_rng(7)
-        points = rng.normal(size=(200, 3))
-        return [Element(uid=i, vector=points[i], group=i % 2) for i in range(len(points))]
-
-    def test_matches_sequential_offers(self):
-        elements = self._elements()
-        metric = EuclideanMetric()
-        sequential = Candidate(mu=1.5, capacity=10, metric=metric)
-        for element in elements:
-            sequential.offer(element)
-        batched = Candidate(mu=1.5, capacity=10, metric=metric)
-        accepted = 0
-        for start in range(0, len(elements), 32):
-            accepted += batched.offer_batch(elements[start : start + 32])
-        assert [e.uid for e in batched] == [e.uid for e in sequential]
-        assert accepted == len(sequential)
-
-    def test_group_restriction(self):
-        elements = self._elements()
-        metric = EuclideanMetric()
-        candidate = Candidate(mu=0.5, capacity=5, metric=metric, group=1)
-        candidate.offer_batch(elements[:64])
-        assert all(element.group == 1 for element in candidate)
-
-    def test_full_candidate_rejects_batch(self):
-        elements = self._elements()
-        metric = EuclideanMetric()
-        candidate = Candidate(mu=0.0001, capacity=3, metric=metric)
-        candidate.offer_batch(elements[:10])
-        assert len(candidate) == 3
-        assert candidate.offer_batch(elements[10:20]) == 0
 
 
 class TestOfflineHelpersEquivalence:

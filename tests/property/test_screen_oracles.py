@@ -2,15 +2,15 @@
 
 Every streaming and offline algorithm reduces to a few brute-force
 primitives over the metric kernels: the nearest-member distance
-(``pairwise(X, Y).min(axis=1)`` and its fused ``pairwise_min``), the radius
-screen built on it (is a point at least ``mu`` from every member?), the
-store-indexed kernels that slice an :class:`ElementStore` directly, and
-GMM's farthest-point update.  Each test checks one primitive against an
-oracle over a grid of metrics and dimensions 1 through 16:
+(``pairwise(X, Y).min(axis=1)``), the radius screen built on it (is a
+point at least ``mu`` from every member?), the store-indexed kernels that
+slice an :class:`ElementStore` directly, and GMM's farthest-point update.
+Each test checks one primitive against an oracle over a grid of metrics
+and dimensions 1 through 16:
 
-* routes that evaluate the same kernel on the same operands (the fused
-  screen, the store-indexed kernels, the chunked pairwise loop, the union
-  screen of the columnar ingestion) must agree *bitwise*;
+* routes that evaluate the same kernel on the same operands (the
+  store-indexed kernels, the chunked pairwise loop, the union screen of
+  the ingestion engine) must agree *bitwise*;
 * routes that evaluate the scalar ``Metric.distance`` instead must agree
   to ``1e-9``, and screens at radii away from any evaluated distance must
   take identical decisions.
@@ -93,14 +93,14 @@ def _elements(matrix: np.ndarray, groups: int = 2):
     return [Element(uid=i, vector=row, group=i % groups) for i, row in enumerate(matrix)]
 
 
+def _at(elements, offset: int):
+    """The screen's row-to-element callback for a chunk starting at ``offset``."""
+    return lambda position: elements[offset + position]
+
+
 @pytest.mark.parametrize("dim", DIMS)
 @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.name)
 class TestKernelOracles:
-    def test_pairwise_min_bitwise_equals_full_reduction(self, metric, dim):
-        M = _cloud(metric, seed=dim, n=60, dim=dim, duplicates=True)
-        Q = np.vstack([_cloud(metric, seed=dim + 100, n=12, dim=dim), M[:3]])
-        assert np.array_equal(metric.pairwise_min(Q, M), metric.pairwise(Q, M).min(axis=1))
-
     def test_radius_screen_matches_scalar_oracle(self, metric, dim):
         M = _cloud(metric, seed=dim + 7, n=50, dim=dim)
         Q = _cloud(metric, seed=dim + 200, n=15, dim=dim)
@@ -135,12 +135,11 @@ class TestKernelOracles:
     def test_chunked_pairwise_bitwise_equals_one_block(self, metric, dim, monkeypatch):
         M = _cloud(metric, seed=dim + 19, n=30, dim=dim)
         Q = _cloud(metric, seed=dim + 300, n=20, dim=dim)
-        cross, within, nearest = metric.pairwise(Q, M), metric.pairwise(Q), metric.pairwise_min(Q, M)
+        cross, within = metric.pairwise(Q, M), metric.pairwise(Q)
         # A one-float budget forces one row per chunk in every chunked kernel.
         monkeypatch.setattr(vector_module, "_CHUNK_BUDGET", 1)
         assert np.array_equal(metric.pairwise(Q, M), cross)
         assert np.array_equal(metric.pairwise(Q), within)
-        assert np.array_equal(metric.pairwise_min(Q, M), nearest)
 
     def test_counting_charges_every_route_in_full(self, metric, dim):
         M = _cloud(metric, seed=dim + 23, n=30, dim=dim)
@@ -150,7 +149,6 @@ class TestKernelOracles:
             (lambda m: m.distances_to(M[0], M), 30),
             (lambda m: m.pairwise(M[:7], M), 7 * 30),
             (lambda m: m.pairwise(M[:7]), 7 * 7),
-            (lambda m: m.pairwise_min(M[:7], M), 7 * 30),
             (lambda m: m.distances_idx(store, 3, slice(4, 20)), 16),
             (lambda m: m.pairwise_idx(store, np.arange(5), slice(10, 22)), 5 * 12),
             (lambda m: m.pairwise_idx(store, np.arange(6)), 6 * 6),
@@ -164,39 +162,43 @@ class TestKernelOracles:
 @pytest.mark.parametrize("dim", DIMS)
 @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.name)
 class TestEngineOracles:
-    def test_offer_batch_accepts_what_sequential_offer_accepts(self, metric, dim):
+    def test_one_candidate_screen_accepts_what_sequential_offer_accepts(self, metric, dim):
         M = _cloud(metric, seed=dim + 40, n=70, dim=dim, duplicates=True)
         elements = _elements(M)
         for mu in _radii(_oracle(metric, M, M)):
             sequential = Candidate(mu=mu, capacity=12, metric=metric)
             for element in elements:
                 sequential.offer(element)
-            batched = Candidate(mu=mu, capacity=12, metric=metric)
+            screened = Candidate(mu=mu, capacity=12, metric=metric)
+            screen = _UnionScreen([screened])
             for start in range(0, len(elements), 16):
-                batched.offer_batch(elements[start : start + 16])
-            assert [e.uid for e in batched] == [e.uid for e in sequential]
+                if not screen.exhausted:
+                    screen.process(metric, M[start : start + 16], _at(elements, start))
+            assert [e.uid for e in screened] == [e.uid for e in sequential]
+            assert all(a is b for a, b in zip(screened, sequential))
 
-    def test_union_screen_matches_per_candidate_offer_batch(self, metric, dim):
+    def test_union_screen_matches_one_screen_per_level(self, metric, dim):
         n = 96
         M = _cloud(metric, seed=dim + 50, n=n, dim=dim)
         store = ElementStore(M, np.arange(n) % 2)
         radii = _radii(_oracle(metric, M[:40], M), quantiles=(0.05, 0.2, 0.4, 0.7))
-        union_counting, object_counting = CountingMetric(metric), CountingMetric(metric)
+        union_counting, level_counting = CountingMetric(metric), CountingMetric(metric)
         union_levels = [Candidate(mu=mu, capacity=8, metric=union_counting) for mu in radii]
-        object_levels = [Candidate(mu=mu, capacity=8, metric=object_counting) for mu in radii]
-        screen = _UnionScreen(list(union_levels))
-        views = store.elements()
+        single_levels = [Candidate(mu=mu, capacity=8, metric=level_counting) for mu in radii]
+        union = _UnionScreen(list(union_levels))
+        singles = [_UnionScreen([candidate]) for candidate in single_levels]
         order = np.random.default_rng(dim).permutation(n)
         for start in range(0, n, 16):
             rows = order[start : start + 16]
-            if not screen.exhausted:
-                screen.process(union_counting, store, rows, M[rows])
-            for candidate in object_levels:
-                candidate.offer_batch([views[row] for row in rows], M[rows])
-        for union_level, object_level in zip(union_levels, object_levels):
-            assert [e.uid for e in union_level] == [e.uid for e in object_level]
-        # The shared columns are charged once per level, as offer_batch does.
-        assert union_counting.calls == object_counting.calls
+            views = [store.element(row) for row in rows]
+            for screen in [union] + singles:
+                if not screen.exhausted:
+                    counting = union_counting if screen is union else level_counting
+                    screen.process(counting, M[rows], _at(views, 0))
+        for union_level, single_level in zip(union_levels, single_levels):
+            assert [e.uid for e in union_level] == [e.uid for e in single_level]
+        # The shared columns are charged once per level, as separate screens are.
+        assert union_counting.calls == level_counting.calls
 
     def test_farthest_point_store_and_list_routes_agree(self, metric, dim):
         M = _cloud(metric, seed=dim + 60, n=80, dim=dim, duplicates=True)
@@ -228,10 +230,9 @@ class TestDegenerateInputs:
     def test_single_row(self, metric):
         M = _cloud(metric, seed=81, n=1, dim=3)
         store = ElementStore(M, np.zeros(1, dtype=int))
-        assert np.array_equal(metric.pairwise_min(M, M), np.zeros(1))
         assert [e.uid for e in gmm_elements(store, metric, k=4)] == [0]
         candidate = Candidate(mu=0.5, capacity=3, metric=metric)
-        _UnionScreen([candidate]).process(metric, store, np.arange(1), M)
+        _UnionScreen([candidate]).process(metric, M, store.element)
         assert [e.uid for e in candidate] == [0]
 
     def test_all_duplicate_rows(self, metric):
@@ -239,10 +240,9 @@ class TestDegenerateInputs:
         store = ElementStore(M, np.zeros(12, dtype=int))
         # Zero up to round-off: the cosine kernel reads 2e-16 off a dot product.
         np.testing.assert_allclose(metric.pairwise(M), np.zeros((12, 12)), atol=TOLERANCE)
-        np.testing.assert_allclose(metric.pairwise_min(M, M[:2]), np.zeros(12), atol=TOLERANCE)
         # Every screen at a positive radius keeps only the first arrival.
         candidate = Candidate(mu=1e-6, capacity=5, metric=metric)
-        _UnionScreen([candidate]).process(metric, store, np.arange(12), M)
+        _UnionScreen([candidate]).process(metric, M, store.element)
         assert [e.uid for e in candidate] == [0]
         assert [e.uid for e in gmm_elements(store, metric, k=3)] == [
             e.uid for e in gmm_elements(_elements(M), metric, k=3)

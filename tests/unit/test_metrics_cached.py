@@ -1,6 +1,5 @@
 """Unit tests for the metric decorators (counting and caching)."""
 
-import numpy as np
 import pytest
 
 from repro.metrics.cached import CachedMetric, CountingMetric
@@ -27,16 +26,6 @@ class TestCountingMetric:
 
     def test_name_mentions_inner(self):
         assert "euclidean" in CountingMetric(EuclideanMetric()).name
-
-    def test_pairwise_min_charged_like_pairwise(self):
-        import numpy as np
-
-        metric = CountingMetric(EuclideanMetric())
-        X = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 0.0]])
-        Y = np.array([[0.5, 0.0], [2.0, 2.0]])
-        result = metric.pairwise_min(X, Y)
-        assert metric.calls == 6
-        assert np.array_equal(result, EuclideanMetric().pairwise(X, Y).min(axis=1))
 
     def test_charge_adds_nominal_calls(self):
         metric = CountingMetric(EuclideanMetric())

@@ -1,6 +1,7 @@
 """Unit tests for the concrete vector metrics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,14 @@ class TestAngular:
         metric = AngularMetric()
         assert metric.distance([0, 0], [0, 0]) == 0.0
         assert metric.distance([0, 0], [1, 0]) == pytest.approx(math.pi / 2)
+        # The first row's norm underflows to zero; the kernel must follow the
+        # zero-vector convention without a RuntimeWarning along the way.
+        X = [[1e-200, 1e-200], [1, 2], [0, 0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batched = metric.pairwise(X)
+        expected = np.array([[metric.distance(x, y) for y in X] for x in X])
+        assert np.array_equal(batched, expected)
 
     def test_bounded_by_pi_over_2_for_nonnegative_vectors(self):
         rng = np.random.default_rng(0)
@@ -156,29 +165,3 @@ class TestCallableMetric:
         with pytest.raises(TypeError):
             CallableMetric("not callable")
 
-
-class TestFusedScreenKernels:
-    """The fused screen kernels must be bitwise equal to the full-matrix route."""
-
-    METRICS = [
-        EuclideanMetric(),
-        ManhattanMetric(),
-        ChebyshevMetric(),
-        AngularMetric(),
-    ]
-
-    @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.name)
-    def test_pairwise_min_bitwise_equal(self, metric):
-        rng = np.random.default_rng(11)
-        X = rng.normal(size=(40, 3))
-        Y = rng.normal(size=(9, 3))
-        assert np.array_equal(metric.pairwise_min(X, Y), metric.pairwise(X, Y).min(axis=1))
-
-    def test_pairwise_min_high_dimensional(self):
-        metric = EuclideanMetric()
-        rng = np.random.default_rng(13)
-        X = rng.normal(size=(8, 4))
-        Y = rng.normal(size=(5, 4))
-        assert np.array_equal(
-            metric.pairwise_min(X, Y), metric.pairwise(X, Y).min(axis=1)
-        )
