@@ -376,7 +376,7 @@ class StreamingSession(SessionBase):
         ):
             snapshot = copy.deepcopy(self._state)
             snapshot.flush()
-            return snapshot.result(snapshot.extract(self._stream_seconds))
+            return snapshot.finish(self._stream_seconds)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "active" if self.is_active else "warming up"

@@ -259,13 +259,14 @@ class StreamingAlgorithm:
                     state.offer(chunk)
                 state.flush()
             with obs.span("postprocess", algorithm=self.name):
-                best = state.extract(timer.elapsed)
-            run_span.set(
-                elements=state.stats.elements_processed,
-                distance_evaluations=state.counting.calls,
-                stored=state.stats.final_stored_elements,
-            )
-            return state.result(best)
+                try:
+                    return state.finish(timer.elapsed)
+                finally:
+                    run_span.set(
+                        elements=state.stats.elements_processed,
+                        distance_evaluations=state.counting.calls,
+                        stored=state.stats.final_stored_elements,
+                    )
 
     # ------------------------------------------------------------------
     # Subclass hooks
@@ -410,11 +411,16 @@ class IngestState:
             self._activate_from_pending()
         self._drain(final=True)
 
-    def extract(self, stream_seconds: float) -> Optional[Solution]:
-        """Post-process the candidates and complete (and publish) the stats.
+    def finish(self, stream_seconds: float) -> RunResult:
+        """Post-process the flushed candidates into the result of the stream.
 
-        Returns the best solution, or ``None`` when none is feasible.
-        ``stream_seconds`` is the wall-clock the caller spent ingesting.
+        Completes (and publishes) the stats first; ``stream_seconds`` is the
+        wall-clock the caller spent ingesting.
+
+        Raises
+        ------
+        NoFeasibleSolutionError
+            If no candidate state admits a (fair) solution.
         """
         stream_calls = self.counting.calls
         timer = Timer()
@@ -431,10 +437,6 @@ class IngestState:
         stats.postprocess_distance_computations = self.counting.calls - stream_calls
         stats.record_stored(len(self.algorithm._stored_elements(self.blind, self.specific)))
         stats.publish(self.algorithm.name)
-        return best
-
-    def result(self, best: Optional[Solution]) -> RunResult:
-        """Package an :meth:`extract` outcome, raising when it is infeasible."""
         if best is None:
             raise NoFeasibleSolutionError(self.algorithm._infeasible_message())
         return RunResult(

@@ -26,20 +26,20 @@ the process backend can pickle them into workers:
 
 from __future__ import annotations
 
+import itertools
 from abc import ABC, abstractmethod
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.base import StreamChunk, _UnionScreen, screen_chunk
+from repro.core.base import _UnionScreen, screen_chunk, stream_chunks
 from repro.core.candidate import Candidate
 from repro.core.coreset import gmm_coreset
 from repro.core.guesses import GuessLadder
 from repro.data.store import ElementStore
 from repro.metrics.base import Metric
-from repro.metrics.space import exact_distance_bounds
+from repro.metrics.space import payload_distance_bounds
 from repro.data.element import Element
-from repro.streaming.stream import iter_batches
 from repro.utils.errors import InvalidParameterError
 from repro.utils.validation import require_in_open_interval, require_positive_int
 
@@ -160,20 +160,22 @@ class StreamShardSummarizer(ShardSummarizer):
         same factor-4 margin the streaming algorithms use; ``start_index``
         is unused (the one-pass rule has no seed choice) but kept so every
         summarizer shares one call signature.  Store-form shards are
-        consumed as their (zero-copy) element views.
+        consumed as zero-copy row ranges; only accepted rows become
+        (view) elements.
         """
         del start_index  # the one-pass threshold rule has no seed element
-        if isinstance(elements, ElementStore):
-            elements = elements.elements()
-        chunks = list(iter_batches(elements, self.chunk_size))
-        if not chunks:
+        chunks = stream_chunks(elements, self.chunk_size)
+        first = next(chunks, None)
+        if first is None:
             return []
-        sample = chunks[0]
-        if len(elements) == 1 or len(sample) == 1:
-            return _first_k_per_group(elements, k)
-        d_min, d_max = exact_distance_bounds(sample, metric)
+        if len(first) > 1:
+            d_min, d_max = payload_distance_bounds(first.vectors, metric)
+        else:
+            d_min = d_max = 0.0
         if d_min <= 0.0 or not np.isfinite(d_max) or d_max <= 0.0:
-            # Degenerate shard (duplicate-only sample): no usable ladder.
+            # Single-row or duplicate-only sample: no usable ladder.
+            if isinstance(elements, ElementStore):
+                elements = elements.elements()
             return _first_k_per_group(elements, k)
         ladder = GuessLadder(d_min / 4.0, d_max * 4.0, self.epsilon)
         blind: List[Candidate] = [Candidate(mu, k, metric) for mu in ladder]
@@ -181,8 +183,7 @@ class StreamShardSummarizer(ShardSummarizer):
         grouped: Dict[int, List[Candidate]] = {}
         group_screens: Dict[int, _UnionScreen] = {}
 
-        for batch in chunks:
-            chunk = StreamChunk.of_elements(batch)
+        for chunk in itertools.chain([first], chunks):
             for group in np.unique(chunk.codes).tolist():
                 if group not in grouped:
                     grouped[group] = [Candidate(mu, k, metric, group=group) for mu in ladder]

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.base import DEFAULT_BATCH_SIZE
+from repro.core.base import DEFAULT_BATCH_SIZE, IngestState, stream_chunks
 from repro.data.element import Element
 from repro.data.store import ElementStore
 from repro.metrics.base import CallableMetric
@@ -53,7 +53,7 @@ def _algorithm(name, metric, chunk):
     return session._algorithm
 
 
-def _reference(name, metric, elements):
+def _sequential(name, metric, elements):
     """The paper's loop: every candidate offered every element in order."""
     algorithm = _algorithm(name, metric, None)
     d_min, d_max = exact_distance_bounds(elements[: algorithm.warmup_size], metric)
@@ -64,8 +64,20 @@ def _reference(name, metric, elements):
             candidate.offer(element)
             if specific is not None and element.group in specific[level]:
                 specific[level][element.group].offer(element)
+    return algorithm, ladder, blind, specific
+
+
+def _reference(name, metric, elements):
+    """Uids and diversity of the best solution after the paper's loop."""
+    algorithm, ladder, blind, specific = _sequential(name, metric, elements)
     best, _ = algorithm._extract(ladder, blind, specific, metric)
     return [element.uid for element in best.elements], best.diversity
+
+
+def _members(blind, specific):
+    """The identities of every candidate's members, blind candidates first."""
+    candidates = blind + [c for per_group in specific or () for c in per_group.values()]
+    return [[id(element) for element in candidate] for candidate in candidates]
 
 
 @functools.lru_cache(maxsize=None)
@@ -186,6 +198,21 @@ def test_other_payloads_and_metrics_match_sequential_offer(name, payload, chunk)
     assert all(element is by_uid[element.uid] for element in from_list.solution.elements)
     live = [element for candidate in session._state.blind for element in candidate]
     assert all(element is by_uid[element.uid] for element in live)
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_clashing_uids_keep_distinct_payloads(name):
+    # Offered uids need not be unique; screening follows payloads, not uids.
+    elements = [
+        Element(uid=i % 4, vector=element.vector, group=element.group)
+        for i, element in enumerate(ELEMENTS)
+    ]
+    state = IngestState(_algorithm(name, EuclideanMetric(), 16))
+    for chunk in stream_chunks(elements, state.size):
+        state.offer(chunk)
+    state.flush()
+    _, _, blind, specific = _sequential(name, EuclideanMetric(), elements)
+    assert _members(state.blind, state.specific) == _members(blind, specific)
 
 
 def test_session_keeps_no_screened_rows():

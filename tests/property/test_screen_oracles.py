@@ -191,10 +191,11 @@ class TestEngineOracles:
         for start in range(0, n, 16):
             rows = order[start : start + 16]
             views = [store.element(row) for row in rows]
-            for screen in [union] + singles:
+            if not union.exhausted:
+                union.process(union_counting, M[rows], _at(views, 0))
+            for screen in singles:
                 if not screen.exhausted:
-                    counting = union_counting if screen is union else level_counting
-                    screen.process(counting, M[rows], _at(views, 0))
+                    screen.process(level_counting, M[rows], _at(views, 0))
         for union_level, single_level in zip(union_levels, single_levels):
             assert [e.uid for e in union_level] == [e.uid for e in single_level]
         # The shared columns are charged once per level, as separate screens are.
