@@ -1,4 +1,4 @@
-"""Hot-path benchmark: columnar store vs. object path, end to end.
+"""Hot-path benchmark: columnar store vs. element list, end to end.
 
 This is the acceptance bench for the columnar ``ElementStore`` data layer
 (PR 3) and the repository's perf-trajectory anchor: it measures the three
@@ -145,7 +145,7 @@ def test_hot_paths(benchmark, results_dir):
         {"path": "gmm", "mode": "object", "n": HOT_N, "seconds": gmm_object_s, "speedup": 1.0},
         {"path": "gmm", "mode": "store", "n": HOT_N, "seconds": gmm_store_s, "speedup": gmm_object_s / max(gmm_store_s, 1e-9)},
     ]
-    print_table(rows, COLUMNS, title=f"columnar store vs object path — n={HOT_N}")
+    print_table(rows, COLUMNS, title=f"columnar store vs element list — n={HOT_N}")
     write_csv(rows, results_dir / scaled_csv_name("hot_paths", HOT_N, 100_000), columns=COLUMNS)
 
     # Exact identity: same solution, same diversity, same charged distances.

@@ -28,7 +28,7 @@ to ``n = 100 000`` points (override with ``REPRO_BENCH_PARALLEL_N``):
    regime as shards multiply.
 
 The per-shard summarizer is the one-pass ``StreamShardSummarizer`` (the
-``Candidate.offer_batch`` chunk kernel over an ``epsilon = 0.15`` guess
+streaming engine's chunk screen over an ``epsilon = 0.15`` guess
 ladder) — the configuration whose per-shard cost is dominated by genuine
 summary work rather than by driver-side planning, i.e. the regime
 sharding is designed for.  The local-search polish is disabled so the
