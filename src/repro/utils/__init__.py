@@ -9,7 +9,7 @@ from repro.utils.errors import (
     NoFeasibleSolutionError,
 )
 from repro.utils.rng import ensure_rng, spawn_rngs
-from repro.utils.timer import Timer
+from repro.utils.timer import Timer, StageTimer
 from repro.utils.validation import (
     require,
     require_positive_int,
@@ -27,6 +27,7 @@ __all__ = [
     "ensure_rng",
     "spawn_rngs",
     "Timer",
+    "StageTimer",
     "require",
     "require_positive_int",
     "require_in_open_interval",
