@@ -14,7 +14,7 @@ chunk-wise: every source is cut into :class:`StreamChunk` objects — a
 payload matrix, a group-code array and a way to materialise accepted rows
 as elements — and each ``batch_size``-row chunk, aligned to the stream
 start, is screened against every guess level at once by a
-:class:`_UnionScreen`.  The accepted candidates are exactly those of the
+:class:`ChunkScreen`.  The accepted candidates are exactly those of the
 element-at-a-time rule (:meth:`~repro.core.candidate.Candidate.offer`);
 only the arithmetic is scheduled differently.
 """
@@ -32,7 +32,7 @@ from repro.core.guesses import GuessLadder
 from repro.core.result import RunResult
 from repro.core.solution import Solution
 from repro.data.store import ElementStore, store_rows_of
-from repro.metrics.base import Metric, stack_payloads, stack_vectors
+from repro.metrics.base import Metric, join_payloads, stack_payloads, stack_vectors
 from repro.metrics.cached import CountingMetric
 from repro.metrics.space import payload_distance_bounds
 from repro.data.element import Element
@@ -126,7 +126,7 @@ class StreamChunk:
         else:
             source = [piece.element(i) for piece in pieces for i in range(len(piece))]
         return StreamChunk(
-            np.concatenate([piece.vectors for piece in pieces]),
+            join_payloads([piece.vectors for piece in pieces]),
             np.concatenate([piece.codes for piece in pieces]),
             source,
         )
@@ -371,9 +371,9 @@ class IngestState:
         self.specific: Optional[List[Dict[int, Candidate]]] = None
         self._pending: Deque[StreamChunk] = deque()
         self._pending_rows = 0
-        #: Union screens over the candidates (blind, per group); a cache
-        #: rebuilt on demand, never pickled.
-        self._screens: Optional[Tuple[_UnionScreen, Dict[int, _UnionScreen]]] = None
+        #: The screens over the candidates; a cache rebuilt on demand, never
+        #: pickled.
+        self._screens: Optional[ChunkScreen] = None
         if algorithm.distance_bounds is not None:
             self._activate(algorithm.distance_bounds)
 
@@ -467,7 +467,7 @@ class IngestState:
             rows += len(piece)
             if rows >= count:
                 break
-        warmup = np.concatenate(pieces)[:count]
+        warmup = join_payloads(pieces)[:count]
         d_min, d_max = payload_distance_bounds(warmup, self.counting)
         self._activate((d_min / 4.0, d_max * 4.0))
 
@@ -502,52 +502,79 @@ class IngestState:
         start = self.stats.elements_processed
         self.stats.elements_processed += len(chunk)
         if self._screens is None:
-            by_group: Dict[int, List[Candidate]] = {}
-            for per_group in self.specific or ():
-                for group, candidate in per_group.items():
-                    by_group.setdefault(group, []).append(candidate)
-            self._screens = (
-                _UnionScreen(self.blind),
-                {group: _UnionScreen(levels) for group, levels in by_group.items()},
-            )
-        blind, by_group = self._screens
-        if blind.exhausted and all(screen.exhausted for screen in by_group.values()):
+            self._screens = ChunkScreen(self.blind, self.specific)
+        if self._screens.exhausted:
             return
         with obs.span("ingest.chunk", start=start, size=len(chunk)):
-            screen_chunk(self.counting, chunk, blind, by_group)
+            self._screens.screen(self.counting, chunk)
 
 
-def screen_chunk(
-    metric: Metric,
-    chunk: StreamChunk,
-    blind: "_UnionScreen",
-    by_group: Dict[int, "_UnionScreen"],
-) -> None:
-    """Screen one chunk through a blind union screen and the per-group ones.
+class ChunkScreen:
+    """The screen layout over one candidate state.
 
-    Group screens see only the chunk rows of their group.  An accepted row
-    is materialised once, however many levels accept it, so every
-    candidate holding it holds the same element object.
+    Parameters
+    ----------
+    blind:
+        The group-blind candidates, one per guess level.
+    specific:
+        Optional group-specific candidates, one ``{group: candidate}``
+        mapping per guess level (the layout of :data:`CandidateState`).
+
+    One :class:`_UnionScreen` covers the group-blind candidates and one per
+    group covers that group's candidates across all levels; a group screen
+    sees only the chunk rows of its group.  Groups can also be added as
+    they first appear (:meth:`add_group`), which is how the shard
+    summarizer builds its per-group candidates lazily.
     """
-    made: Dict[int, Element] = {}
 
-    def element_at(position: int) -> Element:
-        """The element of chunk row ``position``, materialised once."""
-        element = made.get(position)
-        if element is None:
-            element = made[position] = chunk.element(position)
-        return element
+    __slots__ = ("_blind", "_groups")
 
-    if not blind.exhausted:
-        blind.process(metric, chunk.vectors, element_at)
-    for group, screen in by_group.items():
-        if screen.exhausted:
-            continue
-        positions = np.nonzero(chunk.codes == group)[0]
-        if positions.size:
-            screen.process(
-                metric, chunk.vectors[positions], lambda i: element_at(int(positions[i]))
-            )
+    def __init__(
+        self,
+        blind: List[Candidate],
+        specific: Optional[List[Dict[int, Candidate]]] = None,
+    ) -> None:
+        self._blind = _UnionScreen(blind)
+        by_group: Dict[int, List[Candidate]] = {}
+        for per_group in specific or ():
+            for group, candidate in per_group.items():
+                by_group.setdefault(group, []).append(candidate)
+        self._groups = {group: _UnionScreen(levels) for group, levels in by_group.items()}
+
+    def add_group(self, group: int, candidates: List[Candidate]) -> None:
+        """Screen the rows of ``group`` through ``candidates`` from now on."""
+        self._groups[group] = _UnionScreen(candidates)
+
+    @property
+    def exhausted(self) -> bool:
+        """Whether every candidate has reached capacity."""
+        return self._blind.exhausted and all(s.exhausted for s in self._groups.values())
+
+    def screen(self, metric: Metric, chunk: StreamChunk) -> None:
+        """Screen one chunk through every non-full candidate.
+
+        An accepted row is materialised once, however many levels accept
+        it, so every candidate holding it holds the same element object.
+        """
+        made: Dict[int, Element] = {}
+
+        def element_at(position: int) -> Element:
+            """The element of chunk row ``position``, materialised once."""
+            element = made.get(position)
+            if element is None:
+                element = made[position] = chunk.element(position)
+            return element
+
+        if not self._blind.exhausted:
+            self._blind.process(metric, chunk.vectors, element_at)
+        for group, screen in self._groups.items():
+            if screen.exhausted:
+                continue
+            positions = np.nonzero(chunk.codes == group)[0]
+            if positions.size:
+                screen.process(
+                    metric, chunk.vectors[positions], lambda i: element_at(int(positions[i]))
+                )
 
 
 class _UnionScreen:

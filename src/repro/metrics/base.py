@@ -166,6 +166,19 @@ def stack_payloads(payloads: Sequence[Any]) -> np.ndarray:
         return stacked
 
 
+def join_payloads(pieces: Sequence[np.ndarray]) -> np.ndarray:
+    """The rows of separately stacked payload arrays, in order, as one array.
+
+    Pieces of one layout are concatenated.  Pieces of variable-length
+    payloads can disagree — a uniform piece is a matrix whose width is its
+    payloads' length, a ragged one an object array — and are then restacked
+    row by row with :func:`stack_payloads`.
+    """
+    if len({piece.shape[1:] for piece in pieces}) == 1:
+        return np.concatenate(pieces)
+    return stack_payloads([row for piece in pieces for row in piece])
+
+
 class CallableMetric(Metric):
     """Adapter that wraps a plain ``f(x, y) -> float`` callable as a :class:`Metric`.
 

@@ -49,9 +49,7 @@ def exact_distance_bounds(elements: Sequence[Element], metric: Metric) -> Tuple[
     guess ladder stays meaningful for datasets with repeated rows.
     Vectorized metrics are evaluated with one batched pairwise call.
     """
-    if metric.supports_batch:
-        return payload_distance_bounds(stack_vectors(elements), metric)
-    return payload_distance_bounds([element.vector for element in elements], metric)
+    return payload_distance_bounds(stack_vectors(elements), metric)
 
 
 def payload_distance_bounds(payloads: Sequence[Any], metric: Metric) -> Tuple[float, float]:

@@ -16,7 +16,7 @@ the process backend can pickle them into workers:
   ``distances_to`` kernels when the metric has them;
 * :class:`StreamShardSummarizer` — a bounded-memory one-pass alternative
   built on the streaming algorithms' chunk screen
-  (:func:`repro.core.base.screen_chunk`): the shard is consumed in chunks
+  (:class:`repro.core.base.ChunkScreen`): the shard is consumed in chunks
   through a geometric ladder of distance thresholds, maintaining one
   group-blind and one per-group candidate per level, exactly like the
   stream phase of the paper's algorithms.  Its working set is
@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.base import _UnionScreen, screen_chunk, stream_chunks
+from repro.core.base import ChunkScreen, stream_chunks
 from repro.core.candidate import Candidate
 from repro.core.coreset import gmm_coreset
 from repro.core.guesses import GuessLadder
@@ -179,16 +179,15 @@ class StreamShardSummarizer(ShardSummarizer):
             return _first_k_per_group(elements, k)
         ladder = GuessLadder(d_min / 4.0, d_max * 4.0, self.epsilon)
         blind: List[Candidate] = [Candidate(mu, k, metric) for mu in ladder]
-        blind_screen = _UnionScreen(blind)
+        screens = ChunkScreen(blind)
         grouped: Dict[int, List[Candidate]] = {}
-        group_screens: Dict[int, _UnionScreen] = {}
 
         for chunk in itertools.chain([first], chunks):
             for group in np.unique(chunk.codes).tolist():
                 if group not in grouped:
                     grouped[group] = [Candidate(mu, k, metric, group=group) for mu in ladder]
-                    group_screens[group] = _UnionScreen(grouped[group])
-            screen_chunk(metric, chunk, blind_screen, group_screens)
+                    screens.add_group(group, grouped[group])
+            screens.screen(metric, chunk)
 
         summary: Dict[int, Element] = {}
         for candidate in blind:

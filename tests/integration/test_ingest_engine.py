@@ -173,7 +173,46 @@ def _precomputed():
     ]
 
 
-PAYLOADS = {"categorical": _categorical, "kernel-less": _kernel_less, "precomputed": _precomputed}
+def _padded_hamming(x, y):
+    """Hamming distance after padding the shorter sequence with a blank."""
+    common = min(len(x), len(y))
+    return float(np.count_nonzero(x[:common] != y[:common]) + abs(len(x) - len(y)))
+
+
+def _variable_length():
+    """Character arrays of varying length under a kernel-less metric.
+
+    The length changes every ten rows, so some chunks stack into a matrix,
+    others (those crossing a change) into an object array, and offers of one
+    element stack into matrices of different widths.
+    """
+    rng = np.random.default_rng(43)
+    letters = np.array(list("abcd"))
+    return CallableMetric(_padded_hamming, name="padded-hamming"), [
+        Element(uid=i, vector=letters[rng.integers(0, 4, size=4 + (i // 10) % 3)], group=i % 2)
+        for i in range(120)
+    ]
+
+
+PAYLOADS = {
+    "categorical": _categorical,
+    "kernel-less": _kernel_less,
+    "precomputed": _precomputed,
+    "variable-length": _variable_length,
+}
+
+
+def _session(name, metric, chunk, elements, per_call):
+    """A session fed ``elements`` in calls of ``per_call`` (``offer`` for one)."""
+    session = repro.open_session(
+        constraint=CONSTRAINT, metric=metric, algorithm=name, batch_size=chunk
+    )
+    for start in range(0, len(elements), per_call):
+        if per_call == 1:
+            session.offer(elements[start])
+        else:
+            session.offer_batch(elements[start : start + per_call])
+    return session
 
 
 @pytest.mark.parametrize("chunk", (1, 7, None), ids=lambda c: f"chunk{c}")
@@ -184,20 +223,16 @@ def test_other_payloads_and_metrics_match_sequential_offer(name, payload, chunk)
     expected = _reference(name, metric, elements)
     from_list = _algorithm(name, metric, chunk).run(list(elements))
     from_generator = _algorithm(name, metric, chunk).run(iter(elements))
-    session = repro.open_session(
-        constraint=CONSTRAINT, metric=metric, algorithm=name, batch_size=chunk
-    )
-    for start in range(0, len(elements), 13):
-        session.offer_batch(elements[start : start + 13])
-    from_session = session.solution()
-    for result in (from_list, from_generator, from_session):
+    sessions = [_session(name, metric, chunk, elements, per_call) for per_call in (1, 13)]
+    for result in [from_list, from_generator] + [s.solution() for s in sessions]:
         assert _answer(result) == expected
         assert _counts(result) == _counts(from_list)
     # Accepted elements are the offered objects (queries answer on a copy).
     by_uid = {element.uid: element for element in elements}
     assert all(element is by_uid[element.uid] for element in from_list.solution.elements)
-    live = [element for candidate in session._state.blind for element in candidate]
-    assert all(element is by_uid[element.uid] for element in live)
+    for session in sessions:
+        live = [element for candidate in session._state.blind for element in candidate]
+        assert all(element is by_uid[element.uid] for element in live)
 
 
 @pytest.mark.parametrize("name", ALGORITHMS)
