@@ -106,7 +106,7 @@ trace-smoke:
 		--n 400 --batch-size 64 --trace-out /tmp/repro_trace_smoke.jsonl >/dev/null
 	$(PYTHON) tools/check_trace.py /tmp/repro_trace_smoke.jsonl \
 		--expect-span run --expect-span ingest --expect-span ingest.chunk \
-		--expect-span postprocess
+		--expect-span postprocess --expect-span sfdm2.guess
 
 ## Perf-regression gate: fresh smoke run of the hot-path bench compared
 ## against the committed BENCH_hot_paths.json baseline (wall-clock checks

@@ -31,11 +31,12 @@ capability.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Any, Iterable, List, Optional, Union
+from typing import Any, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -70,6 +71,11 @@ class SessionBase:
         :func:`repro.obs.configure` rather than scoping it to one call;
         pass ``trace=`` to at most one constructor (the last one wins).
     """
+
+    #: ``(rows, stream distance evaluations)`` already fed to the obs
+    #: registry by earlier queries (see :meth:`_publish`).  A class default,
+    #: so version-2 checkpoints written without it still load.
+    _published: Tuple[int, int] = (0, 0)
 
     def __init__(self, trace: Any = None) -> None:
         self._offered = 0
@@ -161,6 +167,28 @@ class SessionBase:
                 for i in range(matrix.shape[0])
             ]
         )
+
+    def _publish(self, stats: StreamStats) -> None:
+        """Feed one query's stats to the obs registry, counting ingested work once.
+
+        A query's stats cover the whole stream so far, so publishing them as
+        they are would add the rows and stream distance evaluations of every
+        earlier query again.  Only the growth of those two counters since
+        the previous query is published; the registry then holds what was
+        ingested however often the session is queried.  A query made
+        mid-warmup runs on a ladder estimated from fewer rows, so nothing
+        guarantees that its stream count is below a later query's; growth
+        is clamped at zero, since registry counters refuse decrements.
+        """
+        rows, distances = self._published
+        grown_rows = max(stats.elements_processed - rows, 0)
+        grown_distances = max(stats.stream_distance_computations - distances, 0)
+        self._published = (rows + grown_rows, distances + grown_distances)
+        dataclasses.replace(
+            stats,
+            elements_processed=grown_rows,
+            stream_distance_computations=grown_distances,
+        ).publish(self.algorithm_name)
 
     def _track_uids(self, count: int, highest: int) -> None:
         """Count ``count`` ingested elements; keep auto-uids past ``highest``."""
@@ -302,10 +330,10 @@ class StreamingSession(SessionBase):
     matrix to the engine as is; an element is built only for a row some
     candidate accepts.
 
-    :meth:`solution` works on a deep-copied snapshot of that state, so
-    queries are pure: the live ingestion schedule — and therefore the
-    distance accounting — is unaffected by how often (or whether) the
-    session is queried.
+    :meth:`solution` works on a snapshot of that state, so queries are
+    pure: the live ingestion schedule — and therefore the distance
+    accounting — is unaffected by how often (or whether) the session is
+    queried.
     """
 
     def __init__(self, algorithm: StreamingAlgorithm, trace: Any = None) -> None:
@@ -350,13 +378,13 @@ class StreamingSession(SessionBase):
     def solution(self) -> RunResult:
         """The best solution over everything offered so far, as a RunResult.
 
-        The extraction runs on a deep-copied snapshot of the ingestion
-        state, so the live state is untouched: the pending partial chunk is
-        flushed only inside the snapshot, and post-processing distance
-        evaluations are charged to the snapshot's counters.  Querying is
-        therefore free of side effects — a session queried a thousand times
-        mid-stream ends with exactly the accounting of one that was never
-        queried.
+        The extraction runs on a snapshot of the ingestion state
+        (:meth:`~repro.core.base.IngestState.snapshot`), so the live state
+        is untouched: the pending partial chunk is flushed only inside the
+        snapshot, and post-processing distance evaluations are charged to
+        the snapshot's counter.  Querying is therefore free of side effects
+        — a session queried a thousand times mid-stream ends with exactly
+        the accounting of one that was never queried.
 
         Raises
         ------
@@ -374,9 +402,9 @@ class StreamingSession(SessionBase):
             algorithm=self._algorithm.name,
             offered=self._offered,
         ):
-            snapshot = copy.deepcopy(self._state)
+            snapshot = self._state.snapshot()
             snapshot.flush()
-            return snapshot.finish(self._stream_seconds)
+            return snapshot.finish(self._stream_seconds, publish=self._publish)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "active" if self.is_active else "warming up"
@@ -473,7 +501,7 @@ class WindowSession(SessionBase):
             stats.stream_distance_computations = calls_before - self._query_calls
             stats.postprocess_distance_computations = query_cost
             self._query_calls += query_cost
-        stats.publish(self.algorithm_name)
+        self._publish(stats)
         return RunResult(
             algorithm=self.algorithm_name,
             solution=solution,

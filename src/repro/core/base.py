@@ -21,6 +21,8 @@ only the arithmetic is scheduled differently.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -411,11 +413,43 @@ class IngestState:
             self._activate_from_pending()
         self._drain(final=True)
 
-    def finish(self, stream_seconds: float) -> RunResult:
+    def snapshot(self) -> "IngestState":
+        """A copy to answer a query from; flushing and finishing it leave this state as is.
+
+        Extraction only reads the candidates, so the copy shares them (and
+        the ladder) with this state.  It gets its own stats, pending-chunk
+        deque and counting metric, which starts at the live count.  Only
+        when the copy's flush has rows to screen into the candidates — a
+        partial chunk is pending — are they forked: member lists and row
+        buffers copied, screens charged to the copy's counter.  Before the
+        warmup completes there are no candidates yet; the copy's flush
+        builds its own.
+        """
+        twin = copy.copy(self)
+        twin.counting = copy.copy(self.counting)
+        twin.stats = dataclasses.replace(self.stats, extra=dict(self.stats.extra))
+        twin._pending = deque(self._pending)
+        twin._screens = None
+        if self._pending_rows and self.ladder is not None:
+            twin.blind = [candidate._fork(twin.counting) for candidate in self.blind]
+            if self.specific is not None:
+                twin.specific = [
+                    {group: candidate._fork(twin.counting) for group, candidate in level.items()}
+                    for level in self.specific
+                ]
+        return twin
+
+    def finish(
+        self,
+        stream_seconds: float,
+        publish: Optional[Callable[[StreamStats], None]] = None,
+    ) -> RunResult:
         """Post-process the flushed candidates into the result of the stream.
 
         Completes (and publishes) the stats first; ``stream_seconds`` is the
-        wall-clock the caller spent ingesting.
+        wall-clock the caller spent ingesting.  ``publish`` feeds the
+        completed stats to the obs registry; the default is
+        :meth:`StreamStats.publish` under the algorithm's name.
 
         Raises
         ------
@@ -436,7 +470,10 @@ class IngestState:
         stats.stream_distance_computations = stream_calls
         stats.postprocess_distance_computations = self.counting.calls - stream_calls
         stats.record_stored(len(self.algorithm._stored_elements(self.blind, self.specific)))
-        stats.publish(self.algorithm.name)
+        if publish is None:
+            stats.publish(self.algorithm.name)
+        else:
+            publish(stats)
         if best is None:
             raise NoFeasibleSolutionError(self.algorithm._infeasible_message())
         return RunResult(

@@ -142,6 +142,17 @@ class Candidate:
             self._matrix = None
         self._elements.append(element)
 
+    def _fork(self, metric: Metric) -> "Candidate":
+        """A copy that accepts further members without touching this candidate.
+
+        The member list and the row buffer are copied (the elements are
+        shared); the copy charges its screens to ``metric``.
+        """
+        twin = Candidate(self.mu, self.capacity, metric, self.group)
+        twin._elements = list(self._elements)
+        twin._rows = None if self._rows is None else self._rows.copy()
+        return twin
+
     # ------------------------------------------------------------------
     # Streaming update
     # ------------------------------------------------------------------

@@ -5,7 +5,10 @@
   under-filled group's candidate, then drop the closest elements of the
   over-filled group.
 * :func:`cluster_elements` — the threshold clustering of SFDM2 (Algorithm 3,
-  lines 12–16): single-linkage connected components under ``d < µ/(m+1)``.
+  lines 12–16): single-linkage connected components under ``d < µ/(m+1)``,
+  built from :func:`pool_distances` and :func:`threshold_clusters`, which
+  SFDM2 calls directly so one pool matrix also serves its matroid
+  intersection and the diversity of the picked solution.
 * :func:`greedy_fair_fill` — a GMM-style greedy that builds a fair set from
   an arbitrary pool of stored elements; used as a best-effort fallback when
   no guess admits the exact post-processing of the paper (this can happen
@@ -140,6 +143,38 @@ class _UnionFind:
             self._rank[ra] += 1
 
 
+def pool_distances(elements: Sequence[Element], metric: Metric) -> np.ndarray:
+    """The distance matrix of ``elements``: entry ``(i, j)`` is ``d(elements[i], elements[j])``.
+
+    Metrics with vectorized kernels evaluate it with one ``pairwise`` call
+    (one gather when the elements are views of one
+    :class:`~repro.data.store.ElementStore`); other metrics, and pools of at
+    most one element, evaluate one scalar ``distance`` per unordered pair and
+    mirror it.
+    """
+    if metric.supports_batch and len(elements) > 1:
+        return metric.pairwise(stack_vectors(elements))
+    matrix = np.zeros((len(elements), len(elements)))
+    for i in range(len(elements)):
+        for j in range(i + 1, len(elements)):
+            matrix[i, j] = matrix[j, i] = metric.distance(elements[i].vector, elements[j].vector)
+    return matrix
+
+
+def threshold_clusters(distances: np.ndarray, threshold: float) -> np.ndarray:
+    """Cluster code of every row of ``distances``, by single linkage under ``d < threshold``.
+
+    Rows ``i`` and ``j`` share a code exactly when a chain of pairwise
+    distances below ``threshold`` connects them; codes are row indices (the
+    root of each component), so they are non-negative and below
+    ``len(distances)`` but not consecutive.
+    """
+    uf = _UnionFind(range(distances.shape[0]))
+    for i, j in zip(*np.nonzero(np.triu(distances < threshold, k=1))):
+        uf.union(int(i), int(j))
+    return np.array([uf.find(i) for i in range(distances.shape[0])], dtype=np.intp)
+
+
 def cluster_elements(
     elements: Sequence[Element], threshold: float, metric: Metric
 ) -> List[List[Element]]:
@@ -148,7 +183,8 @@ def cluster_elements(
     Two elements end up in the same cluster exactly when they are connected
     by a chain of pairwise distances below ``threshold`` — this is the fixed
     point of the repeated merging in Algorithm 3 (lines 13–16), computed
-    with a union-find instead of repeated scans.
+    with a union-find (:func:`threshold_clusters`) over the elements'
+    distance matrix (:func:`pool_distances`) instead of repeated scans.
 
     The returned clusters satisfy the paper's Property (i): any two elements
     in *different* clusters are at distance at least ``threshold``.
@@ -157,24 +193,10 @@ def cluster_elements(
     for element in elements:
         unique.setdefault(element.uid, element)
     items = list(unique.values())
-    uf = _UnionFind([element.uid for element in items])
-    if metric.supports_batch and len(items) > 1:
-        backing = store_rows_of(items)
-        if backing is not None:
-            matrix = metric.pairwise_idx(backing[0], backing[1])
-        else:
-            matrix = metric.pairwise(stack_vectors(items))
-        close = np.triu(matrix < threshold, k=1)
-        for i, j in zip(*np.nonzero(close)):
-            uf.union(items[int(i)].uid, items[int(j)].uid)
-    else:
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                if metric.distance(items[i].vector, items[j].vector) < threshold:
-                    uf.union(items[i].uid, items[j].uid)
+    codes = threshold_clusters(pool_distances(items, metric), threshold)
     clusters: Dict[int, List[Element]] = {}
-    for element in items:
-        clusters.setdefault(uf.find(element.uid), []).append(element)
+    for element, code in zip(items, codes):
+        clusters.setdefault(int(code), []).append(element)
     # Deterministic order: by smallest uid within each cluster.
     ordered = sorted(clusters.values(), key=lambda cluster: min(e.uid for e in cluster))
     return ordered

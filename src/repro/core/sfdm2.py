@@ -16,16 +16,16 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro import obs
 from repro.core.base import CandidateState, StreamingAlgorithm
 from repro.core.candidate import Candidate
 from repro.core.guesses import GuessLadder
-from repro.core.postprocess import cluster_elements, distance_to_set, greedy_fair_fill
+from repro.core.postprocess import greedy_fair_fill, pool_distances, threshold_clusters
 from repro.core.solution import FairSolution
 from repro.fairness.constraints import FairnessConstraint
-from repro.matroids.cluster import ClusterMatroid
-from repro.matroids.intersection import matroid_intersection
-from repro.matroids.partition import matroid_from_constraint
+from repro.matroids.intersection import partition_intersection
 from repro.metrics.base import Metric
 from repro.data.element import Element
 
@@ -116,7 +116,7 @@ class SFDM2(StreamingAlgorithm):
         k = self.constraint.total_size
         groups = self.constraint.groups
         m = self.constraint.num_groups
-        best: Optional[FairSolution] = None
+        best: Optional[Tuple[List[Element], float]] = None
         eligible_count = 0
         for index in range(len(ladder)):
             if len(blind[index]) != k:
@@ -127,30 +127,30 @@ class SFDM2(StreamingAlgorithm):
             ):
                 continue
             eligible_count += 1
-            with obs.span("sfdm2.guess", level=index, mu=float(ladder[index])):
-                solution_elements = self._postprocess_guess(
+            with obs.span("sfdm2.guess", level=index, mu=float(ladder[index])) as span:
+                picked = self._postprocess_guess(
                     mu=ladder[index],
                     blind=blind[index],
                     specific=specific[index],
                     metric=metric,
                     m=m,
+                    span=span,
                 )
-            if solution_elements is None:
-                continue
-            candidate_solution = FairSolution(solution_elements, metric, self.constraint)
-            if not candidate_solution.is_fair:
-                continue
-            if best is None or candidate_solution.diversity > best.diversity:
-                best = candidate_solution
+            # A size-k set within every quota meets every quota: it is fair.
+            if picked is not None and (best is None or picked[1] > best[1]):
+                best = picked
 
-        if best is None and self.fallback:
+        solution: Optional[FairSolution] = None
+        if best is not None:
+            solution = FairSolution._measured(best[0], metric, self.constraint, best[1])
+        elif self.fallback:
             pool = self._stored_elements(blind, specific)
             with obs.span("sfdm2.fallback_fill", pool=len(pool)):
                 filled = greedy_fair_fill(pool, self.constraint, metric)
             candidate_solution = FairSolution(filled, metric, self.constraint)
             if candidate_solution.is_fair:
-                best = candidate_solution
-        return best, {"eligible_guesses": eligible_count}
+                solution = candidate_solution
+        return solution, {"eligible_guesses": eligible_count}
 
     def _infeasible_message(self) -> str:
         """Error message when no feasible solution was found."""
@@ -176,63 +176,86 @@ class SFDM2(StreamingAlgorithm):
         specific: Dict[int, Candidate],
         metric: Metric,
         m: int,
-    ) -> Optional[List[Element]]:
-        """Post-process one eligible guess; return ``k`` elements or ``None``.
+        span: Any,
+    ) -> Optional[Tuple[List[Element], float]]:
+        """Post-process one eligible guess; return ``k`` elements and their diversity, or ``None``.
 
         Follows lines 10–18 of Algorithm 3: extract the initial partial
         solution from the group-blind candidate, cluster all stored
         elements at threshold ``µ/(m+1)``, and augment via matroid
         intersection with a diversity-aware greedy warm start.
-        """
-        # Initial partial solution: at most k_i elements per group from S_µ.
-        initial: List[Element] = []
-        taken_per_group: Dict[int, int] = {group: 0 for group in self.constraint.groups}
-        for element in blind.elements:
-            quota = self.constraint.quotas.get(element.group)
-            if quota is None:
-                continue
-            if taken_per_group[element.group] < quota:
-                initial.append(element)
-                taken_per_group[element.group] += 1
 
-        # S_all: the union of the group-blind and all group-specific candidates.
+        One pool distance matrix serves the clustering, the warm start and
+        the diversity of the result, and the intersection runs on counters
+        (:func:`~repro.matroids.intersection.partition_intersection`).  The
+        distance evaluations of the generic route — clustering, a
+        distance-to-set priority per addable element and pick, and the
+        diversity of the picked set — are charged in full, so the accounting
+        is that of the generic matroids, which the tests use as the oracle.
+        """
+        quotas = self.constraint.quotas
+        k = self.constraint.total_size
+        # S_all: the union of the group-blind and all group-specific
+        # candidates, walked in the order of the frozenset the generic
+        # fairness matroid would hold, so picks and ties are the generic ones.
         pool: Dict[int, Element] = {}
         for element in blind.elements:
             pool.setdefault(element.uid, element)
         for candidate in specific.values():
             for element in candidate:
                 pool.setdefault(element.uid, element)
-        all_elements = list(pool.values())
+        ground = list(frozenset(pool.values()))
+        position = {element.uid: index for index, element in enumerate(ground)}
 
-        threshold = mu / (m + 1)
-        clusters = cluster_elements(all_elements, threshold, metric)
+        distances = pool_distances(ground, metric)
+        clusters = threshold_clusters(distances, mu / (m + 1))
+        # Group codes index the quotas; groups outside the constraint share
+        # one last code with capacity zero.
+        code_of = {group: code for code, group in enumerate(quotas)}
+        groups = np.array([code_of.get(element.group, len(quotas)) for element in ground])
+        capacities = np.array([*quotas.values(), 0])
 
-        fairness_matroid = matroid_from_constraint(all_elements, self.constraint)
-        cluster_matroid = ClusterMatroid(clusters)
+        # Initial partial solution: at most k_i elements per group from S_µ.
+        # Lemma 3(ii) keeps them in distinct clusters under a true metric; a
+        # distance that breaks the triangle inequality can join two of them,
+        # so drop any whose cluster is taken.
+        initial: List[int] = []
+        considered = dict.fromkeys(quotas, 0)
+        taken: Set[int] = set()
+        for element in blind.elements:
+            group = element.group
+            if group not in considered or considered[group] >= quotas[group]:
+                continue
+            considered[group] += 1
+            index = position[element.uid]
+            cluster = int(clusters[index])
+            if cluster not in taken:
+                taken.add(cluster)
+                initial.append(index)
 
-        # The initial partial solution may violate the cluster matroid when
-        # the clustering merges two of its elements (possible because the
-        # threshold is µ/(m+1) while S_µ only guarantees separation µ ... the
-        # guarantee of Lemma 3(ii) actually prevents this, but estimated
-        # distance bounds can break the premise, so stay defensive).
-        initial_set: Set[Element] = set()
-        for element in initial:
-            tentative = initial_set | {element}
-            if fairness_matroid.is_independent(tentative) and cluster_matroid.is_independent(
-                tentative
-            ):
-                initial_set.add(element)
-
-        def priority(element: Element, current: Set[Element]) -> float:
-            return distance_to_set(element, list(current), metric)
-
-        augmented = matroid_intersection(
-            fairness_matroid,
-            cluster_matroid,
-            initial=initial_set,
-            priority=priority if self.greedy_augmentation else None,
-            target_size=self.constraint.total_size,
+        result = partition_intersection(
+            groups,
+            capacities,
+            clusters,
+            initial=initial,
+            distances=distances if self.greedy_augmentation else None,
+            target_size=k,
         )
-        if len(augmented) < self.constraint.total_size:
+        span.set(
+            pool=len(ground),
+            clusters=len(set(clusters.tolist())),
+            augmenting_paths=result.augmenting_paths,
+        )
+        picked = sorted(result.selected.tolist(), key=lambda index: ground[index].uid)
+        diversity = float("inf")
+        evaluations = result.priority_evaluations
+        if len(picked) == k and k > 1:
+            pairs = distances[np.ix_(picked, picked)][np.triu_indices(k, k=1)]
+            diversity = float(pairs.min())
+            evaluations += k * k if metric.supports_batch else pairs.size
+        charge = getattr(metric, "charge", None)
+        if charge is not None:
+            charge(evaluations)
+        if len(picked) < k:
             return None
-        return sorted(augmented, key=lambda element: element.uid)
+        return [ground[index] for index in picked], diversity

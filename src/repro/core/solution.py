@@ -95,6 +95,27 @@ class FairSolution(Solution):
         self._constraint = constraint
         self._audit: FairnessAudit = audit_fairness(self._elements, constraint)
 
+    @classmethod
+    def _measured(
+        cls,
+        elements: Sequence[Element],
+        metric: Metric,
+        constraint: FairnessConstraint,
+        diversity: float,
+    ) -> "FairSolution":
+        """A solution whose diversity the caller has already measured.
+
+        Evaluates no distance: SFDM2 reads ``div(S)`` off the pool distance
+        matrix it already holds (and charged) for every guess.
+        """
+        solution = cls.__new__(cls)
+        solution._elements = list(elements)
+        solution._metric = metric
+        solution._diversity = float(diversity)
+        solution._constraint = constraint
+        solution._audit = audit_fairness(solution._elements, constraint)
+        return solution
+
     @property
     def constraint(self) -> FairnessConstraint:
         """The fairness constraint this solution was computed for."""

@@ -22,13 +22,23 @@ The paper warms the search up by first adding elements that are immediately
 addable in both matroids (each such element corresponds to a length-two path
 ``a -> x -> b``), ordered to maximize diversity; that greedy phase lives in
 :func:`greedy_common_independent` and accepts an arbitrary priority function
-so the caller (SFDM2) can plug in "distance to the current solution".
+so the caller can plug in "distance to the current solution".
+
+These routines work for any pair of matroids through their independence
+oracles, and they are the reference that SFDM2's post-processing is tested
+against.  SFDM2 itself only ever intersects two *partition* matroids
+(groups with quotas, clusters with capacity one) and runs
+:func:`partition_intersection`, which reads the same decisions off
+per-group and per-cluster counters: a differential test pins it to
+:func:`matroid_intersection` pick for pick.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.matroids.base import Matroid
 from repro.utils.errors import InvalidParameterError
@@ -204,6 +214,178 @@ def matroid_intersection(
             else:
                 current.add(item)
     return current
+
+
+class PartitionIntersection(NamedTuple):
+    """The outcome of :func:`partition_intersection`."""
+
+    #: Pool indices of the selected items, ascending.
+    selected: np.ndarray
+    #: Distances the farthest-first warm start compared: the current set's
+    #: size for every addable item, at every pick from a non-empty set.
+    priority_evaluations: int
+    #: Augmenting paths applied after the warm start.
+    augmenting_paths: int
+
+
+def partition_intersection(
+    groups: np.ndarray,
+    capacities: np.ndarray,
+    clusters: np.ndarray,
+    initial: Iterable[int] = (),
+    distances: Optional[np.ndarray] = None,
+    target_size: Optional[int] = None,
+) -> PartitionIntersection:
+    """Maximum common independent set of a group and a cluster partition matroid.
+
+    The counter-based form of :func:`matroid_intersection` for the two
+    matroids of SFDM2's post-processing: at most ``capacities[g]`` items of
+    group ``g``, and at most one item per cluster.  Per-group and
+    per-cluster counts answer every independence question in O(1):
+
+    * the warm start adds, until none is left, the addable item farthest
+      from the current set, keeping one running nearest-distance array
+      updated from one row of ``distances`` per pick (the first addable
+      item when ``distances`` is ``None``);
+    * each augmenting path is a breadth-first search over the exchange
+      graph read off the counts: the source reaches every unselected item
+      of a group below capacity, an item whose cluster is free reaches the
+      sink, an item whose cluster is taken leads to the member holding it,
+      and a member leads to every unselected item of its (full) group.
+
+    Parameters
+    ----------
+    groups:
+        Group code of every pool item, an index into ``capacities``.
+    capacities:
+        Most items selectable per group code (0 for groups the constraint
+        does not cover).
+    clusters:
+        Non-negative cluster code of every pool item.
+    initial:
+        Pool indices of a common independent starting set.
+    distances:
+        Pool distance matrix, ``distances[i, j] = d(i, j)``; drives the
+        farthest-first warm start.
+    target_size:
+        Stop as soon as this many items are selected.
+
+    Pool order is the tie-break order throughout.  Given the pool in the
+    ground-set order of the generic matroids, the picks, ties and
+    augmenting paths are those of :func:`matroid_intersection` with a
+    distance-to-set priority.
+
+    Raises
+    ------
+    InvalidParameterError
+        If ``initial`` is not independent in both matroids.
+    """
+    groups = np.asarray(groups, dtype=np.intp)
+    clusters = np.asarray(clusters, dtype=np.intp)
+    capacities = np.asarray(capacities, dtype=np.int64)
+    chosen = np.zeros(groups.shape[0], dtype=bool)
+    group_count = np.zeros(capacities.shape[0], dtype=np.int64)
+    holder = np.full(int(clusters.max(initial=-1)) + 1, -1, dtype=np.intp)
+
+    def add(item: int) -> None:
+        """Select ``item``: count it in its group and let it hold its cluster."""
+        chosen[item] = True
+        group_count[groups[item]] += 1
+        holder[clusters[item]] = item
+
+    for item in initial:
+        if chosen[item]:
+            continue
+        if group_count[groups[item]] >= capacities[groups[item]] or holder[clusters[item]] >= 0:
+            raise InvalidParameterError("initial set must be independent in both matroids")
+        add(item)
+    size = int(np.count_nonzero(chosen))
+
+    evaluations = 0
+    nearest = None
+    if distances is not None:
+        nearest = np.full(groups.shape[0], np.inf)
+        for item in np.flatnonzero(chosen):
+            np.minimum(nearest, distances[item], out=nearest)
+    while target_size is None or size < target_size:
+        addable = np.flatnonzero(
+            ~chosen & (group_count[groups] < capacities[groups]) & (holder[clusters] < 0)
+        )
+        if not addable.size:
+            break
+        if nearest is None:
+            pick = int(addable[0])
+        else:
+            if size:
+                evaluations += size * addable.size
+            pick = int(addable[np.argmax(nearest[addable])])
+            np.minimum(nearest, distances[pick], out=nearest)
+        add(pick)
+        size += 1
+
+    paths = 0
+    while target_size is None or size < target_size:
+        path = _counted_augmenting_path(groups, capacities, clusters, chosen, group_count, holder)
+        if path is None:
+            break
+        leaving = [item for item in path if chosen[item]]
+        for item in leaving:
+            chosen[item] = False
+            group_count[groups[item]] -= 1
+            holder[clusters[item]] = -1
+        for item in path:
+            if item not in leaving:
+                add(item)
+        size += 1
+        paths += 1
+    return PartitionIntersection(np.flatnonzero(chosen), evaluations, paths)
+
+
+def _counted_augmenting_path(
+    groups: np.ndarray,
+    capacities: np.ndarray,
+    clusters: np.ndarray,
+    chosen: np.ndarray,
+    group_count: np.ndarray,
+    holder: np.ndarray,
+) -> Optional[List[int]]:
+    """A shortest augmenting path of :func:`partition_intersection`'s exchange graph.
+
+    Visits nodes in the order :meth:`AugmentationGraph.shortest_augmenting_path`
+    visits the materialised graph, so it returns the same path.  A member
+    leads to the unselected items of its group only while the group is
+    full; otherwise the source reached all of them already.
+    """
+    unvisited, source = -2, -1
+    parent = np.full(groups.shape[0], unvisited, dtype=np.intp)
+    queue = deque(
+        int(item)
+        for item in np.flatnonzero(~chosen & (group_count[groups] < capacities[groups]))
+    )
+    parent[list(queue)] = source
+    expanded_groups: Set[int] = set()
+    while queue:
+        node = queue.popleft()
+        if chosen[node]:
+            group = int(groups[node])
+            if group in expanded_groups:
+                continue
+            expanded_groups.add(group)
+            reached = np.flatnonzero(~chosen & (groups == group))
+        else:
+            member = int(holder[clusters[node]])
+            if member < 0:
+                path = [node]
+                while parent[path[-1]] != source:
+                    path.append(int(parent[path[-1]]))
+                path.reverse()
+                return path
+            reached = (member,)
+        for item in reached:
+            if parent[item] == unvisited:
+                parent[item] = node
+                queue.append(int(item))
+    return None
 
 
 def is_common_independent(m1: Matroid, m2: Matroid, subset: Iterable[Hashable]) -> bool:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro import obs
 from repro.core.sfdm2 import SFDM2
 from repro.utils.errors import (
     EmptyStreamError,
@@ -127,6 +128,157 @@ class TestStreamingSession:
         assert [e.uid for e in result.solution.elements] == [
             e.uid for e in direct.solution.elements
         ]
+
+
+def _candidates(state):
+    """Every candidate of an ingestion state, in a fixed order."""
+    found = list(state.blind)
+    for level in state.specific or ():
+        found.extend(level[group] for group in sorted(level))
+    return found
+
+
+def _candidate_view(state):
+    """Each candidate with its member objects and a copy of its row buffer."""
+    return [
+        (
+            candidate,
+            candidate.metric,
+            [id(member) for member in candidate],
+            candidate._rows,
+            None if candidate._rows is None else candidate._rows.copy(),
+        )
+        for candidate in _candidates(state)
+    ]
+
+
+def _assert_candidates_unchanged(before, state):
+    after = _candidate_view(state)
+    assert len(after) == len(before)
+    for (candidate, metric, members, rows, content), now in zip(before, after):
+        assert now[0] is candidate and now[1] is metric
+        assert now[2] == members
+        assert now[3] is rows
+        if content is not None:
+            assert np.array_equal(now[4], content)
+
+
+def _state_view(state):
+    """Everything of an ingestion state a query must leave as it was."""
+    return (
+        _candidate_view(state),
+        state.counting.calls,
+        state.stats.as_dict(),
+        state._pending_rows,
+        [(id(chunk), chunk.vectors.copy(), chunk.codes.copy()) for chunk in state._pending],
+    )
+
+
+def _assert_state_unchanged(before, state):
+    candidates, calls, stats, pending_rows, pending = before
+    _assert_candidates_unchanged(candidates, state)
+    assert state.counting.calls == calls
+    assert state.stats.as_dict() == stats
+    assert state._pending_rows == pending_rows
+    assert len(state._pending) == len(pending)
+    for (identity, vectors, codes), chunk in zip(pending, state._pending):
+        assert id(chunk) == identity
+        assert np.array_equal(chunk.vectors, vectors) and np.array_equal(chunk.codes, codes)
+
+
+class TestReadOnlyQueries:
+    """``solution()`` reads the live state; only its own snapshot changes."""
+
+    @staticmethod
+    def _session(rows):
+        rng = np.random.default_rng(12)
+        session = repro.open_session(k=6, groups=[0, 1], algorithm="SFDM2", batch_size=64)
+        if rows:
+            session.offer_rows(rng.normal(size=(rows, 3)), groups=rng.integers(0, 2, rows))
+        return session
+
+    def test_nothing_pending_shares_the_candidates(self):
+        session = self._session(256)  # four whole chunks, nothing pending
+        state = session._state
+        assert state.is_active and state._pending_rows == 0
+        snapshot = state.snapshot()
+        assert all(a is b for a, b in zip(_candidates(snapshot), _candidates(state)))
+        assert snapshot.counting is not state.counting
+        assert snapshot.counting.calls == state.counting.calls
+        before = _state_view(state)
+        session.solution()
+        _assert_state_unchanged(before, state)
+
+    def test_pending_partial_chunk_is_screened_into_forks(self):
+        session = self._session(250)  # 58 rows past the last whole chunk
+        state = session._state
+        assert state.is_active and state._pending_rows == 58
+        snapshot = state.snapshot()
+        for fork, live in zip(_candidates(snapshot), _candidates(state)):
+            assert fork is not live and fork.metric is snapshot.counting
+            assert fork._rows is None or fork._rows is not live._rows
+        before = _state_view(state)
+        result = session.solution()
+        assert result.stats.elements_processed == 250
+        _assert_state_unchanged(before, state)
+
+    def test_mid_warmup(self):
+        session = self._session(30)
+        state = session._state
+        assert not state.is_active
+        before = _state_view(state)
+        session.solution()
+        _assert_state_unchanged(before, state)
+        assert not state.is_active and state.ladder is None
+
+    @pytest.mark.parametrize("algorithm", ["SFDM1", "SFDM2", "StreamingDM"])
+    def test_extract_leaves_candidates_untouched(self, algorithm):
+        rng = np.random.default_rng(5)
+        session = repro.open_session(k=6, groups=[0, 1], algorithm=algorithm, batch_size=64)
+        session.offer_rows(rng.normal(size=(256, 3)), groups=rng.integers(0, 2, 256))
+        state = session._state
+        before = _candidate_view(state)
+        best, _ = state.algorithm._extract(
+            state.ladder, state.blind, state.specific, state.counting
+        )
+        assert best is not None
+        _assert_candidates_unchanged(before, state)
+
+
+class TestQueryMetrics:
+    """Queries feed the obs registry the stream's work once, however many there are."""
+
+    @pytest.fixture(autouse=True)
+    def _traced(self):
+        obs.configure("memory", reset_metrics=True)
+        yield
+        obs.configure(sink=None, enabled=False, reset_metrics=True)
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"algorithm": "SFDM2"},
+            {"algorithm": "WindowFDM", "window": 1000, "blocks": 4},
+        ],
+        ids=["StreamingSession", "WindowSession"],
+    )
+    def test_eight_queries_publish_4000_rows(self, options):
+        rng = np.random.default_rng(8)
+        features, groups = rng.normal(size=(4000, 3)), rng.integers(0, 2, 4000)
+        session = repro.open_session(k=6, groups=[0, 1], **options)
+        results = []
+        for start in range(0, 4000, 500):
+            session.offer_rows(features[start : start + 500], groups=groups[start : start + 500])
+            results.append(session.solution())
+        metrics = obs.get_metrics().snapshot()
+        final = results[-1].stats
+        assert final.elements_processed == 4000
+        assert metrics["repro.elements_processed"] == 4000
+        assert metrics["repro.distance.stream"] == final.stream_distance_computations
+        assert metrics["repro.distance.postprocess"] == sum(
+            result.stats.postprocess_distance_computations for result in results
+        )
+        assert metrics["repro.runs"] == 8
 
 
 class TestWindowSession:

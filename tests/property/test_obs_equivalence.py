@@ -87,6 +87,21 @@ def test_traced_run_is_byte_identical(name, dataset):
     assert solve_spans[0]["attrs"]["algorithm"] == repro.get_algorithm(name).name
 
 
+def test_sfdm2_guess_spans_record_the_intersection(dataset):
+    """One ``sfdm2.guess`` span per eligible guess, carrying its pool, clusters and paths."""
+    sink = MemorySink()
+    result = repro.solve(
+        dataset, k=K, algorithm="SFDM2", epsilon=EPSILON, seed=SEED, trace=sink
+    )
+    guesses = sink.spans("sfdm2.guess")
+    assert len(guesses) == result.stats.extra["eligible_guesses"] > 0
+    for span in guesses:
+        attrs = span["attrs"]
+        assert attrs["pool"] >= K
+        assert 1 <= attrs["clusters"] <= attrs["pool"]
+        assert attrs["augmenting_paths"] >= 0
+
+
 @pytest.mark.parametrize("case", ["blobs-m2/SFDM1", "blobs-m2/SFDM2"])
 def test_golden_pins_hold_with_tracing_on(case):
     """The tracked golden records are reproduced by a *traced* solve."""
