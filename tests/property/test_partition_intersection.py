@@ -45,6 +45,7 @@ from repro.utils.errors import InvalidParameterError
 METRIC = EuclideanMetric()
 
 QUOTAS = {
+    "m1-unit": {0: 1},
     "m1": {0: 3},
     "m2-unit": {0: 1, 1: 1},
     "m2-skewed": {0: 3, 1: 1},
@@ -199,7 +200,7 @@ class TestAgainstGenericIntersection:
                 )
                 paths.append(result.augmenting_paths)
         assert sum(count > 0 for count in paths) >= 80
-        assert max(paths) >= 3
+        assert max(paths) >= 2
 
     def test_three_step_exchange(self):
         # a1 holds group 0 and cluster 0, so b1 (group 1, cluster 0) and a2
