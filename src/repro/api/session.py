@@ -384,7 +384,10 @@ class StreamingSession(SessionBase):
         snapshot, and post-processing distance evaluations are charged to
         the snapshot's counter.  Querying is therefore free of side effects
         — a session queried a thousand times mid-stream ends with exactly
-        the accounting of one that was never queried.
+        the accounting of one that was never queried.  The only thing a
+        query leaves behind is a cache: the guess levels it post-processed
+        (:class:`~repro.core.base.ExtractionMemo`), which the next query
+        reuses for every level whose candidates have not grown since.
 
         Raises
         ------
@@ -401,10 +404,13 @@ class StreamingSession(SessionBase):
             "session.solution",
             algorithm=self._algorithm.name,
             offered=self._offered,
-        ):
+        ) as span:
             snapshot = self._state.snapshot()
             snapshot.flush()
-            return snapshot.finish(self._stream_seconds, publish=self._publish)
+            try:
+                return snapshot.finish(self._stream_seconds, publish=self._publish)
+            finally:
+                span.set(**snapshot.extraction_counts())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "active" if self.is_active else "warming up"

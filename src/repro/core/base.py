@@ -31,13 +31,15 @@ import numpy as np
 from repro import obs
 from repro.core.candidate import Candidate
 from repro.core.guesses import GuessLadder
+from repro.core.postprocess import greedy_fair_fill
 from repro.core.result import RunResult
-from repro.core.solution import Solution
+from repro.core.solution import FairSolution, Solution
 from repro.data.store import ElementStore, store_rows_of
 from repro.metrics.base import Metric, join_payloads, stack_payloads, stack_vectors
 from repro.metrics.cached import CountingMetric
 from repro.metrics.space import payload_distance_bounds
 from repro.data.element import Element
+from repro.fairness.constraints import FairnessConstraint
 from repro.streaming.stats import StreamStats
 from repro.streaming.stream import iter_batches
 from repro.utils.errors import (
@@ -208,6 +210,11 @@ class StreamingAlgorithm:
 
     #: Overridden by subclasses; used in reports.
     name = "streaming-algorithm"
+    #: The fairness constraint of the fair subclasses (``None``: unconstrained).
+    constraint: Optional[FairnessConstraint] = None
+    #: Whether a greedy fair fill over the stored elements answers when no
+    #: guess level does (fair subclasses set it from their option).
+    fallback = False
 
     def __init__(
         self,
@@ -244,9 +251,11 @@ class StreamingAlgorithm:
         builds the guess ladder and its candidates
         (:meth:`_make_candidates`) and screens every chunk; the candidates
         are then post-processed into the best solution (:meth:`_extract`).
-        Subclasses supply only the two hooks plus their parameter/report
-        metadata — the same hooks the long-lived session API
-        (:mod:`repro.api.session`) drives through the same engine.
+        Subclasses supply only the candidate layout, an eligibility test
+        and a per-guess post-processing (:meth:`_eligible`,
+        :meth:`_extract_guess`) plus their parameter/report metadata — the
+        same hooks the long-lived session API (:mod:`repro.api.session`)
+        drives through the same engine.
 
         Raises
         ------
@@ -260,10 +269,11 @@ class StreamingAlgorithm:
                 for chunk in stream_chunks(stream, state.size):
                     state.offer(chunk)
                 state.flush()
-            with obs.span("postprocess", algorithm=self.name):
+            with obs.span("postprocess", algorithm=self.name) as span:
                 try:
                     return state.finish(timer.elapsed)
                 finally:
+                    span.set(**state.extraction_counts())
                     run_span.set(
                         elements=state.stats.elements_processed,
                         distance_evaluations=state.counting.calls,
@@ -277,21 +287,82 @@ class StreamingAlgorithm:
         """Fresh candidates for every guess level (one run's mutable state)."""
         raise NotImplementedError
 
+    def _eligible(self, blind: Candidate, specific: Optional[Dict[int, Candidate]]) -> bool:
+        """Whether one guess level's candidates admit its post-processing."""
+        raise NotImplementedError
+
+    def _extract_guess(
+        self,
+        level: int,
+        mu: float,
+        blind: Candidate,
+        specific: Optional[Dict[int, Candidate]],
+        metric: Metric,
+    ) -> Optional[Solution]:
+        """Post-process one eligible guess level into its solution, or ``None``.
+
+        Reads only that level's candidates, which is what lets
+        :meth:`_extract` reuse the answer while their member counts hold.
+        """
+        raise NotImplementedError
+
     def _extract(
         self,
         ladder: GuessLadder,
         blind: List[Candidate],
         specific: Optional[List[Dict[int, Candidate]]],
         metric: Metric,
+        memo: Optional["ExtractionMemo"] = None,
     ) -> Tuple[Optional[Solution], Dict[str, float]]:
         """Post-process the candidate state into ``(best solution, extra stats)``.
 
+        Every guess level that passes :meth:`_eligible` is post-processed
+        by :meth:`_extract_guess`, and the first strictly most diverse
+        answer wins; when no level yields one and :attr:`fallback` is set,
+        a greedy fair fill over every stored element answers instead.
         ``best`` is ``None`` when no (fair) solution could be built; the
-        extra-stats mapping is merged into ``stats.extra``.  Extraction
-        must not mutate the candidates: the session API calls it on live
-        state to answer queries mid-stream.
+        extra-stats mapping (``eligible_guesses`` for the fair algorithms)
+        is merged into ``stats.extra``.
+
+        ``memo`` carries a live state's answers from earlier extractions
+        (:class:`ExtractionMemo`): a level whose member counts have not
+        moved since it was post-processed reuses its answer and re-charges
+        the distance evaluations that took, so the result and every count
+        are those of a fresh extraction.  Extraction must not mutate the
+        candidates: the session API calls it on live state to answer
+        queries mid-stream.
         """
-        raise NotImplementedError
+        memo = ExtractionMemo() if memo is None else memo
+        memo.reused = memo.extracted = 0
+        charge = getattr(metric, "charge", None)
+        best: Optional[Solution] = None
+        for level, mu in enumerate(ladder):
+            group_candidates = None if specific is None else specific[level]
+            if not self._eligible(blind[level], group_candidates):
+                continue
+            counts = (len(blind[level]), *map(len, (group_candidates or {}).values()))
+            entry = memo.levels.get(level)
+            if entry is not None and entry[0] == counts:
+                _, answer, evaluations = entry
+                if charge is not None:
+                    charge(evaluations)
+                memo.reused += 1
+            else:
+                calls = getattr(metric, "calls", 0)
+                answer = self._extract_guess(level, mu, blind[level], group_candidates, metric)
+                memo.levels[level] = (counts, answer, getattr(metric, "calls", 0) - calls)
+                memo.extracted += 1
+            if answer is not None and (best is None or answer.diversity > best.diversity):
+                best = answer
+        if best is None and self.fallback:
+            pool = self._stored_elements(blind, specific)
+            with obs.span(f"{self.name.lower()}.fallback_fill", pool=len(pool)):
+                filled = greedy_fair_fill(pool, self.constraint, metric)
+            solution = FairSolution(filled, metric, self.constraint)
+            best = solution if solution.is_fair else None
+        if self.constraint is None:
+            return best, {}
+        return best, {"eligible_guesses": memo.reused + memo.extracted}
 
     def _infeasible_message(self) -> str:
         """Error message when no feasible solution was found."""
@@ -333,6 +404,30 @@ class StreamingAlgorithm:
         return GuessLadder(d_min=d_min, d_max=d_max, epsilon=self.epsilon)
 
 
+class ExtractionMemo:
+    """What one live state's extractions keep for the next: a cache, never pickled.
+
+    Candidates only grow, and their members depend only on the stream
+    prefix, so equal member counts mean equal members.  A guess level's
+    answer (:attr:`levels`) is therefore keyed on its candidates' member
+    counts, and the number of distinct stored elements (:attr:`stored`) on
+    the total member count.  An entry stays valid for every extraction over
+    the same ladder: later queries of the live state, and the forks a
+    snapshot makes when a partial chunk is pending.
+    """
+
+    __slots__ = ("levels", "stored", "reused", "extracted")
+
+    def __init__(self) -> None:
+        #: ``level -> (member counts, answer, distance evaluations it took)``.
+        self.levels: Dict[int, Tuple[Tuple[int, ...], Optional[Solution], int]] = {}
+        #: ``(total members, distinct stored elements)`` of the last count.
+        self.stored: Tuple[int, int] = (-1, 0)
+        #: Eligible levels the latest extraction reused / post-processed.
+        self.reused = 0
+        self.extracted = 0
+
+
 class IngestState:
     """The ingestion engine: one run's, or one live session's, stream state.
 
@@ -358,8 +453,9 @@ class IngestState:
       :meth:`flush` screens the trailing partial chunk at the end.
 
     Screened rows are not retained: between offers the state holds the
-    candidates, the pending partial chunk and the counters only, so a
-    pickled session stays small.
+    candidates, the pending partial chunk and the counters, so a pickled
+    session stays small.  Two caches ride along unpickled: the screens and
+    the :class:`ExtractionMemo` of its queries.
     """
 
     def __init__(self, algorithm: StreamingAlgorithm) -> None:
@@ -376,13 +472,21 @@ class IngestState:
         #: The screens over the candidates; a cache rebuilt on demand, never
         #: pickled.
         self._screens: Optional[ChunkScreen] = None
+        #: Extraction answers kept across queries; never pickled.
+        self._memo = ExtractionMemo()
         if algorithm.distance_bounds is not None:
             self._activate(algorithm.distance_bounds)
 
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
         state["_screens"] = None
+        del state["_memo"]
         return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        # Also restores checkpoints written before the memo existed.
+        self.__dict__.update(state)
+        self._memo = ExtractionMemo()
 
     @property
     def is_active(self) -> bool:
@@ -423,13 +527,16 @@ class IngestState:
         partial chunk is pending — are they forked: member lists and row
         buffers copied, screens charged to the copy's counter.  Before the
         warmup completes there are no candidates yet; the copy's flush
-        builds its own.
+        builds its own, with its own ladder and a memo of its own.  Past
+        the warmup the copy extracts through this state's
+        :class:`ExtractionMemo`, whose entries hold for both.
         """
         twin = copy.copy(self)
         twin.counting = copy.copy(self.counting)
         twin.stats = dataclasses.replace(self.stats, extra=dict(self.stats.extra))
         twin._pending = deque(self._pending)
-        twin._screens = None
+        if self.ladder is not None:
+            twin._memo = self._memo
         if self._pending_rows and self.ladder is not None:
             twin.blind = [candidate._fork(twin.counting) for candidate in self.blind]
             if self.specific is not None:
@@ -460,7 +567,7 @@ class IngestState:
         timer = Timer()
         with timer.measure():
             best, extract_stats = self.algorithm._extract(
-                self.ladder, self.blind, self.specific, self.counting
+                self.ladder, self.blind, self.specific, self.counting, self._memo
             )
         stats = self.stats
         stats.extra["num_guesses"] = len(self.ladder)
@@ -469,7 +576,7 @@ class IngestState:
         stats.postprocess_seconds = timer.elapsed
         stats.stream_distance_computations = stream_calls
         stats.postprocess_distance_computations = self.counting.calls - stream_calls
-        stats.record_stored(len(self.algorithm._stored_elements(self.blind, self.specific)))
+        stats.record_stored(self._stored_count())
         if publish is None:
             stats.publish(self.algorithm.name)
         else:
@@ -483,7 +590,21 @@ class IngestState:
             params=self.algorithm._run_params(),
         )
 
+    def extraction_counts(self) -> Dict[str, int]:
+        """Eligible guess levels the last :meth:`finish` reused and post-processed."""
+        return {"levels_reused": self._memo.reused, "levels_extracted": self._memo.extracted}
+
     # ------------------------------------------------------------------
+    def _stored_count(self) -> int:
+        """Distinct elements held by any candidate; counted again only after an accept."""
+        total = sum(map(len, self.blind)) + sum(
+            len(candidate) for level in self.specific or () for candidate in level.values()
+        )
+        if self._memo.stored[0] != total:
+            stored = self.algorithm._stored_elements(self.blind, self.specific)
+            self._memo.stored = (total, len(stored))
+        return self._memo.stored[1]
+
     def _activate(self, bounds: Tuple[float, float]) -> None:
         """Build the guess ladder and its candidates for ``bounds``."""
         self.ladder = self.algorithm._build_ladder(bounds)

@@ -17,7 +17,7 @@ from repro import obs
 from repro.core.base import CandidateState, StreamingAlgorithm
 from repro.core.candidate import Candidate
 from repro.core.guesses import GuessLadder
-from repro.core.postprocess import balance_by_swapping, greedy_fair_fill
+from repro.core.postprocess import balance_by_swapping
 from repro.core.solution import FairSolution
 from repro.fairness.constraints import FairnessConstraint
 from repro.metrics.base import Metric
@@ -99,50 +99,32 @@ class SFDM1(StreamingAlgorithm):
             )
         return blind, specific
 
-    def _extract(
-        self,
-        ladder: GuessLadder,
-        blind: List[Candidate],
-        specific: Optional[List[Dict[int, Candidate]]],
-        metric: Metric,
-    ) -> Tuple[Optional[FairSolution], Dict[str, float]]:
-        """Balance-by-swapping over the eligible guesses (lines 9–14)."""
-        k = self.constraint.total_size
-        groups = self.constraint.groups
-        best: Optional[FairSolution] = None
-        eligible_count = 0
-        for index in range(len(ladder)):
-            if len(blind[index]) != k:
-                continue
-            if any(
-                len(specific[index][group]) != self.constraint.quota(group)
-                for group in groups
-            ):
-                continue
-            eligible_count += 1
-            with obs.span("sfdm1.balance", level=index, mu=float(ladder[index])):
-                balanced = balance_by_swapping(
-                    blind=blind[index].elements,
-                    group_candidates={
-                        group: specific[index][group].elements for group in groups
-                    },
-                    constraint=self.constraint,
-                    metric=metric,
-                )
-            candidate_solution = FairSolution(balanced, metric, self.constraint)
-            if not candidate_solution.is_fair:
-                continue
-            if best is None or candidate_solution.diversity > best.diversity:
-                best = candidate_solution
+    def _eligible(self, blind: Candidate, specific: Optional[Dict[int, Candidate]]) -> bool:
+        """Whether the blind candidate and every group candidate are full."""
+        return len(blind) == self.constraint.total_size and all(
+            len(specific[group]) == quota for group, quota in self.constraint.quotas.items()
+        )
 
-        if best is None and self.fallback:
-            pool = self._stored_elements(blind, specific)
-            with obs.span("sfdm1.fallback_fill", pool=len(pool)):
-                filled = greedy_fair_fill(pool, self.constraint, metric)
-            candidate_solution = FairSolution(filled, metric, self.constraint)
-            if candidate_solution.is_fair:
-                best = candidate_solution
-        return best, {"eligible_guesses": eligible_count}
+    def _extract_guess(
+        self,
+        level: int,
+        mu: float,
+        blind: Candidate,
+        specific: Optional[Dict[int, Candidate]],
+        metric: Metric,
+    ) -> Optional[FairSolution]:
+        """Balance one eligible guess's blind candidate by swapping; ``None`` if unfair."""
+        with obs.span("sfdm1.balance", level=level, mu=float(mu)):
+            balanced = balance_by_swapping(
+                blind=blind.elements,
+                group_candidates={
+                    group: candidate.elements for group, candidate in specific.items()
+                },
+                constraint=self.constraint,
+                metric=metric,
+            )
+        solution = FairSolution(balanced, metric, self.constraint)
+        return solution if solution.is_fair else None
 
     def _infeasible_message(self) -> str:
         """Error message when no feasible solution was found."""

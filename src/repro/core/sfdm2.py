@@ -22,7 +22,7 @@ from repro import obs
 from repro.core.base import CandidateState, StreamingAlgorithm
 from repro.core.candidate import Candidate
 from repro.core.guesses import GuessLadder
-from repro.core.postprocess import greedy_fair_fill, pool_distances, threshold_clusters
+from repro.core.postprocess import pool_distances, threshold_clusters
 from repro.core.solution import FairSolution
 from repro.fairness.constraints import FairnessConstraint
 from repro.matroids.intersection import partition_intersection
@@ -105,52 +105,106 @@ class SFDM2(StreamingAlgorithm):
             )
         return blind, specific
 
-    def _extract(
-        self,
-        ladder: GuessLadder,
-        blind: List[Candidate],
-        specific: Optional[List[Dict[int, Candidate]]],
-        metric: Metric,
-    ) -> Tuple[Optional[FairSolution], Dict[str, float]]:
-        """Matroid-intersection post-processing over the eligible guesses."""
-        k = self.constraint.total_size
-        groups = self.constraint.groups
-        m = self.constraint.num_groups
-        best: Optional[Tuple[List[Element], float]] = None
-        eligible_count = 0
-        for index in range(len(ladder)):
-            if len(blind[index]) != k:
-                continue
-            if any(
-                len(specific[index][group]) < self.constraint.quota(group)
-                for group in groups
-            ):
-                continue
-            eligible_count += 1
-            with obs.span("sfdm2.guess", level=index, mu=float(ladder[index])) as span:
-                picked = self._postprocess_guess(
-                    mu=ladder[index],
-                    blind=blind[index],
-                    specific=specific[index],
-                    metric=metric,
-                    m=m,
-                    span=span,
-                )
-            # A size-k set within every quota meets every quota: it is fair.
-            if picked is not None and (best is None or picked[1] > best[1]):
-                best = picked
+    def _eligible(self, blind: Candidate, specific: Optional[Dict[int, Candidate]]) -> bool:
+        """Whether the blind candidate is full and every group candidate holds its quota."""
+        return len(blind) == self.constraint.total_size and all(
+            len(specific[group]) >= quota for group, quota in self.constraint.quotas.items()
+        )
 
-        solution: Optional[FairSolution] = None
-        if best is not None:
-            solution = FairSolution._measured(best[0], metric, self.constraint, best[1])
-        elif self.fallback:
-            pool = self._stored_elements(blind, specific)
-            with obs.span("sfdm2.fallback_fill", pool=len(pool)):
-                filled = greedy_fair_fill(pool, self.constraint, metric)
-            candidate_solution = FairSolution(filled, metric, self.constraint)
-            if candidate_solution.is_fair:
-                solution = candidate_solution
-        return solution, {"eligible_guesses": eligible_count}
+    def _extract_guess(
+        self,
+        level: int,
+        mu: float,
+        blind: Candidate,
+        specific: Optional[Dict[int, Candidate]],
+        metric: Metric,
+    ) -> Optional[FairSolution]:
+        """Post-process one eligible guess into its ``k`` picks, or ``None``.
+
+        Follows lines 10–18 of Algorithm 3: extract the initial partial
+        solution from the group-blind candidate, cluster all stored
+        elements at threshold ``µ/(m+1)``, and augment via matroid
+        intersection with a diversity-aware greedy warm start.
+
+        One pool distance matrix serves the clustering, the warm start and
+        the diversity of the result, and the intersection runs on counters
+        (:func:`~repro.matroids.intersection.partition_intersection`).  The
+        distance evaluations of the generic route — clustering, a
+        distance-to-set priority per addable element and pick, and the
+        diversity of the picked set — are charged in full, so the accounting
+        is that of the generic matroids, which the tests use as the oracle.
+        """
+        with obs.span("sfdm2.guess", level=level, mu=float(mu)) as span:
+            quotas = self.constraint.quotas
+            k = self.constraint.total_size
+            m = len(quotas)
+            # S_all: the union of the group-blind and all group-specific
+            # candidates, walked in the order of the frozenset the generic
+            # fairness matroid would hold, so picks and ties are the generic ones.
+            pool: Dict[int, Element] = {}
+            for element in blind.elements:
+                pool.setdefault(element.uid, element)
+            for candidate in specific.values():
+                for element in candidate:
+                    pool.setdefault(element.uid, element)
+            ground = list(frozenset(pool.values()))
+            position = {element.uid: index for index, element in enumerate(ground)}
+
+            distances = pool_distances(ground, metric)
+            clusters = threshold_clusters(distances, mu / (m + 1))
+            # Group codes index the quotas; groups outside the constraint share
+            # one last code with capacity zero.
+            code_of = {group: code for code, group in enumerate(quotas)}
+            groups = np.array([code_of.get(element.group, len(quotas)) for element in ground])
+            capacities = np.array([*quotas.values(), 0])
+
+            # Initial partial solution: at most k_i elements per group from S_µ.
+            # Lemma 3(ii) keeps them in distinct clusters under a true metric; a
+            # distance that breaks the triangle inequality can join two of them,
+            # so drop any whose cluster is taken.
+            initial: List[int] = []
+            considered = dict.fromkeys(quotas, 0)
+            taken: Set[int] = set()
+            for element in blind.elements:
+                group = element.group
+                if group not in considered or considered[group] >= quotas[group]:
+                    continue
+                considered[group] += 1
+                index = position[element.uid]
+                cluster = int(clusters[index])
+                if cluster not in taken:
+                    taken.add(cluster)
+                    initial.append(index)
+
+            result = partition_intersection(
+                groups,
+                capacities,
+                clusters,
+                initial=initial,
+                distances=distances if self.greedy_augmentation else None,
+                target_size=k,
+            )
+            span.set(
+                pool=len(ground),
+                clusters=len(set(clusters.tolist())),
+                augmenting_paths=result.augmenting_paths,
+            )
+            picked = sorted(result.selected.tolist(), key=lambda index: ground[index].uid)
+            diversity = float("inf")
+            evaluations = result.priority_evaluations
+            if len(picked) == k and k > 1:
+                pairs = distances[np.ix_(picked, picked)][np.triu_indices(k, k=1)]
+                diversity = float(pairs.min())
+                evaluations += k * k if metric.supports_batch else pairs.size
+            charge = getattr(metric, "charge", None)
+            if charge is not None:
+                charge(evaluations)
+            if len(picked) < k:
+                return None
+            # A size-k set within every quota meets every quota: it is fair.
+            return FairSolution._measured(
+                [ground[index] for index in picked], metric, self.constraint, diversity
+            )
 
     def _infeasible_message(self) -> str:
         """Error message when no feasible solution was found."""
@@ -167,95 +221,3 @@ class SFDM2(StreamingAlgorithm):
             "quotas": self.constraint.quotas,
             "m": self.constraint.num_groups,
         }
-
-    # ------------------------------------------------------------------
-    def _postprocess_guess(
-        self,
-        mu: float,
-        blind: Candidate,
-        specific: Dict[int, Candidate],
-        metric: Metric,
-        m: int,
-        span: Any,
-    ) -> Optional[Tuple[List[Element], float]]:
-        """Post-process one eligible guess; return ``k`` elements and their diversity, or ``None``.
-
-        Follows lines 10–18 of Algorithm 3: extract the initial partial
-        solution from the group-blind candidate, cluster all stored
-        elements at threshold ``µ/(m+1)``, and augment via matroid
-        intersection with a diversity-aware greedy warm start.
-
-        One pool distance matrix serves the clustering, the warm start and
-        the diversity of the result, and the intersection runs on counters
-        (:func:`~repro.matroids.intersection.partition_intersection`).  The
-        distance evaluations of the generic route — clustering, a
-        distance-to-set priority per addable element and pick, and the
-        diversity of the picked set — are charged in full, so the accounting
-        is that of the generic matroids, which the tests use as the oracle.
-        """
-        quotas = self.constraint.quotas
-        k = self.constraint.total_size
-        # S_all: the union of the group-blind and all group-specific
-        # candidates, walked in the order of the frozenset the generic
-        # fairness matroid would hold, so picks and ties are the generic ones.
-        pool: Dict[int, Element] = {}
-        for element in blind.elements:
-            pool.setdefault(element.uid, element)
-        for candidate in specific.values():
-            for element in candidate:
-                pool.setdefault(element.uid, element)
-        ground = list(frozenset(pool.values()))
-        position = {element.uid: index for index, element in enumerate(ground)}
-
-        distances = pool_distances(ground, metric)
-        clusters = threshold_clusters(distances, mu / (m + 1))
-        # Group codes index the quotas; groups outside the constraint share
-        # one last code with capacity zero.
-        code_of = {group: code for code, group in enumerate(quotas)}
-        groups = np.array([code_of.get(element.group, len(quotas)) for element in ground])
-        capacities = np.array([*quotas.values(), 0])
-
-        # Initial partial solution: at most k_i elements per group from S_µ.
-        # Lemma 3(ii) keeps them in distinct clusters under a true metric; a
-        # distance that breaks the triangle inequality can join two of them,
-        # so drop any whose cluster is taken.
-        initial: List[int] = []
-        considered = dict.fromkeys(quotas, 0)
-        taken: Set[int] = set()
-        for element in blind.elements:
-            group = element.group
-            if group not in considered or considered[group] >= quotas[group]:
-                continue
-            considered[group] += 1
-            index = position[element.uid]
-            cluster = int(clusters[index])
-            if cluster not in taken:
-                taken.add(cluster)
-                initial.append(index)
-
-        result = partition_intersection(
-            groups,
-            capacities,
-            clusters,
-            initial=initial,
-            distances=distances if self.greedy_augmentation else None,
-            target_size=k,
-        )
-        span.set(
-            pool=len(ground),
-            clusters=len(set(clusters.tolist())),
-            augmenting_paths=result.augmenting_paths,
-        )
-        picked = sorted(result.selected.tolist(), key=lambda index: ground[index].uid)
-        diversity = float("inf")
-        evaluations = result.priority_evaluations
-        if len(picked) == k and k > 1:
-            pairs = distances[np.ix_(picked, picked)][np.triu_indices(k, k=1)]
-            diversity = float(pairs.min())
-            evaluations += k * k if metric.supports_batch else pairs.size
-        charge = getattr(metric, "charge", None)
-        if charge is not None:
-            charge(evaluations)
-        if len(picked) < k:
-            return None
-        return [ground[index] for index in picked], diversity

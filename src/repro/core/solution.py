@@ -93,7 +93,7 @@ class FairSolution(Solution):
     ) -> None:
         super().__init__(elements, metric)
         self._constraint = constraint
-        self._audit: FairnessAudit = audit_fairness(self._elements, constraint)
+        self._audit: Optional[FairnessAudit] = audit_fairness(self._elements, constraint)
 
     @classmethod
     def _measured(
@@ -106,14 +106,15 @@ class FairSolution(Solution):
         """A solution whose diversity the caller has already measured.
 
         Evaluates no distance: SFDM2 reads ``div(S)`` off the pool distance
-        matrix it already holds (and charged) for every guess.
+        matrix it already holds (and charged) for every guess.  The audit
+        runs when first read, so only the guess that wins is audited.
         """
         solution = cls.__new__(cls)
         solution._elements = list(elements)
         solution._metric = metric
         solution._diversity = float(diversity)
         solution._constraint = constraint
-        solution._audit = audit_fairness(solution._elements, constraint)
+        solution._audit = None
         return solution
 
     @property
@@ -124,12 +125,14 @@ class FairSolution(Solution):
     @property
     def audit(self) -> FairnessAudit:
         """The fairness audit (counts, quotas, violation)."""
+        if self._audit is None:
+            self._audit = audit_fairness(self._elements, self._constraint)
         return self._audit
 
     @property
     def is_fair(self) -> bool:
         """Whether every group quota is met exactly."""
-        return self._audit.is_fair
+        return self.audit.is_fair
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -8,7 +8,7 @@ building block both SFDM algorithms use during their stream phase.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.base import CandidateState, StreamingAlgorithm
 from repro.core.candidate import Candidate
@@ -66,22 +66,20 @@ class StreamingDiversityMaximization(StreamingAlgorithm):
         """One group-blind candidate with capacity ``k`` per guess level."""
         return [Candidate(mu=mu, capacity=self.k, metric=metric) for mu in ladder], None
 
-    def _extract(
+    def _eligible(self, blind: Candidate, specific: Optional[Dict[int, Candidate]]) -> bool:
+        """Whether the candidate reached size ``k``."""
+        return len(blind) == self.k
+
+    def _extract_guess(
         self,
-        ladder: GuessLadder,
-        blind: List[Candidate],
-        specific: Optional[List[Dict[int, Candidate]]],
+        level: int,
+        mu: float,
+        blind: Candidate,
+        specific: Optional[Dict[int, Candidate]],
         metric: Metric,
-    ) -> Tuple[Optional[Solution], Dict[str, float]]:
-        """The best candidate among those that reached size ``k``."""
-        best_solution: Optional[Solution] = None
-        for candidate in blind:
-            if len(candidate) != self.k:
-                continue
-            solution = Solution(candidate.elements, metric)
-            if best_solution is None or solution.diversity > best_solution.diversity:
-                best_solution = solution
-        return best_solution, {}
+    ) -> Optional[Solution]:
+        """The full candidate itself."""
+        return Solution(blind.elements, metric)
 
     def _infeasible_message(self) -> str:
         """Error message when no candidate reached size ``k``."""

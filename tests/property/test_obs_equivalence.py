@@ -102,6 +102,37 @@ def test_sfdm2_guess_spans_record_the_intersection(dataset):
         assert attrs["augmenting_paths"] >= 0
 
 
+def test_one_shot_postprocess_extracts_every_eligible_guess(dataset):
+    """A one-shot run has no earlier query to reuse: its ``postprocess`` span says so."""
+    sink = MemorySink()
+    result = repro.solve(
+        dataset, k=K, algorithm="SFDM2", epsilon=EPSILON, seed=SEED, trace=sink
+    )
+    (span,) = sink.spans("postprocess")
+    assert span["attrs"]["levels_reused"] == 0
+    assert span["attrs"]["levels_extracted"] == result.stats.extra["eligible_guesses"] > 0
+    assert "levels_reused" not in result.stats.extra
+    assert "levels_extracted" not in result.stats.extra
+
+
+def test_repeat_session_query_extracts_no_guess(dataset):
+    """A query with nothing offered since the last one reuses every eligible guess."""
+    session = repro.open_session(k=K, groups=[0, 1], algorithm="SFDM2", epsilon=EPSILON)
+    session.offer_batch(dataset.stream(seed=SEED))
+    with obs.tracing("memory") as sink:
+        first = session.solution()
+        again = session.solution()
+    eligible = again.stats.extra["eligible_guesses"]
+    assert eligible > 0
+    assert [span["attrs"]["levels_extracted"] for span in sink.spans("session.solution")] == [
+        eligible,
+        0,
+    ]
+    assert sink.spans("session.solution")[1]["attrs"]["levels_reused"] == eligible
+    # Off the stats, so session and one-shot stats stay equal.
+    assert first.stats.extra == again.stats.extra == _solve(dataset, "SFDM2").stats.extra
+
+
 @pytest.mark.parametrize("case", ["blobs-m2/SFDM1", "blobs-m2/SFDM2"])
 def test_golden_pins_hold_with_tracing_on(case):
     """The tracked golden records are reproduced by a *traced* solve."""

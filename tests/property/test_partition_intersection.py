@@ -19,7 +19,7 @@ counters.  The generic, oracle-based
 """
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 import pytest
@@ -27,7 +27,6 @@ import pytest
 from repro.core.postprocess import (
     cluster_elements,
     distance_to_set,
-    greedy_fair_fill,
     pool_distances,
     threshold_clusters,
 )
@@ -223,6 +222,32 @@ class TestAgainstGenericIntersection:
         )
         assert result.augmenting_paths == 1
 
+    def test_three_sequential_augmentations(self):
+        # Three disjoint copies of the three-step exchange, six groups of
+        # quota 1.  Copy j: a_j (group 2j, cluster 2j) blocks both b_j
+        # (group 2j+1, cluster 2j) and a'_j (group 2j, cluster 2j+1), so
+        # nothing is directly addable and each copy takes its own path.
+        points, groups, codes = [], [], []
+        for j in range(3):
+            points += [[10.0 * j, 0.0], [10.0 * j, 1.0], [10.0 * j + 5.0, 5.0]]
+            groups += [2 * j, 2 * j + 1, 2 * j]
+            codes += [2 * j, 2 * j, 2 * j + 1]
+        elements = _elements(np.array(points), np.array(groups), np.random.default_rng(2))
+        cluster_of = {element.uid: code for element, code in zip(elements, codes)}
+        ground = list(frozenset(elements))
+        position = {element.uid: index for index, element in enumerate(ground)}
+        clusters = np.array([cluster_of[element.uid] for element in ground])
+        start = [position[elements[3 * j].uid] for j in range(3)]
+        quotas = {group: 1 for group in range(6)}
+        for greedy in (True, False):
+            result = _assert_same(
+                elements, pool_distances(ground, METRIC), clusters, quotas, start, greedy, None
+            )
+            assert result.augmenting_paths == 3
+            assert sorted(ground[index].uid for index in result.selected) == sorted(
+                element.uid for j in range(3) for element in elements[3 * j + 1 : 3 * j + 3]
+            )
+
     def test_five_step_exchange(self):
         # Start {a1, b1}: c1 needs b1's cluster, b1 can move to b2, which
         # needs a1's cluster, and a1 can move to the free a2.
@@ -263,32 +288,12 @@ class TestAgainstGenericIntersection:
 class GenericSFDM2(SFDM2):
     """SFDM2 post-processed through the generic, oracle-based matroids."""
 
-    def _extract(self, ladder, blind, specific, metric):
-        k = self.constraint.total_size
-        best: Optional[FairSolution] = None
-        eligible_count = 0
-        for index in range(len(ladder)):
-            if len(blind[index]) != k or any(
-                len(specific[index][group]) < self.constraint.quota(group)
-                for group in self.constraint.groups
-            ):
-                continue
-            eligible_count += 1
-            elements = self._generic_guess(
-                ladder[index], blind[index], specific[index], metric
-            )
-            if elements is None:
-                continue
-            solution = FairSolution(elements, metric, self.constraint)
-            if solution.is_fair and (best is None or solution.diversity > best.diversity):
-                best = solution
-        if best is None and self.fallback:
-            filled = greedy_fair_fill(
-                self._stored_elements(blind, specific), self.constraint, metric
-            )
-            solution = FairSolution(filled, metric, self.constraint)
-            best = solution if solution.is_fair else None
-        return best, {"eligible_guesses": eligible_count}
+    def _extract_guess(self, level, mu, blind, specific, metric):
+        elements = self._generic_guess(mu, blind, specific, metric)
+        if elements is None:
+            return None
+        solution = FairSolution(elements, metric, self.constraint)
+        return solution if solution.is_fair else None
 
     def _generic_guess(self, mu, blind, specific, metric):
         initial: List[Element] = []

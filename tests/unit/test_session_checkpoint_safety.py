@@ -7,7 +7,10 @@ Satellite guarantees of the serving PR:
   the target path, and never destroys the previous good checkpoint;
 * ``repro.resume`` raises :class:`repro.CheckpointError` — naming the
   offending path — for every corruption mode: missing file, non-pickle
-  bytes, truncated pickle, foreign pickle, unsupported version.
+  bytes, truncated pickle, foreign pickle, unsupported version;
+* version-2 checkpoints stay one layout: the query caches are never
+  pickled, and a checkpoint written without them resumes and answers the
+  same.
 """
 
 import os
@@ -16,7 +19,9 @@ import pickle
 import pytest
 
 import repro
+from repro import obs
 from repro.api import session as session_module
+from repro.core.base import IngestState
 from repro.core.sfdm2 import SFDM2
 from repro.datasets.synthetic import synthetic_blobs
 
@@ -164,3 +169,70 @@ def test_checkpoint_error_is_invalid_parameter_error(tmp_path):
     with pytest.raises(repro.InvalidParameterError):
         repro.resume(tmp_path / "absent.ckpt")
     assert issubclass(repro.CheckpointError, repro.InvalidParameterError)
+
+
+# ----------------------------------------------------------------------
+# Version-2 checkpoints written without the query caches
+# ----------------------------------------------------------------------
+#: The attributes a pickled ``IngestState`` carries in a version-2
+#: checkpoint.  The extraction memo is a cache and is never among them.
+VERSION_2_STATE = {
+    "algorithm",
+    "counting",
+    "stats",
+    "size",
+    "ladder",
+    "blind",
+    "specific",
+    "_pending",
+    "_pending_rows",
+    "_screens",
+}
+
+
+def _version_2_state(state):
+    """The pickled state of ``state`` in the version-2 layout only."""
+    pickled = {name: value for name, value in vars(state).items() if name in VERSION_2_STATE}
+    pickled["_screens"] = None
+    return pickled
+
+
+def test_checkpoint_pickles_no_query_cache(session):
+    session.solution()
+    assert set(session._state.__getstate__()) == VERSION_2_STATE
+
+
+def test_resume_checkpoint_written_without_caches(dataset, tmp_path, monkeypatch):
+    """A checkpoint lacking the memo and ``_published`` resumes and answers the same.
+
+    Every checkpoint of the previous release has that shape: no extraction
+    memo on the ingestion state, and no ``_published`` on a session never
+    queried before the write (the class default stands in for it).
+    """
+    constraint = repro.equal_representation(K, list(dataset.group_sizes().keys()))
+    elements = list(dataset.stream(seed=3))
+    live = repro.StreamingSession(
+        SFDM2(metric=dataset.metric, constraint=constraint, batch_size=32)
+    )
+    live.offer_batch(elements[:90])  # past the warmup, with a partial chunk pending
+    assert "_published" not in vars(live)
+    with monkeypatch.context() as patch:
+        patch.setattr(IngestState, "__getstate__", _version_2_state)
+        path = live.checkpoint(tmp_path / "version-2.ckpt")
+    with open(path, "rb") as handle:
+        # The raw pickle, before resume() runs its checks.
+        assert "_published" not in vars(pickle.load(handle)["session"])
+
+    restored = repro.resume(path)
+    for current in (live, restored):
+        current.offer_batch(elements[90:])
+    reference = _fingerprint(live.solution())
+    obs.configure("memory", reset_metrics=True)
+    try:
+        assert _fingerprint(restored.solution()) == reference
+        restored.solution()
+        # The class default starts the publish watermark at zero: the two
+        # queries of the restored session published every ingested row once.
+        assert obs.get_metrics().snapshot()["repro.elements_processed"] == len(elements)
+    finally:
+        obs.configure(sink=None, enabled=False, reset_metrics=True)

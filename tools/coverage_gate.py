@@ -38,9 +38,9 @@ SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
 
 #: Pinned line-coverage floor (percent).  Ratchet: only ever raise it.
-#: Measured 94.1% when pinned; the margin absorbs thread-timing noise in
-#: the backend tests, not structural regressions.
-THRESHOLD = 93.5
+#: Measured 95.0% when raised from 93.5%; the margin absorbs thread-timing
+#: noise in the backend tests, not structural regressions.
+THRESHOLD = 94.5
 
 #: Pytest selection the gate measures (slow tests excluded by default).
 PYTEST_ARGS = ["tests", "-q", "-p", "no:cacheprovider"]
