@@ -54,9 +54,8 @@ def _pieces(n, size, m=2, seed=4):
 
 
 def _session(name, batch_size, groups=(0, 1), metric=None):
-    options = {} if metric is None else {"metric": metric}
     return repro.open_session(
-        k=K, groups=list(groups), algorithm=name, batch_size=batch_size, **options
+        k=K, groups=list(groups), algorithm=name, batch_size=batch_size, metric=metric
     )
 
 
