@@ -98,15 +98,24 @@ bench-quality:
 serve-smoke:
 	$(PYTHON) tools/serve_smoke.py
 
-## Trace smoke test: run one traced SFDM2 solve through the CLI and
-## validate the emitted JSONL against the span schema + taxonomy
-## (tools/check_trace.py).
+## Trace smoke test: run one traced SFDM2 solve through the CLI and one
+## traced `repro.solve` on an (n, d) array, and validate both JSONL files
+## against the span schema + taxonomy (tools/check_trace.py).  The traces
+## go to the gitignored .bench_out/.
+TRACE_DIR := .bench_out
 trace-smoke:
+	@mkdir -p $(TRACE_DIR)
 	$(PYTHON) -m repro run --dataset synthetic-m2 --algorithm SFDM2 -k 6 \
-		--n 400 --batch-size 64 --trace-out /tmp/repro_trace_smoke.jsonl >/dev/null
-	$(PYTHON) tools/check_trace.py /tmp/repro_trace_smoke.jsonl \
+		--n 400 --batch-size 64 --trace-out $(TRACE_DIR)/trace_smoke_cli.jsonl >/dev/null
+	$(PYTHON) tools/check_trace.py $(TRACE_DIR)/trace_smoke_cli.jsonl \
 		--expect-span run --expect-span ingest --expect-span ingest.chunk \
 		--expect-span postprocess --expect-span sfdm2.guess
+	$(PYTHON) -c "import numpy as np, repro; \
+		rng = np.random.default_rng(7); \
+		repro.solve(rng.normal(size=(400, 4)), groups=rng.integers(0, 2, 400), k=6, \
+		            algorithm='SFDM2', batch_size=64, trace='$(TRACE_DIR)/trace_smoke_array.jsonl')"
+	$(PYTHON) tools/check_trace.py $(TRACE_DIR)/trace_smoke_array.jsonl \
+		--expect-span solve --expect-span ingest.chunk
 
 ## Perf-regression gate: fresh smoke run of the hot-path bench compared
 ## against the committed BENCH_hot_paths.json baseline (wall-clock checks

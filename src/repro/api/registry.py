@@ -30,7 +30,7 @@ The built-in registrations live in :mod:`repro.api.runners`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.utils.errors import InvalidParameterError
 
@@ -141,8 +141,10 @@ class RunContext:
     epsilon: float = 0.1
     seed: Optional[int] = None
     options: Mapping[str, Any] = field(default_factory=dict)
-    #: Offline view: the full element list in canonical order.
-    _elements: Optional[Sequence[Any]] = None
+    #: Offline view: the full element list in canonical order, or a
+    #: zero-argument callable building it on the first read of
+    #: :attr:`elements` (so streaming runners never pay for it).
+    _elements: Union[Sequence[Any], Callable[[], Sequence[Any]], None] = None
     #: Streaming view: zero-argument callable producing a one-pass stream.
     _stream_factory: Optional[Callable[[], Iterable[Any]]] = None
     #: Number of elements, when known up front.
@@ -185,7 +187,9 @@ class RunContext:
 
     @property
     def elements(self) -> Sequence[Any]:
-        """The full element list (offline algorithms' input)."""
+        """The full element list (offline algorithms' input), built once on first read."""
+        if callable(self._elements):
+            self._elements = self._elements()
         if self._elements is None:
             raise InvalidParameterError(
                 "this problem has no offline element view; "

@@ -44,6 +44,7 @@ from repro import obs
 from repro.core.base import IngestState, StreamChunk, StreamingAlgorithm
 from repro.core.result import RunResult
 from repro.data.element import Element
+from repro.data.store import group_codes
 from repro.metrics.cached import CountingMetric
 from repro.streaming.stats import StreamStats
 from repro.utils.errors import (
@@ -123,7 +124,10 @@ class SessionBase:
         features:
             Array of shape ``(n, d)`` — or a single ``(d,)`` row.
         groups:
-            ``n`` integer group labels (default: group ``0`` for every row).
+            ``n`` integer group labels (default: group ``0`` for every row),
+            checked by :func:`~repro.data.store.group_codes`: a NaN,
+            infinite, fractional or non-scalar label raises
+            :class:`InvalidParameterError` naming its row.
         uids:
             ``n`` integer identifiers; auto-assigned past the largest uid
             seen so far when omitted.
@@ -136,14 +140,7 @@ class SessionBase:
                 f"features must be a (n, d) matrix or a single row, got ndim={matrix.ndim}"
             )
         n = matrix.shape[0]
-        if groups is None:
-            codes = np.zeros(n, dtype=np.int64)
-        else:
-            codes = np.asarray(groups).reshape(-1).astype(np.int64)
-            if codes.shape[0] != n:
-                raise InvalidParameterError(
-                    f"got {n} feature rows but {codes.shape[0]} group labels"
-                )
+        codes = np.zeros(n, dtype=np.int64) if groups is None else group_codes(groups, n)
         if uids is None:
             uid_array = np.arange(self._next_uid, self._next_uid + n, dtype=np.int64)
         else:

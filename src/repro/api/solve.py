@@ -82,9 +82,11 @@ class SolveSpec:
     k:
         Solution size.  Optional when an explicit ``constraint`` carries it.
     groups:
-        Group labels.  For array data: one integer per row.  For sessions
-        without data: the collection of group labels the constraint should
-        cover.
+        Group labels.  For array data: one integer per row (a NaN,
+        infinite, fractional or non-scalar label raises
+        :class:`~repro.utils.errors.InvalidParameterError` naming its row).
+        For sessions without data: the collection of group labels the
+        constraint should cover.
     algorithm:
         Registry name (case-insensitive, aliases allowed) or ``"auto"``:
         unconstrained problems pick StreamingDM, two-group problems SFDM1,
@@ -113,7 +115,8 @@ class SolveSpec:
         Optional tracing sink spec — a :class:`repro.obs.Sink` instance,
         ``"stderr"``, ``"memory"``, or a JSONL file path.  For ``solve``
         the tracer is scoped to the call (the previous tracer
-        configuration is restored afterwards); for sessions it configures
+        configuration is restored afterwards), and its ``solve`` span
+        covers data resolution as well as the run; for sessions it configures
         the process-wide tracer, since the session outlives the call.
         ``None`` (the default) leaves tracing exactly as configured.
     """
@@ -135,6 +138,8 @@ class SolveSpec:
 class _ResolvedData:
     """Uniform view of whatever ``SolveSpec.data`` was."""
 
+    #: The element list, or a zero-argument callable building it on first
+    #: read (see :attr:`RunContext.elements`; only offline runners read it).
     elements: Any
     stream_factory: Any
     size: int
@@ -163,7 +168,14 @@ def _resolve_metric(spec: SolveSpec, data_metric: Optional[Metric]) -> Metric:
 
 
 def _resolve_data(spec: SolveSpec) -> _ResolvedData:
-    """Normalise ``spec.data`` into elements + a one-pass stream factory."""
+    """Normalise ``spec.data`` into a one-pass stream factory plus an element view.
+
+    Columnar inputs (arrays, stores, data streams) hand over the stream's
+    ``elements`` method rather than its result: the per-row element list is
+    built only if an offline runner reads it, so a streaming run goes from
+    the caller's matrix straight to chunk screens.  Group sizes come from
+    the ``groups`` column.
+    """
     data = spec.data
     seed = spec.seed
     if isinstance(data, DatasetSpec):
@@ -186,12 +198,14 @@ def _resolve_data(spec: SolveSpec) -> _ResolvedData:
             raise InvalidParameterError(
                 f"array data must have shape (n, d), got ndim={matrix.ndim}"
             )
-        groups = spec.groups if spec.groups is not None else [0] * matrix.shape[0]
+        groups = spec.groups
+        if groups is None:
+            groups = np.zeros(matrix.shape[0], dtype=np.int64)
         data = stream_from_arrays(matrix, groups, name="data", shuffle_seed=seed)
     if isinstance(data, DataStream):
         stream = data if seed is None else data.permuted(seed)
         return _ResolvedData(
-            elements=stream.elements(),
+            elements=stream.elements,
             stream_factory=lambda: stream,
             size=len(stream),
             group_sizes=stream.group_sizes(),
@@ -306,6 +320,20 @@ def solve(data: Any = None, k: Optional[int] = None, **kwargs: Any) -> Any:
         spec = data
     else:
         spec = _spec_from_kwargs(data, k, kwargs)
+    if spec.trace is None:
+        return _solve(spec)
+    with obs.tracing(spec.trace):
+        with obs.span("solve") as span:
+            return _solve(spec, span)
+
+
+def _solve(spec: SolveSpec, span: Any = None) -> Any:
+    """Resolve ``spec`` and run it.
+
+    ``span`` is the ``solve`` span of a traced call, opened before data
+    resolution so that the trace covers it; ``algorithm``, ``n`` and ``k``
+    are set on it as they resolve.
+    """
     if spec.data is None:
         raise InvalidParameterError(
             "solve() needs data; use open_session() for incremental ingestion"
@@ -313,6 +341,8 @@ def solve(data: Any = None, k: Optional[int] = None, **kwargs: Any) -> Any:
 
     resolved = _resolve_data(spec)
     entry = _resolve_entry(spec, len(resolved.group_sizes))
+    if span is not None:
+        span.set(algorithm=entry.name, n=resolved.size)
     options = entry.validate_options(spec.options)
 
     constraint: Optional[FairnessConstraint] = None
@@ -330,6 +360,8 @@ def solve(data: Any = None, k: Optional[int] = None, **kwargs: Any) -> Any:
     )
     if k_value is None:
         raise InvalidParameterError("solve() needs k (or an explicit constraint)")
+    if span is not None:
+        span.set(k=int(k_value))
 
     context = RunContext(
         metric=_resolve_metric(spec, resolved.metric),
@@ -342,11 +374,7 @@ def solve(data: Any = None, k: Optional[int] = None, **kwargs: Any) -> Any:
         _stream_factory=resolved.stream_factory,
         size=resolved.size,
     )
-    if spec.trace is None:
-        return entry.run(context)
-    with obs.tracing(spec.trace):
-        with obs.span("solve", algorithm=entry.name, k=int(k_value), n=resolved.size):
-            return entry.run(context)
+    return entry.run(context)
 
 
 def _spec_from_kwargs(data: Any, k: Optional[int], kwargs: Dict[str, Any]) -> SolveSpec:

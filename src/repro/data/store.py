@@ -27,6 +27,7 @@ bypass them.
 
 from __future__ import annotations
 
+import numbers
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -50,7 +51,8 @@ class ElementStore:
         conversion.  A 1-D input is treated as ``n`` one-dimensional
         payloads.
     groups:
-        ``n`` integer group labels (int64 column).
+        ``n`` integer group labels, stored as an int64 column after
+        :func:`group_codes` has checked them.
     uids:
         ``n`` unique integer identifiers; defaults to ``0..n-1``.
     labels:
@@ -75,11 +77,7 @@ class ElementStore:
                 f"features must be a 2-D (n, d) matrix, got ndim={features.ndim}"
             )
         n = features.shape[0]
-        groups = np.ascontiguousarray(groups, dtype=np.int64)
-        if groups.shape != (n,):
-            raise InvalidParameterError(
-                f"groups must be a length-{n} vector, got shape {groups.shape}"
-            )
+        groups = group_codes(groups, n)
         if uids is None:
             uids = np.arange(n, dtype=np.int64)
         else:
@@ -250,6 +248,68 @@ class ElementStore:
             f"ElementStore(n={len(self)}, d={self.dim}, "
             f"groups={len(np.unique(self.groups))})"
         )
+
+
+def group_codes(labels: Any, count: int) -> np.ndarray:
+    """``count`` group labels as a validated int64 column.
+
+    Every array entry point (:class:`ElementStore` construction,
+    ``stream_from_arrays``, session ``offer_rows`` and the served offer)
+    converts its labels here, once.  Integer, boolean, integral float and
+    numeric string labels convert; a NaN, infinite, fractional or
+    non-scalar label raises :class:`InvalidParameterError` naming the first
+    such row, as does a label count other than ``count``.  A scalar label
+    stands for a single row.
+    """
+    if isinstance(labels, Iterator):
+        labels = list(labels)
+    try:
+        array = np.asarray(labels)
+    except ValueError:  # ragged nesting such as [0, [1, 2]]
+        array = np.empty(len(labels), dtype=object)
+        for row, label in enumerate(labels):
+            array[row] = label
+    if array.ndim == 0:
+        array = array.reshape(1)
+    if array.shape[0] != count:
+        raise InvalidParameterError(
+            f"groups must hold one label per row: got {count} feature rows "
+            f"but {array.shape[0]} group labels"
+        )
+    if array.ndim != 1:
+        raise _bad_label(0, array[0].tolist())
+    kind = array.dtype.kind
+    if kind in "biu":
+        return np.ascontiguousarray(array, dtype=np.int64)
+    if kind == "f":
+        valid = np.isfinite(array) & (np.floor(array) == array) & (np.abs(array) < 2.0**63)
+        if not valid.all():
+            row = int(np.argmin(valid))
+            raise _bad_label(row, array[row].item())
+        return array.astype(np.int64)
+    codes = np.empty(count, dtype=np.int64)
+    for row, label in enumerate(array.tolist()):
+        try:
+            codes[row] = _label_code(label)
+        except (TypeError, ValueError, OverflowError):
+            raise _bad_label(row, label) from None
+    return codes
+
+
+def _label_code(label: Any) -> int:
+    """One label of a string or object column as an ``int`` (else raises)."""
+    if isinstance(label, (str, bytes, numbers.Integral)):
+        return int(label)
+    if isinstance(label, numbers.Real) and float(label).is_integer():
+        return int(label)
+    raise TypeError(label)
+
+
+def _bad_label(row: int, label: Any) -> InvalidParameterError:
+    """The error for a group label that is not an integer."""
+    return InvalidParameterError(
+        f"groups must hold integer labels, but row {row} has {label!r}"
+    )
 
 
 def store_rows_of(

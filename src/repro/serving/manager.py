@@ -52,6 +52,7 @@ from repro.api.registry import get_algorithm, has_algorithm
 from repro.api.session import SessionBase, resume
 from repro.api.solve import open_session
 from repro.core.result import RunResult
+from repro.data.store import group_codes
 from repro.serving.errors import (
     QueueFullError,
     SessionExistsError,
@@ -295,6 +296,11 @@ class SessionManager:
 
         Raises
         ------
+        InvalidParameterError
+            If the features are not a non-empty matrix, a group label is
+            not an integer (see :func:`~repro.data.store.group_codes`), or
+            the labels or uids do not match the rows.  This is checked
+            here, so a bad batch is refused before it is queued.
         QueueFullError
             If accepting the rows would overflow the session's bounded
             queue; nothing is queued in that case (all-or-nothing).
@@ -309,12 +315,12 @@ class SessionManager:
                 f"got shape {matrix.shape}"
             )
         rows = matrix.shape[0]
-        for label, values in (("groups", groups), ("uids", uids)):
-            if values is not None and len(np.asarray(values).reshape(-1)) != rows:
-                raise InvalidParameterError(
-                    f"got {rows} feature rows but "
-                    f"{len(np.asarray(values).reshape(-1))} {label}"
-                )
+        if groups is not None:
+            groups = group_codes(groups, rows)
+        if uids is not None and len(np.asarray(uids).reshape(-1)) != rows:
+            raise InvalidParameterError(
+                f"got {rows} feature rows but {len(np.asarray(uids).reshape(-1))} uids"
+            )
         if entry.pending_rows + rows > self._config.max_queue:
             self._count("rejected_rows", rows)
             raise QueueFullError(name, entry.pending_rows, self._config.max_queue)

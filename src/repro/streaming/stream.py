@@ -240,17 +240,14 @@ def stream_from_arrays(
         Array of shape ``(n, d)``; row ``i`` becomes the payload of element
         ``i``.
     groups:
-        Iterable of ``n`` integer group labels.
+        Iterable of ``n`` integer group labels, converted in one vectorised
+        step by :func:`~repro.data.store.group_codes` (which rejects NaN,
+        infinite, fractional and non-scalar labels).
     """
     features = np.asarray(features, dtype=float)
     if features.ndim != 2:
         raise InvalidParameterError(
             f"features must be a 2-D array of shape (n, d), got ndim={features.ndim}"
         )
-    group_list = [int(g) for g in groups]
-    if len(group_list) != features.shape[0]:
-        raise InvalidParameterError(
-            f"got {features.shape[0]} feature rows but {len(group_list)} group labels"
-        )
-    store = ElementStore(features, np.asarray(group_list, dtype=np.int64))
+    store = ElementStore(features, groups)
     return DataStream(store=store, shuffle_seed=shuffle_seed, name=name)

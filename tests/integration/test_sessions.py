@@ -337,3 +337,16 @@ class TestOpenSessionValidation:
         session = repro.open_session(constraint=constraint, algorithm="SFDM2")
         with pytest.raises(InvalidParameterError, match="group labels"):
             session.offer_rows(np.eye(3), groups=[0, 1])
+
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [(1.7, "1.7"), (np.nan, "nan"), (-np.inf, "-inf")],
+        ids=["fractional", "nan", "inf"],
+    )
+    def test_offer_rows_rejects_bad_labels_before_ingesting(self, constraint, bad, shown):
+        session = repro.open_session(constraint=constraint, algorithm="SFDM2")
+        with pytest.raises(InvalidParameterError, match=f"row 1 has {shown}"):
+            session.offer_rows(np.eye(3), groups=[0.0, bad, 1.0])
+        assert session.elements_offered == 0
+        session.offer_rows(np.eye(3), groups=[0.0, 1.0, True])
+        assert session.elements_offered == 3

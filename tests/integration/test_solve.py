@@ -135,3 +135,52 @@ class TestConfiguration:
         dataset = repro.synthetic_blobs(n=240, m=4, seed=6)
         with pytest.raises(InvalidParameterError, match="m=4"):
             repro.solve(dataset, k=8, algorithm="SFDM1")
+
+
+class TestGroupLabels:
+    """Array labels are validated once, where the array enters."""
+
+    @pytest.mark.parametrize(
+        "convert",
+        [
+            lambda g: g.astype(float),
+            lambda g: g.astype(str),
+            lambda g: [int(label) for label in g],
+        ],
+        ids=["integral-float", "numeric-string", "python-int"],
+    )
+    def test_convertible_labels_give_the_integer_answer(self, arrays, convert):
+        features, groups = arrays
+        expected = repro.solve(features, k=6, groups=groups, algorithm="SFDM2")
+        result = repro.solve(features, k=6, groups=convert(groups), algorithm="SFDM2")
+        assert result.solution.uids == expected.solution.uids
+        assert result.diversity == expected.diversity
+
+    def test_boolean_labels_are_groups_zero_and_one(self, arrays):
+        features, groups = arrays
+        result = repro.solve(features, k=6, groups=groups > 0, algorithm="SFDM1")
+        assert result.solution.is_fair
+
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [(1.7, "1.7"), (float("nan"), "nan"), (float("inf"), "inf"), ([1, 2], r"\[1, 2\]")],
+        ids=["fractional", "nan", "inf", "nested"],
+    )
+    def test_bad_label_is_rejected_naming_its_row(self, arrays, bad, shown):
+        features, groups = arrays
+        labels = [int(label) for label in groups]
+        labels[17] = bad
+        with pytest.raises(InvalidParameterError, match=rf"row 17 has {shown}"):
+            repro.solve(features, k=6, groups=labels, algorithm="SFDM2")
+
+    def test_label_count_must_match_the_rows(self, arrays):
+        features, groups = arrays
+        with pytest.raises(InvalidParameterError, match="group labels"):
+            repro.solve(features, k=6, groups=groups[:-1], algorithm="SFDM2")
+
+    def test_element_store_rejects_bad_labels(self, arrays):
+        features, groups = arrays
+        labels = groups.astype(float)
+        labels[3] = np.nan
+        with pytest.raises(InvalidParameterError, match="row 3 has nan"):
+            repro.ElementStore(features, labels)

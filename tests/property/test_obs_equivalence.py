@@ -15,6 +15,7 @@ the pins hold with tracing on or off.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -85,6 +86,38 @@ def test_traced_run_is_byte_identical(name, dataset):
     solve_spans = sink.spans("solve")
     assert len(solve_spans) == 1
     assert solve_spans[0]["attrs"]["algorithm"] == repro.get_algorithm(name).name
+
+
+def _array_data(dataset):
+    features = np.stack([element.vector for element in dataset.elements])
+    groups = np.array([element.group for element in dataset.elements])
+    return features, groups
+
+
+def test_solve_span_encloses_the_array_solve(dataset):
+    """Data resolution runs inside the ``solve`` span, and the run nests under it."""
+    features, groups = _array_data(dataset)
+    sink = MemorySink()
+    repro.solve(features, k=K, groups=groups, algorithm="SFDM2", seed=SEED, trace=sink)
+    (solve,) = sink.spans("solve")
+    (run,) = sink.spans("run")
+    assert solve["attrs"] == {"algorithm": "SFDM2", "n": dataset.size, "k": K}
+    assert run["parent_id"] == solve["span_id"]
+    assert solve["mono"] <= run["mono"]
+    assert run["mono"] + run["dur"] <= solve["mono"] + solve["dur"]
+
+
+def test_rejected_labels_leave_a_solve_span_with_the_error(dataset):
+    features, groups = _array_data(dataset)
+    labels = groups.astype(float)
+    labels[5] = np.nan
+    sink = MemorySink()
+    with pytest.raises(repro.InvalidParameterError, match="row 5"):
+        repro.solve(features, k=K, groups=labels, algorithm="SFDM2", trace=sink)
+    (solve,) = sink.spans("solve")
+    assert solve["error"] == "InvalidParameterError"
+    assert not sink.spans("run")
+    assert not obs.enabled()
 
 
 def test_sfdm2_guess_spans_record_the_intersection(dataset):

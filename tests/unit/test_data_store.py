@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.data.store import ElementStore, store_rows_of
+from repro.data.store import ElementStore, group_codes, store_rows_of
 from repro.metrics.vector import EuclideanMetric, _as_batch
 from repro.data.element import Element
 from repro.utils.errors import InvalidParameterError
@@ -72,6 +72,49 @@ class TestConstruction:
         child = ElementStore.from_elements(views)
         assert list(child.uids) == [5, 1, 3]
         assert np.allclose(child.features, parent.features[[5, 1, 3]])
+
+
+class TestGroupCodes:
+    """One label conversion for every array entry point."""
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.array([2, 0, 1], dtype=np.uint8),
+            [2.0, 0.0, 1.0],
+            ["2", "0", "1"],
+            [b"2", b"0", b"1"],
+            np.array([2, np.float64(0.0), "1"], dtype=object),
+            (label for label in [2, 0, 1]),
+        ],
+        ids=["uint8", "integral-float", "str", "bytes", "object", "generator"],
+    )
+    def test_convertible_labels(self, labels):
+        codes = group_codes(labels, 3)
+        assert codes.dtype == np.int64
+        assert codes.tolist() == [2, 0, 1]
+
+    def test_int64_column_is_not_copied(self):
+        labels = np.arange(4, dtype=np.int64)
+        assert group_codes(labels, 4) is labels
+
+    def test_scalar_stands_for_one_row(self):
+        assert group_codes(True, 1).tolist() == [1]
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([0, None, 1], "row 1 has None"),
+            ([0, 1, 1e300], "row 2 has 1e\\+300"),
+            ([0, "1.5", 1], "row 1 has '1.5'"),
+            ([[0], [1], [1]], r"row 0 has \[0\]"),
+            ([0, 1], "got 3 feature rows but 2 group labels"),
+        ],
+        ids=["none", "overflow", "fractional-string", "column", "count"],
+    )
+    def test_rejected_labels(self, labels, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            group_codes(labels, 3)
 
 
 class TestZeroCopyContracts:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.data.element import Element
 from repro.datasets.registry import DATASETS, dataset_names, load_dataset
+from repro.datasets.spec import DatasetSpec
 from repro.datasets.surrogates import (
     adult_surrogate,
     celeba_surrogate,
@@ -11,7 +13,7 @@ from repro.datasets.surrogates import (
     lyrics_surrogate,
 )
 from repro.datasets.synthetic import synthetic_blobs, uniform_points
-from repro.metrics.vector import AngularMetric, EuclideanMetric, ManhattanMetric
+from repro.metrics.vector import AngularMetric, EuclideanMetric, ManhattanMetric, hamming
 from repro.utils.errors import InvalidParameterError
 
 
@@ -179,3 +181,24 @@ class TestRegistry:
 
     def test_registry_is_consistent_with_names(self):
         assert set(DATASETS.keys()) == set(dataset_names())
+
+
+class TestDatasetSpecGroups:
+    """Group sizes come from the columnar store, or the elements when there is none."""
+
+    LABELS = [2, 0, 2, 1, 0, 2]
+
+    @pytest.mark.parametrize(
+        "payload, columnar",
+        [(lambda i: [float(i), 0.0], True), (lambda i: "abc"[i % 3] * 2, False)],
+        ids=["numeric", "categorical"],
+    )
+    def test_sizes_keep_first_appearance_order(self, payload, columnar):
+        elements = [
+            Element(uid=i, vector=payload(i), group=group)
+            for i, group in enumerate(self.LABELS)
+        ]
+        dataset = DatasetSpec(name="groups", elements=elements, metric=hamming())
+        assert list(dataset.group_sizes().items()) == [(2, 3), (0, 2), (1, 1)]
+        assert dataset.num_groups == 3
+        assert (dataset.columnar() is not None) == columnar

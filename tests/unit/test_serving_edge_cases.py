@@ -3,7 +3,8 @@
 The main server/manager suites drive the happy paths and the typed error
 mapping through :class:`ServingClient`.  This module pins the layers
 underneath: HTTP framing errors that never reach the router (malformed
-request line, bad ``Content-Length``, oversized bodies), the
+request line, bad ``Content-Length``, oversized bodies), a bad group
+label refused with a 400 before it is queued, the
 ``Connection: close`` handshake, a corrupt on-disk checkpoint surfacing
 as a 500, the in-process ``run_server`` SIGTERM drain, and the
 :class:`ServerThread` lifecycle errors.
@@ -132,6 +133,22 @@ class TestHttpFraming:
         assert "error" in body
         # Keep-alive survives the failed request.
         assert client.healthz()["status"] == "ok"
+
+    @pytest.mark.parametrize("bad", [1.7, float("nan")], ids=["fractional", "nan"])
+    def test_bad_group_label_gets_400_at_accept_time(self, client, bad):
+        client.create_session(name="labels", k=K, groups=GROUPS)
+        features, groups = _rows(4)
+        groups[2] = bad
+        status, body = client.request(
+            "POST", "/sessions/labels/offer", {"features": features, "groups": groups}
+        )
+        assert status == 400
+        assert "row 2" in body["error"]
+        # Nothing was queued, so the next flush has no bad batch to fail on.
+        assert client.healthz()["queued_rows"] == 0
+        features, groups = _rows(12)
+        assert client.offer("labels", features, groups)["accepted"] == 12
+        assert client.solution("labels")["elements_processed"] == 12
 
 
 class TestCorruptCheckpoint:

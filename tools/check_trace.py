@@ -11,8 +11,9 @@ Validates every record a :class:`repro.obs.JsonlSink` wrote:
 * events carry a ``span_id`` that is null or references a span in the
   file, and a non-negative ``depth``.
 
-Used by ``make trace-smoke``, which runs a traced SFDM2 solve and feeds
-the resulting file through this checker.  Exit status 0 means the file
+Used by ``make trace-smoke``, which runs a traced SFDM2 solve through
+the CLI and a traced ``repro.solve`` on an ``(n, d)`` array, and feeds
+both files through this checker.  Exit status 0 means the file
 is a valid trace; 1 means at least one record is malformed (each problem
 is reported with its line number).
 """
