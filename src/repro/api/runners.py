@@ -269,16 +269,17 @@ def _run_coreset(context: RunContext) -> RunResult:
     """Run the composable-coreset route with harness-style accounting."""
     constraint = context.require_constraint()
     num_parts = context.option("num_parts", 4)
+    elements = context.elements
     timer = Timer()
     with timer.measure():
         solution = coreset_fair_diversity(
-            context.elements,
+            elements,
             context.metric,
             constraint,
             num_parts=num_parts,
             refine_with_swap=context.option("refine_with_swap", True),
         )
-    size = context.size if context.size is not None else len(context.elements)
+    size = context.size if context.size is not None else len(elements)
     stats = StreamStats(
         elements_processed=size,
         peak_stored_elements=size,

@@ -173,8 +173,7 @@ def _resolve_data(spec: SolveSpec) -> _ResolvedData:
     Columnar inputs (arrays, stores, data streams) hand over the stream's
     ``elements`` method rather than its result: the per-row element list is
     built only if an offline runner reads it, so a streaming run goes from
-    the caller's matrix straight to chunk screens.  Group sizes come from
-    the ``groups`` column.
+    the caller's matrix straight to chunk screens.
     """
     data = spec.data
     seed = spec.seed

@@ -259,7 +259,8 @@ def group_codes(labels: Any, count: int) -> np.ndarray:
     numeric string labels convert; a NaN, infinite, fractional or
     non-scalar label raises :class:`InvalidParameterError` naming the first
     such row, as does a label count other than ``count``.  A scalar label
-    stands for a single row.
+    stands for a single row, and a label array of ``count`` entries in any
+    shape (an ``(n, 1)`` column, a ``(1, n)`` row) is read flat.
     """
     if isinstance(labels, Iterator):
         labels = list(labels)
@@ -269,8 +270,8 @@ def group_codes(labels: Any, count: int) -> np.ndarray:
         array = np.empty(len(labels), dtype=object)
         for row, label in enumerate(labels):
             array[row] = label
-    if array.ndim == 0:
-        array = array.reshape(1)
+    if array.ndim == 0 or (array.ndim > 1 and array.size == count):
+        array = array.reshape(-1)
     if array.shape[0] != count:
         raise InvalidParameterError(
             f"groups must hold one label per row: got {count} feature rows "

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.data.store import ElementStore
 from repro.metrics.base import Metric
 from repro.metrics.space import MetricSpace
@@ -49,24 +47,14 @@ class DatasetSpec:
     @property
     def num_groups(self) -> int:
         """Number of distinct groups ``m``."""
-        return len(self.group_sizes())
+        return len({element.group for element in self.elements})
 
     def group_sizes(self) -> Dict[int, int]:
-        """Mapping of group label to element count, in order of first appearance.
-
-        Numeric datasets count the cached :meth:`columnar` store's
-        ``groups`` column; only non-columnar payloads walk the elements.
-        """
-        store = self.columnar()
-        if store is None:
-            sizes: Dict[int, int] = {}
-            for element in self.elements:
-                sizes[element.group] = sizes.get(element.group, 0) + 1
-            return sizes
-        labels, first, counts = np.unique(
-            store.groups, return_index=True, return_counts=True
-        )
-        return {int(labels[i]): int(counts[i]) for i in np.argsort(first)}
+        """Mapping of group label to element count."""
+        sizes: Dict[int, int] = {}
+        for element in self.elements:
+            sizes[element.group] = sizes.get(element.group, 0) + 1
+        return sizes
 
     def columnar(self) -> Optional[ElementStore]:
         """The dataset as a columnar :class:`ElementStore`, built lazily once.

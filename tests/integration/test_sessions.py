@@ -350,3 +350,11 @@ class TestOpenSessionValidation:
         assert session.elements_offered == 0
         session.offer_rows(np.eye(3), groups=[0.0, 1.0, True])
         assert session.elements_offered == 3
+
+    @pytest.mark.parametrize(
+        "labels", [[[0], [1], [1]], [[0, 1, 1]]], ids=["column", "row"]
+    )
+    def test_offer_rows_reads_a_label_column_or_row_flat(self, constraint, labels):
+        session = repro.open_session(constraint=constraint, algorithm="SFDM2")
+        session.offer_rows(np.eye(3), groups=labels)
+        assert session.elements_offered == 3

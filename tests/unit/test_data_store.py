@@ -102,15 +102,35 @@ class TestGroupCodes:
         assert group_codes(True, 1).tolist() == [1]
 
     @pytest.mark.parametrize(
+        "labels",
+        [[[2], [0], [1]], np.array([[2.0, 0.0, 1.0]])],
+        ids=["column", "row"],
+    )
+    def test_label_column_or_row_is_read_flat(self, labels):
+        assert group_codes(labels, 3).tolist() == [2, 0, 1]
+
+    @pytest.mark.parametrize(
         "labels, message",
         [
             ([0, None, 1], "row 1 has None"),
             ([0, 1, 1e300], "row 2 has 1e\\+300"),
             ([0, "1.5", 1], "row 1 has '1.5'"),
-            ([[0], [1], [1]], r"row 0 has \[0\]"),
+            ([[0, 1], [1, 0], [1, 1]], r"row 0 has \[0, 1\]"),
+            ([0, [1, 2], 1], r"row 1 has \[1, 2\]"),
+            ([[0.5], [1], [1]], "row 0 has 0.5"),
             ([0, 1], "got 3 feature rows but 2 group labels"),
+            (1, "got 3 feature rows but 1 group labels"),
         ],
-        ids=["none", "overflow", "fractional-string", "column", "count"],
+        ids=[
+            "none",
+            "overflow",
+            "fractional-string",
+            "matrix",
+            "ragged",
+            "fractional-column",
+            "count",
+            "scalar",
+        ],
     )
     def test_rejected_labels(self, labels, message):
         with pytest.raises(InvalidParameterError, match=message):

@@ -184,16 +184,16 @@ class TestRegistry:
 
 
 class TestDatasetSpecGroups:
-    """Group sizes come from the columnar store, or the elements when there is none."""
+    """Group sizes of numeric and categorical datasets, in first-appearance order."""
 
     LABELS = [2, 0, 2, 1, 0, 2]
 
     @pytest.mark.parametrize(
-        "payload, columnar",
-        [(lambda i: [float(i), 0.0], True), (lambda i: "abc"[i % 3] * 2, False)],
+        "payload",
+        [lambda i: [float(i), 0.0], lambda i: "abc"[i % 3] * 2],
         ids=["numeric", "categorical"],
     )
-    def test_sizes_keep_first_appearance_order(self, payload, columnar):
+    def test_sizes_keep_first_appearance_order(self, payload):
         elements = [
             Element(uid=i, vector=payload(i), group=group)
             for i, group in enumerate(self.LABELS)
@@ -201,4 +201,3 @@ class TestDatasetSpecGroups:
         dataset = DatasetSpec(name="groups", elements=elements, metric=hamming())
         assert list(dataset.group_sizes().items()) == [(2, 3), (0, 2), (1, 1)]
         assert dataset.num_groups == 3
-        assert (dataset.columnar() is not None) == columnar
