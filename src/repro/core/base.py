@@ -663,8 +663,9 @@ class IngestState:
             self._screens = ChunkScreen(self.blind, self.specific)
         if self._screens.exhausted:
             return
-        with obs.span("ingest.chunk", start=start, size=len(chunk)):
-            self._screens.screen(self.counting, chunk)
+        with obs.span("ingest.chunk", start=start, size=len(chunk)) as span:
+            rechecked, exact = self._screens.screen(self.counting, chunk)
+            span.set(rechecked=rechecked, exact=exact)
 
 
 class ChunkScreen:
@@ -708,11 +709,14 @@ class ChunkScreen:
         """Whether every candidate has reached capacity."""
         return self._blind.exhausted and all(s.exhausted for s in self._groups.values())
 
-    def screen(self, metric: Metric, chunk: StreamChunk) -> None:
+    def screen(self, metric: Metric, chunk: StreamChunk) -> Tuple[int, bool]:
         """Screen one chunk through every non-full candidate.
 
         An accepted row is materialised once, however many levels accept
         it, so every candidate holding it holds the same element object.
+        Returns ``(rechecked, exact)`` over the chunk's union screens: the
+        rows their exact rechecks decided, summed, and whether any of them
+        decided the chunk on the exact distance matrix.
         """
         made: Dict[int, Element] = {}
 
@@ -723,16 +727,20 @@ class ChunkScreen:
                 element = made[position] = chunk.element(position)
             return element
 
+        rechecked, exact = 0, False
         if not self._blind.exhausted:
-            self._blind.process(metric, chunk.vectors, element_at)
+            rechecked, exact = self._blind.process(metric, chunk.vectors, element_at)
         for group, screen in self._groups.items():
             if screen.exhausted:
                 continue
             positions = np.nonzero(chunk.codes == group)[0]
             if positions.size:
-                screen.process(
+                rows, whole = screen.process(
                     metric, chunk.vectors[positions], lambda i: element_at(int(positions[i]))
                 )
+                rechecked += rows
+                exact |= whole
+        return rechecked, exact
 
 
 class _UnionScreen:
@@ -743,10 +751,11 @@ class _UnionScreen:
     candidate's screen never depends on another candidate's members.
     Adjacent guess levels store heavily overlapping member sets (the union
     of all members is ~3x smaller than their per-level sum), so the chunk
-    is evaluated against the **union** of the members once and each level's
-    row minima are reduced from the shared distance columns — the same
-    exact per-pair values a per-level ``pairwise`` would produce, hence
-    bitwise-identical decisions.
+    is screened against the **union** of the members once, through the
+    metric's radius screen, and each level's decision is read from the
+    shared columns — decisions equal to the exact kernel's
+    ``pairwise(chunk, union)[:, columns].min(axis=1) >= µ`` for every
+    level.
 
     The memoisation changes the arithmetic schedule, not the algorithm:
     every level's screen is still *charged* in full (``chunk × members``
@@ -754,20 +763,25 @@ class _UnionScreen:
     distance accounting equals one screen per candidate.
 
     The union (a payload matrix stacked from the members' own rows, plus
-    per-candidate column lists) only changes when some candidate accepts an
-    element or reaches capacity, both of which are rare after the warm-up
-    chunks; it is cached between chunks and rebuilt only when the
-    ``(candidate count, total members)`` version moves — accepts strictly
-    grow the member total and prunes strictly shrink the candidate count,
-    so the version is change-exact.  Members are keyed by object identity,
-    so two distinct elements never share a column even if their uids clash.
+    per-candidate column lists and whatever the metric's screen reuses of
+    it) only changes when some candidate accepts an element or reaches
+    capacity, both of which are rare after the warm-up chunks; it is
+    cached between chunks and rebuilt only when the ``(candidate count,
+    total members)`` version moves — accepts strictly grow the member total
+    and prunes strictly shrink the candidate count, so the version is
+    change-exact.  Members are keyed by object identity, so two distinct
+    elements never share a column even if their uids clash.  A screen
+    serves one metric: what that metric's screen reuses of the union is
+    built with it.
     """
 
     __slots__ = (
         "candidates",
         "_version",
         "_union",
-        "_member_columns",
+        "_prepared",
+        "_level_of",
+        "_levels",
         "_total_members",
     )
 
@@ -775,7 +789,12 @@ class _UnionScreen:
         self.candidates = [candidate for candidate in candidates if not candidate.is_full]
         self._version: Optional[Tuple[int, int]] = None
         self._union: Optional[np.ndarray] = None
-        self._member_columns: List[Optional[np.ndarray]] = []
+        self._prepared: Any = None
+        #: Each candidate's row in the screen (``None``: no members yet).
+        self._level_of: List[Optional[int]] = []
+        #: ``(columns, mus)`` of the candidates with members, as
+        #: :meth:`~repro.metrics.base.Metric._radius_screen` reads them.
+        self._levels: Tuple[List[np.ndarray], np.ndarray] = ([], np.empty(0))
         self._total_members = 0
 
     @property
@@ -783,17 +802,21 @@ class _UnionScreen:
         """Whether every candidate has reached capacity."""
         return not self.candidates
 
-    def _rebuild(self) -> None:
+    def _rebuild(self, metric: Metric) -> None:
         """Recompute the union for the current member sets."""
         column_of: Dict[int, int] = {}
         payloads: List[Any] = []
-        member_columns: List[Optional[np.ndarray]] = []
+        level_of: List[Optional[int]] = []
+        member_columns: List[np.ndarray] = []
+        mus: List[float] = []
         total_members = 0
         for candidate in self.candidates:
             members = candidate._elements
             if not members:
-                member_columns.append(None)
+                level_of.append(None)
                 continue
+            level_of.append(len(member_columns))
+            mus.append(candidate.mu)
             total_members += len(members)
             matrix = candidate.member_matrix()
             columns = np.empty(len(members), dtype=np.intp)
@@ -804,7 +827,9 @@ class _UnionScreen:
                 columns[position] = column
             member_columns.append(columns)
         self._union = stack_payloads(payloads) if payloads else None
-        self._member_columns = member_columns
+        self._prepared = None if self._union is None else metric._screen_union(self._union)
+        self._level_of = level_of
+        self._levels = (member_columns, np.array(mus, dtype=float))
         self._total_members = total_members
 
     def process(
@@ -812,36 +837,39 @@ class _UnionScreen:
         metric: Metric,
         vectors: np.ndarray,
         element_at: Callable[[int], Element],
-    ) -> None:
+    ) -> Tuple[int, bool]:
         """Screen one chunk and resolve each candidate's survivors.
 
         ``element_at(i)`` materialises the element of chunk row ``i``; it
-        is called only for accepted rows.
+        is called only for accepted rows.  Returns ``(rechecked, exact)``
+        of the metric's radius screen: the rows its exact recheck decided,
+        and whether the chunk was decided on the exact distance matrix.
         """
         version = (len(self.candidates), sum(len(c) for c in self.candidates))
         if version != self._version:
-            self._rebuild()
+            self._rebuild(metric)
             self._version = version
-        distances: Optional[np.ndarray] = None
+        rechecked, exact = 0, False
         if self._union is not None:
-            distances = metric.pairwise(vectors, self._union)
-            # ``pairwise`` counted each union member once; charge the shared
+            survives, rechecked, exact = metric._radius_screen(
+                vectors, self._union, self._prepared, *self._levels
+            )
+            # The screen counted each union member once; charge the shared
             # columns again so every level's screen is billed in full.
             charge = getattr(metric, "charge", None)
             if charge is not None:
                 charge(len(vectors) * (self._total_members - len(self._union)))
+            hits = survives.any(axis=1).tolist()
         filled = False
-        for candidate, columns in zip(self.candidates, self._member_columns):
-            if columns is None:
+        for candidate, level in zip(self.candidates, self._level_of):
+            if level is None:
                 survivors = np.arange(len(vectors))
+            elif hits[level]:
+                survivors = np.nonzero(survives[level])[0]
             else:
-                if columns.shape[0] == 1:
-                    level_min = distances[:, columns[0]]
-                else:
-                    level_min = distances[:, columns].min(axis=1)
-                survivors = np.nonzero(level_min >= candidate.mu)[0]
-            if survivors.size:
-                candidate._resolve_survivors(vectors, survivors, element_at)
-                filled |= candidate.is_full
+                continue
+            candidate._resolve_survivors(vectors, survivors, element_at)
+            filled |= candidate.is_full
         if filled:
             self.candidates = [c for c in self.candidates if not c.is_full]
+        return rechecked, exact

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.evaluation.harness import ExperimentRecord
 
@@ -143,28 +143,58 @@ def summarize_trace(
     """Aggregate trace records into per-name rows for :func:`format_table`.
 
     One row per span/event name: occurrence count, total and mean span
-    duration in milliseconds (zero for events), sorted by total duration
-    descending — the quickest way to see where a traced run spent its
-    time::
+    duration and total self time in milliseconds (zero for events), sorted
+    by total duration descending — the quickest way to see where a traced
+    run spent its time::
 
         rows = summarize_trace(load_trace("run.jsonl"))
-        print(format_table(rows, columns=["name", "count", "total_ms", "mean_ms"]))
+        print(format_table(rows, columns=["name", "count", "total_ms", "self_ms", "mean_ms"]))
+
+    A span's self time is its duration minus the part of it that its child
+    spans cover.  Children are clipped to the parent's interval and merged
+    first, so children that overlap each other or outlive their parent
+    never count twice or drive a self time below zero.
     """
+    records = list(records)
+    children: Dict[object, List[Tuple[float, float]]] = {}
+    for record in records:
+        if record.get("type") == "span" and record.get("parent_id") is not None:
+            start = float(record["mono"])
+            children.setdefault(record["parent_id"], []).append(
+                (start, start + float(record["dur"]))
+            )
     totals: Dict[str, Dict[str, float]] = {}
     for record in records:
         name = str(record.get("name"))
-        entry = totals.setdefault(name, {"count": 0, "total_ms": 0.0})
+        entry = totals.setdefault(name, {"count": 0, "total_ms": 0.0, "self_ms": 0.0})
         entry["count"] += 1
         if record.get("type") == "span":
-            entry["total_ms"] += float(record.get("dur", 0.0)) * 1000.0
+            duration = float(record.get("dur", 0.0))
+            covered = _covered_seconds(record, children.get(record.get("span_id"), []))
+            entry["total_ms"] += duration * 1000.0
+            entry["self_ms"] += (duration - covered) * 1000.0
     rows = [
         {
             "name": name,
             "count": int(entry["count"]),
             "total_ms": entry["total_ms"],
             "mean_ms": entry["total_ms"] / entry["count"],
+            "self_ms": entry["self_ms"],
         }
         for name, entry in totals.items()
     ]
     rows.sort(key=lambda row: row["total_ms"], reverse=True)
     return rows
+
+
+def _covered_seconds(span: Dict[str, object], children: List[Tuple[float, float]]) -> float:
+    """How much of ``span``'s interval the ``(start, stop)`` intervals cover together."""
+    start = float(span["mono"])
+    stop = start + float(span["dur"])
+    covered, cursor = 0.0, start
+    for child_start, child_stop in sorted(children):
+        child_start, child_stop = max(child_start, cursor), min(child_stop, stop)
+        if child_stop > child_start:
+            covered += child_stop - child_start
+            cursor = child_stop
+    return covered

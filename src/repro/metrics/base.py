@@ -10,12 +10,17 @@ Besides the scalar ``distance``, every metric offers two *batch kernels*:
 ``distances_to(point, X)`` (one point against a stack of payloads) and
 ``pairwise(X, Y)`` (all cross distances between two stacks).  The base
 class implements both as scalar loops, so any metric — including user
-callables — works everywhere a batch kernel is requested (the streaming
-ingestion engine screens every chunk through :meth:`Metric.pairwise`,
-whatever the metric); the built-in vector metrics override them with
-NumPy-broadcast implementations and advertise that via
-:attr:`Metric.supports_batch`, which the offline helpers consult to pick
-between a batched and a scalar formulation of the same computation.
+callables — works everywhere a batch kernel is requested; the built-in
+vector metrics override them with NumPy-broadcast implementations and
+advertise that via :attr:`Metric.supports_batch`, which the offline
+helpers consult to pick between a batched and a scalar formulation of the
+same computation.
+
+The streaming ingestion engine screens every chunk through the private
+radius screen :meth:`Metric._radius_screen`, whatever the metric.  Its
+base implementation is the exact matrix, one :meth:`Metric.pairwise`
+call; a metric may override it with a faster route whose decisions equal
+that matrix's (the Euclidean metric does).
 
 The mathematical requirements — non-negativity, symmetry, identity of
 indiscernibles, and the triangle inequality — are not enforced at runtime
@@ -26,7 +31,7 @@ for every concrete metric shipped with the library.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -121,12 +126,76 @@ class Metric(ABC):
             store.rows(rows), None if cols is None else store.rows(cols)
         )
 
+    def _screen_union(self, union: np.ndarray) -> Any:
+        """What :meth:`_radius_screen` reuses of ``union`` from chunk to chunk.
+
+        The ingestion engine's union screen builds this once per union and
+        hands it back with every chunk it screens against that union.  The
+        exact screen needs nothing beyond the union itself.
+        """
+        return None
+
+    def _radius_screen(
+        self,
+        X: Any,
+        union: Any,
+        prepared: Any,
+        columns: Sequence[np.ndarray],
+        mus: np.ndarray,
+    ) -> Tuple[np.ndarray, int, bool]:
+        """Per level, which rows of ``X`` lie at least ``µ`` from all of its union rows.
+
+        Parameters
+        ----------
+        X:
+            The chunk's payload stack.
+        union:
+            The payload stack of every level's members, each member once.
+        prepared:
+            What :meth:`_screen_union` returned for ``union``.
+        columns:
+            Per level, the union rows holding its members (never empty).
+        mus:
+            Per level, its threshold ``µ``.
+
+        Returns
+        -------
+        tuple
+            ``(survives, rechecked, exact)``.  ``survives`` is a boolean
+            ``(levels, len(X))`` matrix whose row ``i`` is exactly
+            ``pairwise(X, union)[:, columns[i]].min(axis=1) >= mus[i]``.
+            ``rechecked`` counts the rows an approximate screen handed to
+            the exact kernel, and ``exact`` says whether the chunk was
+            decided on the exact distance matrix in full.
+
+        The base implementation is that exact matrix, one :meth:`pairwise`
+        call; metrics with a faster screen override it.
+        """
+        by_member = np.ascontiguousarray(self.pairwise(X, union).T)
+        return _level_minima(by_member, columns) >= mus[:, None], 0, True
+
     def __call__(self, x: Any, y: Any) -> float:
         """Alias for :meth:`distance` so metrics can be used as callables."""
         return self.distance(x, y)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
+
+
+def _level_minima(by_member: np.ndarray, columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Each level's minimum over its union rows, for every chunk row.
+
+    ``by_member`` holds one row per union member and one column per chunk
+    row; ``columns`` lists each level's member rows.  The result holds one
+    row per level.
+    """
+    minima = np.empty((len(columns), by_member.shape[1]))
+    for level, level_columns in enumerate(columns):
+        if level_columns.shape[0] == 1:
+            minima[level] = by_member[level_columns[0]]
+        else:
+            np.minimum.reduce(by_member[level_columns], axis=0, out=minima[level])
+    return minima
 
 
 def stack_vectors(elements: Sequence[Any]) -> np.ndarray:

@@ -10,7 +10,7 @@ the same pairs many times.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Optional, Tuple
+from typing import Any, Dict, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +55,27 @@ class CountingMetric(Metric):
         """Batched distance matrix via the wrapped metric; counts ``len(X) * len(Y)`` calls."""
         result = self.inner.pairwise(X, Y)
         self.calls += int(result.shape[0] * result.shape[1])
+        return result
+
+    def _screen_union(self, union: np.ndarray) -> Any:
+        """The wrapped metric's per-union screen data (no distances are counted)."""
+        return self.inner._screen_union(union)
+
+    def _radius_screen(
+        self,
+        X: Any,
+        union: Any,
+        prepared: Any,
+        columns: Sequence[np.ndarray],
+        mus: np.ndarray,
+    ) -> Tuple[np.ndarray, int, bool]:
+        """The wrapped metric's radius screen; counts ``len(X) * len(union)`` calls.
+
+        That is what :meth:`pairwise` of the same operands counts.  Rows
+        the screen rechecks on the exact kernel are not counted again.
+        """
+        result = self.inner._radius_screen(X, union, prepared, columns, mus)
+        self.calls += len(X) * len(union)
         return result
 
     def charge(self, count: int) -> None:

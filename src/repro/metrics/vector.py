@@ -11,21 +11,34 @@ and ``pairwise(X, Y)`` with NumPy broadcasting and sets
 to floating-point round-off (the property tests pin this to ``1e-9``).
 Pairwise kernels that materialise an ``(n, m, d)`` difference tensor are
 chunked along the first axis so memory stays bounded for large stacks.
+
+The ingestion engine screens chunks through the metrics' private radius
+screen (:meth:`~repro.metrics.base.Metric._radius_screen`).  Every metric
+here but one screens on its exact ``pairwise`` matrix.  The Euclidean
+metric reads squared distances off one BLAS product of rows centred on
+the union's mean and hands only the rows within a rounding band of a
+level's ``µ²`` to its exact ``pairwise`` kernel, so its decisions equal
+the exact kernel's while the public kernels stay as they are.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.metrics.base import Metric
+from repro.metrics.base import Metric, _level_minima
 from repro.utils.errors import InvalidParameterError
 
 #: Float budget for the temporary ``(chunk, m, d)`` tensors built by the
 #: broadcast pairwise kernels (~32 MB of float64 per chunk).
 _CHUNK_BUDGET = 4_000_000
+
+#: Machine epsilon and the smallest subnormal of float64, the two scales of
+#: the Euclidean radius screen's rounding band.
+_EPSILON = float(np.finfo(float).eps)
+_SUBNORMAL = float(np.finfo(float).smallest_subnormal)
 
 
 def _as_array(x: Any) -> np.ndarray:
@@ -86,6 +99,82 @@ class EuclideanMetric(Metric):
             diff = rows[:, None, :] - B[None, :, :]
             out[start : start + rows.shape[0]] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         return out
+
+    def _screen_union(self, union: Any) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The union's mean, its centred rows scaled by −2, and the centred rows' squared norms."""
+        rows = _as_batch(union)
+        # Non-finite rows make non-finite norms, which send every chunk to
+        # the exact matrix; the arithmetic on them needs no warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            centre = rows.mean(axis=0)
+            centred = rows - centre
+            return centre, -2.0 * centred, np.einsum("ij,ij->i", centred, centred)
+
+    def _radius_screen(
+        self,
+        X: Any,
+        union: Any,
+        prepared: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        columns: Sequence[np.ndarray],
+        mus: np.ndarray,
+    ) -> Tuple[np.ndarray, int, bool]:
+        """The radius screen on one matrix product, exact inside a rounding band.
+
+        Chunk and union rows are centred on the union's mean, and every
+        squared distance is read as ``‖x‖² + ‖y‖² − 2x·y`` off one BLAS
+        product.  A level compares its rows' minimum with ``µ²``: a row at
+        least ``slack`` above it survives, a row more than ``slack`` below
+        it is rejected, and only rows in ``[µ² − slack, µ² + slack)`` go to
+        the exact :meth:`pairwise` kernel, which then decides them.
+
+        The slack is ``(8d + 40)(εM + η)``, with ``d`` the dimension, ``ε``
+        machine epsilon, ``η`` the smallest subnormal and ``M`` the largest
+        squared norm of a centred chunk or union row.  Outside the band the product route
+        therefore decides as the exact kernel does.  With ``u = ε/2`` and
+        every exact squared distance ``s ≤ 4M`` (up to ``O(u)``), the
+        first-order errors are:
+
+        * centring rounds each coordinate once, which moves ``√s`` by at
+          most ``2u√M`` and ``s`` by at most ``8uM``;
+        * the dot products of ``d`` terms and the two additions err by at
+          most ``d·u(‖x‖ + ‖y‖)² + 2u·4M ≤ (4d + 8)uM``;
+        * the exact kernel's sum of ``d`` rounded squares errs by at most
+          ``(d + 2)u·s ≤ (4d + 8)uM``;
+        * where a decision can differ, ``µ² ≤ 4M + slack``, so rounding
+          ``µ²``, the band edges and the exact kernel's square root cost at
+          most ``5u·4M``.
+
+        They sum to ``(8d + 36)uM = (4d + 18)εM``; the slack doubles that,
+        which covers the second-order terms, and ``η`` covers subnormal
+        results.  A chunk where ``4M`` is not finite (NaN or infinite
+        features, or rows whose squared norms overflow) takes the exact
+        matrix in full.
+        """
+        centre, scaled_union, union_norms = prepared
+        batch = _as_batch(X)
+        with np.errstate(over="ignore", invalid="ignore"):
+            centred = batch - centre
+            norms = np.einsum("ij,ij->i", centred, centred)
+        largest = float(np.maximum(norms.max(), union_norms.max()))
+        if not math.isfinite(4.0 * largest):
+            return super()._radius_screen(X, union, prepared, columns, mus)
+        slack = (8 * centred.shape[1] + 40) * (_EPSILON * largest + _SUBNORMAL)
+        by_member = scaled_union @ centred.T
+        by_member += union_norms[:, None]
+        by_member += norms
+        minima = _level_minima(by_member, columns)
+        thresholds = (mus * mus)[:, None]
+        survives = minima >= thresholds + slack
+        band = minima >= thresholds - slack
+        band ^= survives
+        if not band.any():
+            return survives, 0, False
+        band_levels, band_rows = np.nonzero(band)
+        recheck = np.unique(band_rows)
+        exact = np.ascontiguousarray(self.pairwise(batch[recheck], union).T)
+        decided = _level_minima(exact, columns) >= mus[:, None]
+        survives[band_levels, band_rows] = decided[band_levels, np.searchsorted(recheck, band_rows)]
+        return survives, int(recheck.shape[0]), False
 
 
 class ManhattanMetric(Metric):

@@ -12,6 +12,8 @@ import json
 from http.client import HTTPConnection, HTTPException
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 
 class ServingClient:
     """Blocking JSON client for one ``repro serve`` endpoint."""
@@ -89,10 +91,15 @@ class ServingClient:
         groups: Optional[Sequence[int]] = None,
         uids: Optional[Sequence[int]] = None,
     ) -> Dict[str, Any]:
-        """``POST /sessions/{name}/offer``; returns the accept receipt."""
+        """``POST /sessions/{name}/offer``; returns the accept receipt.
+
+        Group labels are sent as given (NumPy scalars as the Python values
+        they hold): the server checks them, so a label that is not an
+        integer, such as ``1.7`` or NaN, gets a 400 naming its row.
+        """
         body: Dict[str, Any] = {"features": _listify(features)}
         if groups is not None:
-            body["groups"] = [int(group) for group in _listify(groups)]
+            body["groups"] = [_plain(group) for group in _listify(groups)]
         if uids is not None:
             body["uids"] = [int(uid) for uid in _listify(uids)]
         status, response = self.request("POST", f"/sessions/{name}/offer", body)
@@ -135,6 +142,11 @@ class ServingRequestError(RuntimeError):
     def __init__(self, status: int, message: str) -> None:
         self.status = status
         super().__init__(f"HTTP {status}: {message}")
+
+
+def _plain(value: Any) -> Any:
+    """A NumPy scalar as the Python value it holds; any other value as is."""
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _listify(features: Sequence[Sequence[float]]) -> List[Any]:

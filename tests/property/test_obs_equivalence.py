@@ -120,6 +120,31 @@ def test_rejected_labels_leave_a_solve_span_with_the_error(dataset):
     assert not obs.enabled()
 
 
+def test_chunk_spans_record_the_screen_recheck_and_exact_fallback():
+    """``ingest.chunk`` says which chunks the rounding band or the exact matrix decided.
+
+    Points one apart on a line meet the integer thresholds 1, 2, 4, ...
+    exactly, so the Euclidean screen's band fires; the NaN row 300 sends
+    the blind screen of its chunk to the exact matrix.
+    """
+    features = np.column_stack([np.arange(400.0), np.zeros(400)])
+    features[300] = np.nan
+    options = dict(
+        k=K, groups=np.arange(400) % 2, algorithm="SFDM2", epsilon=0.5,
+        distance_bounds=(1.0, 256.0), batch_size=50,
+    )
+    untraced = repro.solve(features, **options)
+    sink = MemorySink()
+    traced = repro.solve(features, trace=sink, **options)
+    assert traced.solution.uids == untraced.solution.uids
+    assert traced.solution.diversity == untraced.solution.diversity
+    chunks = {span["attrs"]["start"]: span["attrs"] for span in sink.spans("ingest.chunk")}
+    assert sorted(chunks) == list(range(0, 400, 50))
+    assert [start for start, attrs in chunks.items() if attrs["exact"]] == [300]
+    assert all(isinstance(attrs["rechecked"], int) for attrs in chunks.values())
+    assert sum(attrs["rechecked"] for attrs in chunks.values()) > 0
+
+
 def test_sfdm2_guess_spans_record_the_intersection(dataset):
     """One ``sfdm2.guess`` span per eligible guess, carrying its pool, clusters and paths."""
     sink = MemorySink()

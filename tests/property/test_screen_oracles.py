@@ -9,16 +9,24 @@ Each test checks one primitive against an oracle over a grid of metrics
 and dimensions 1 through 16:
 
 * routes that evaluate the same kernel on the same operands (the
-  store-indexed kernels, the chunked pairwise loop, the union screen of
-  the ingestion engine) must agree *bitwise*;
+  store-indexed kernels, the chunked pairwise loop) must agree *bitwise*,
+  and the union screen of the ingestion engine must decide as one screen
+  per level does;
 * routes that evaluate the scalar ``Metric.distance`` instead must agree
   to ``1e-9``, and screens at radii away from any evaluated distance must
-  take identical decisions.
+  take identical decisions;
+* the metrics' radius screen must decide every level exactly as the brute
+  force ``pairwise(X, Y)[:, columns].min(axis=1) >= mu`` does, also on
+  hostile inputs: far offsets, extreme scales, integer grids whose
+  distances equal ``mu``, pairs planted within a few ulps of ``mu``, and
+  NaN, infinite and overflowing rows on either side.
 
 Alongside correctness, the tests pin the accounting contract: every route
 charges a :class:`~repro.metrics.cached.CountingMetric` exactly the scalar
 distances it stands for.
 """
+
+import zlib
 
 import numpy as np
 import pytest
@@ -88,6 +96,70 @@ def _radii(distances: np.ndarray, quantiles=(0.1, 0.5, 0.9)):
     return [float(midpoints[int(q * (len(midpoints) - 1))]) for q in quantiles]
 
 
+#: Hostile inputs for the radius screen (see :func:`_screen_case`).
+SCREEN_CASES = (
+    "offset-1e6",
+    "offset-1e9",
+    "scale-1e150",
+    "scale-1e-150",
+    "integer-grid",
+    "planted",
+    "nan-chunk",
+    "inf-chunk",
+    "neg-inf-chunk",
+    "huge-chunk",
+    "nan-union",
+    "inf-union",
+    "neg-inf-union",
+    "huge-union",
+)
+NON_FINITE = {"nan": np.nan, "inf": np.inf, "neg-inf": -np.inf, "huge": 1e200}
+
+
+def _screen_case(metric, case: str, dim: int):
+    """``(X, Y, columns, mus)`` for one radius-screen case.
+
+    ``columns`` lays out four levels over the union rows ``Y`` (all of
+    them, every other one, the second half, and row 0 alone).  Unless the
+    case plants its own, the thresholds are evaluated distances: each
+    level's ``mu`` is the nearest-member distance of some chunk row, so at
+    least one row sits exactly on the threshold.
+    """
+    rng = np.random.default_rng(zlib.crc32(f"{case}/{dim}".encode()))
+    X = _cloud(metric, seed=int(rng.integers(1 << 30)), n=40, dim=dim)
+    Y = _cloud(metric, seed=int(rng.integers(1 << 30)), n=24, dim=dim)
+    columns = [np.arange(24), np.arange(0, 24, 2), np.arange(12, 24), np.array([0])]
+    value = case.partition("-")[2]
+    if case.startswith("offset-"):
+        X, Y = X + float(value), Y + float(value)
+    elif case.startswith("scale-"):
+        X, Y = X * float(value), Y * float(value)
+    elif case == "integer-grid":
+        X = rng.integers(0, 4, size=(40, dim)).astype(float)
+        Y = rng.integers(0, 4, size=(24, dim)).astype(float)
+    elif case == "planted":
+        # Union rows 10 apart along one axis; chunk rows within a few ulps
+        # of distance 1 from row 0 (on either side), plus a random cloud.
+        Y = rng.normal(scale=0.1, size=(24, dim))
+        Y[:, 0] += 10.0 * np.arange(24)
+        direction = rng.normal(size=(16, dim))
+        direction /= np.sqrt(np.einsum("ij,ij->i", direction, direction))[:, None]
+        steps = np.arange(-8, 8)
+        X[:16] = Y[0] + (1.0 + steps * 2.0**-52)[:, None] * direction
+        return X, Y, columns, np.ones(len(columns))
+    elif case.endswith("-chunk"):
+        X[3, 0] = X[17] = NON_FINITE[case[: -len("-chunk")]]
+    else:
+        Y[0, -1] = Y[13] = NON_FINITE[case[: -len("-union")]]
+    brute = metric.pairwise(X, Y)
+    mus = []
+    for level_columns in columns:
+        nearest = brute[:, level_columns].min(axis=1)
+        nearest = nearest[np.isfinite(nearest) & (nearest > 0)]
+        mus.append(float(np.sort(nearest)[len(nearest) // 2]) if nearest.size else 1.0)
+    return X, Y, columns, np.array(mus)
+
+
 def _elements(matrix: np.ndarray, groups: int = 2):
     """Standalone (object-path) elements over the rows of ``matrix``."""
     return [Element(uid=i, vector=row, group=i % groups) for i, row in enumerate(matrix)]
@@ -109,6 +181,31 @@ class TestKernelOracles:
         np.testing.assert_allclose(nearest, oracle.min(axis=1), rtol=TOLERANCE, atol=TOLERANCE)
         for mu in _radii(oracle):
             np.testing.assert_array_equal(nearest >= mu, (oracle >= mu).all(axis=1))
+
+    @pytest.mark.parametrize("case", SCREEN_CASES)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_radius_screen_matches_brute_force(self, metric, dim, case):
+        X, Y, columns, mus = _screen_case(metric, case, dim)
+        survives, rechecked, exact = metric._radius_screen(
+            X, Y, metric._screen_union(Y), columns, mus
+        )
+        brute = metric.pairwise(X, Y)
+        assert survives.shape == (len(columns), len(X))
+        for level, (level_columns, mu) in enumerate(zip(columns, mus)):
+            np.testing.assert_array_equal(
+                survives[level], brute[:, level_columns].min(axis=1) >= mu
+            )
+        if not isinstance(metric, EuclideanMetric):
+            # The exact matrix is the screen of every other metric.
+            assert (rechecked, exact) == (0, True)
+        elif "chunk" in case or "union" in case:
+            # Non-finite or overflowing rows send the chunk to the exact matrix.
+            assert (rechecked, exact) == (0, True)
+        else:
+            # Some row's nearest distance equals each level's mu (the
+            # planted rows lie within ulps of it), so the band holds it.
+            assert not exact
+            assert rechecked >= (16 if case == "planted" else 1)
 
     def test_distances_idx_bitwise_equals_distances_to(self, metric, dim):
         M = _cloud(metric, seed=dim + 13, n=40, dim=dim)
@@ -152,6 +249,13 @@ class TestKernelOracles:
             (lambda m: m.distances_idx(store, 3, slice(4, 20)), 16),
             (lambda m: m.pairwise_idx(store, np.arange(5), slice(10, 22)), 5 * 12),
             (lambda m: m.pairwise_idx(store, np.arange(6)), 6 * 6),
+            (
+                lambda m: m._radius_screen(
+                    M[:7], M[10:], m._screen_union(M[10:]),
+                    [np.arange(20), np.array([3])], np.array([0.5, 1.0]),
+                )[0],
+                7 * 20,
+            ),
         ]
         for route, charge in routes:
             before = counting.calls

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.datasets.synthetic import synthetic_blobs
 from repro.evaluation.harness import (
     AlgorithmSpec,
@@ -18,9 +19,15 @@ from repro.evaluation.measures import (
     fairness_violation,
     optimum_upper_bound,
 )
-from repro.evaluation.reporting import format_table, records_to_rows, write_csv
+from repro.evaluation.reporting import (
+    format_table,
+    records_to_rows,
+    summarize_trace,
+    write_csv,
+)
 from repro.fairness.constraints import FairnessConstraint, equal_representation
 from repro.metrics.vector import EuclideanMetric
+from repro.obs import MemorySink
 from repro.data.element import Element
 from repro.utils.errors import InvalidParameterError
 
@@ -134,3 +141,79 @@ class TestReporting:
     def test_write_csv_empty(self, tmp_path):
         path = write_csv([], tmp_path / "empty.csv")
         assert path.read_text() == ""
+
+
+def _span(name, span_id, start, duration, parent=None):
+    """A span record as a trace sink writes it (times in seconds)."""
+    return {
+        "type": "span", "name": name, "span_id": span_id, "parent_id": parent,
+        "mono": start, "dur": duration, "attrs": {},
+    }
+
+
+def _rows_by_name(records):
+    return {row["name"]: row for row in summarize_trace(records)}
+
+
+class TestSummarizeTrace:
+    def test_nested_children_leave_each_level_its_own_time(self):
+        records = [
+            _span("leaf", 3, 3.0, 1.0, parent=2),
+            _span("child", 2, 2.0, 3.0, parent=1),
+            _span("root", 1, 0.0, 10.0),
+        ]
+        rows = _rows_by_name(records)
+        assert rows["root"]["total_ms"] == pytest.approx(10_000.0)
+        assert rows["root"]["self_ms"] == pytest.approx(7_000.0)
+        assert rows["child"]["self_ms"] == pytest.approx(2_000.0)
+        assert rows["leaf"]["self_ms"] == pytest.approx(1_000.0)
+        assert [row["name"] for row in summarize_trace(records)] == ["root", "child", "leaf"]
+
+    def test_overlapping_children_are_merged_before_subtracting(self):
+        rows = _rows_by_name([
+            _span("worker", 2, 1.0, 3.0, parent=1),
+            _span("worker", 3, 3.0, 3.0, parent=1),
+            _span("request", 1, 0.0, 10.0),
+        ])
+        # The children cover [1, 6]: 5 s of the parent's 10.
+        assert rows["request"]["self_ms"] == pytest.approx(5_000.0)
+        assert rows["worker"]["count"] == 2
+        assert rows["worker"]["total_ms"] == pytest.approx(6_000.0)
+        assert rows["worker"]["self_ms"] == pytest.approx(6_000.0)
+        assert rows["worker"]["mean_ms"] == pytest.approx(3_000.0)
+
+    def test_escaping_children_are_clipped_to_the_parent(self):
+        rows = _rows_by_name([
+            _span("early", 2, -2.0, 3.0, parent=1),
+            _span("late", 3, 8.0, 5.0, parent=1),
+            _span("whole", 4, -1.0, 20.0, parent=1),
+            _span("parent", 1, 0.0, 10.0),
+        ])
+        assert rows["parent"]["self_ms"] == pytest.approx(0.0)
+        rows = _rows_by_name([
+            _span("early", 2, -2.0, 3.0, parent=1),
+            _span("late", 3, 8.0, 5.0, parent=1),
+            _span("parent", 1, 0.0, 10.0),
+        ])
+        # Only [0, 1] and [8, 10] of the children lie inside the parent.
+        assert rows["parent"]["self_ms"] == pytest.approx(7_000.0)
+        assert rows["late"]["self_ms"] == pytest.approx(5_000.0)
+
+    def test_events_count_but_take_no_time(self):
+        rows = _rows_by_name([
+            {"type": "event", "name": "tick", "span_id": 1, "mono": 2.0, "attrs": {}},
+            {"type": "event", "name": "tick", "span_id": 1, "mono": 4.0, "attrs": {}},
+            _span("run", 1, 0.0, 5.0),
+        ])
+        assert rows["tick"] == {
+            "name": "tick", "count": 2, "total_ms": 0.0, "mean_ms": 0.0, "self_ms": 0.0,
+        }
+        assert rows["run"]["self_ms"] == pytest.approx(5_000.0)
+
+    def test_self_time_of_a_traced_solve_adds_up_to_its_root(self):
+        sink = MemorySink()
+        repro.solve(synthetic_blobs(n=300, m=2, seed=1), k=4, algorithm="SFDM2", trace=sink)
+        rows = summarize_trace(sink.records)
+        (root,) = sink.spans("solve")
+        assert sum(row["self_ms"] for row in rows) == pytest.approx(root["dur"] * 1000.0)
+        assert all(row["self_ms"] <= row["total_ms"] + 1e-9 for row in rows)

@@ -151,6 +151,37 @@ class TestHttpFraming:
         assert client.solution("labels")["elements_processed"] == 12
 
 
+    @pytest.mark.parametrize(
+        "bad", [1.7, float("nan"), np.float64(1.7), np.float64("nan")],
+        ids=["fractional", "nan", "numpy-fractional", "numpy-nan"],
+    )
+    def test_client_offer_sends_labels_as_given(self, client, bad):
+        client.create_session(name="client-labels", k=K, groups=GROUPS)
+        features, groups = _rows(4)
+        groups[2] = bad
+        with pytest.raises(ServingRequestError) as raised:
+            client.offer("client-labels", features, groups)
+        assert raised.value.status == 400
+        assert "row 2" in str(raised.value)
+        assert client.healthz()["queued_rows"] == 0
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [0.0, 1.0, 0.0, 1.0],
+            [np.int64(0), np.int32(1), np.uint8(0), np.bool_(True)],
+            np.array([0, 1, 0, 1]),
+            np.array([0.0, 1.0, 0.0, 1.0]),
+        ],
+        ids=["integral-floats", "numpy-ints", "int-array", "float-array"],
+    )
+    def test_client_offer_accepts_integer_labels_in_any_form(self, client, labels):
+        client.create_session(name="int-labels", k=K, groups=GROUPS)
+        features, _ = _rows(4)
+        assert client.offer("int-labels", features, labels)["accepted"] == 4
+        assert client.solution("int-labels")["elements_processed"] == 4
+
+
 class TestCorruptCheckpoint:
     def test_restoring_a_corrupt_checkpoint_is_a_500(self, tmp_path):
         config = _config(tmp_path, max_live=1)

@@ -13,9 +13,12 @@ Validates every record a :class:`repro.obs.JsonlSink` wrote:
 
 Used by ``make trace-smoke``, which runs a traced SFDM2 solve through
 the CLI and a traced ``repro.solve`` on an ``(n, d)`` array, and feeds
-both files through this checker.  Exit status 0 means the file
-is a valid trace; 1 means at least one record is malformed (each problem
-is reported with its line number).
+both files through this checker.  ``--expect-span NAME`` requires a span
+of that name; ``--expect-attr SPAN:ATTR`` requires every span named
+``SPAN`` (and at least one) to carry the attribute ``ATTR``.  Exit status
+0 means the file is a valid trace that meets every expectation; 1 means
+at least one record is malformed (each problem is reported with its line
+number) or an expectation failed.
 """
 
 from __future__ import annotations
@@ -127,6 +130,14 @@ def check_trace(path: Path) -> List[str]:
     return problems
 
 
+def _span_attr(spec: str) -> Tuple[str, str]:
+    """Parse one ``SPAN:ATTR`` expectation."""
+    span, _, attr = spec.partition(":")
+    if not span or not attr:
+        raise argparse.ArgumentTypeError(f"expected SPAN:ATTR, got {spec!r}")
+    return span, attr
+
+
 def main(argv=None) -> int:
     """Check each trace file; 0 = all valid, 1 = any problem."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -138,6 +149,14 @@ def main(argv=None) -> int:
         metavar="NAME",
         help="require at least one span with this name (repeatable)",
     )
+    parser.add_argument(
+        "--expect-attr",
+        action="append",
+        default=[],
+        type=_span_attr,
+        metavar="SPAN:ATTR",
+        help="require every span named SPAN to carry attribute ATTR (repeatable)",
+    )
     args = parser.parse_args(argv)
 
     status = 0
@@ -146,6 +165,7 @@ def main(argv=None) -> int:
         problems = check_trace(path)
         names = set()
         spans = events = 0
+        attrs_of: Dict[str, List[Dict[str, Any]]] = {}
         if not problems:
             for line in path.read_text().splitlines():
                 if not line.strip():
@@ -154,11 +174,21 @@ def main(argv=None) -> int:
                 names.add(record["name"])
                 if record["type"] == "span":
                     spans += 1
+                    attrs_of.setdefault(record["name"], []).append(record["attrs"])
                 else:
                     events += 1
             for expected in args.expect_span:
                 if expected not in names:
                     problems.append(f"no span named {expected!r} in the trace")
+            for span_name, attr in args.expect_attr:
+                carriers = attrs_of.get(span_name, [])
+                lacking = sum(1 for attrs in carriers if attr not in attrs)
+                if not carriers:
+                    problems.append(f"no span named {span_name!r} to carry {attr!r}")
+                elif lacking:
+                    problems.append(
+                        f"{lacking} of {len(carriers)} {span_name!r} spans lack {attr!r}"
+                    )
         if problems:
             status = 1
             print(f"{path}: INVALID")
