@@ -664,8 +664,8 @@ class IngestState:
         if self._screens.exhausted:
             return
         with obs.span("ingest.chunk", start=start, size=len(chunk)) as span:
-            rechecked, exact = self._screens.screen(self.counting, chunk)
-            span.set(rechecked=rechecked, exact=exact)
+            rechecked, exact, heads = self._screens.screen(self.counting, chunk)
+            span.set(rechecked=rechecked, exact=exact, heads=heads)
 
 
 class ChunkScreen:
@@ -709,14 +709,15 @@ class ChunkScreen:
         """Whether every candidate has reached capacity."""
         return self._blind.exhausted and all(s.exhausted for s in self._groups.values())
 
-    def screen(self, metric: Metric, chunk: StreamChunk) -> Tuple[int, bool]:
+    def screen(self, metric: Metric, chunk: StreamChunk) -> Tuple[int, bool, int]:
         """Screen one chunk through every non-full candidate.
 
         An accepted row is materialised once, however many levels accept
         it, so every candidate holding it holds the same element object.
-        Returns ``(rechecked, exact)`` over the chunk's union screens: the
-        rows their exact rechecks decided, summed, and whether any of them
-        decided the chunk on the exact distance matrix.
+        Returns ``(rechecked, exact, heads)`` over the chunk's union
+        screens: the rows their exact rechecks decided, summed; whether any
+        of them decided the chunk on the exact distance matrix; and the
+        head rows their resolves evaluated, summed.
         """
         made: Dict[int, Element] = {}
 
@@ -727,20 +728,21 @@ class ChunkScreen:
                 element = made[position] = chunk.element(position)
             return element
 
-        rechecked, exact = 0, False
+        rechecked, exact, heads = 0, False, 0
         if not self._blind.exhausted:
-            rechecked, exact = self._blind.process(metric, chunk.vectors, element_at)
+            rechecked, exact, heads = self._blind.process(metric, chunk.vectors, element_at)
         for group, screen in self._groups.items():
             if screen.exhausted:
                 continue
             positions = np.nonzero(chunk.codes == group)[0]
             if positions.size:
-                rows, whole = screen.process(
+                rows, whole, evaluated = screen.process(
                     metric, chunk.vectors[positions], lambda i: element_at(int(positions[i]))
                 )
                 rechecked += rows
                 exact |= whole
-        return rechecked, exact
+                heads += evaluated
+        return rechecked, exact, heads
 
 
 class _UnionScreen:
@@ -837,13 +839,15 @@ class _UnionScreen:
         metric: Metric,
         vectors: np.ndarray,
         element_at: Callable[[int], Element],
-    ) -> Tuple[int, bool]:
+    ) -> Tuple[int, bool, int]:
         """Screen one chunk and resolve each candidate's survivors.
 
         ``element_at(i)`` materialises the element of chunk row ``i``; it
-        is called only for accepted rows.  Returns ``(rechecked, exact)``
-        of the metric's radius screen: the rows its exact recheck decided,
-        and whether the chunk was decided on the exact distance matrix.
+        is called only for accepted rows.  The candidates' resolves read
+        their distances off one :class:`_HeadRows` table of the chunk.
+        Returns ``(rechecked, exact, heads)``: the rows the radius screen's
+        exact recheck decided, whether the screen decided the chunk on the
+        exact distance matrix, and the head rows the resolves evaluated.
         """
         version = (len(self.candidates), sum(len(c) for c in self.candidates))
         if version != self._version:
@@ -860,6 +864,7 @@ class _UnionScreen:
             if charge is not None:
                 charge(len(vectors) * (self._total_members - len(self._union)))
             hits = survives.any(axis=1).tolist()
+        heads = _HeadRows(metric, vectors)
         filled = False
         for candidate, level in zip(self.candidates, self._level_of):
             if level is None:
@@ -868,8 +873,50 @@ class _UnionScreen:
                 survivors = np.nonzero(survives[level])[0]
             else:
                 continue
-            candidate._resolve_survivors(vectors, survivors, element_at)
+            candidate._resolve_survivors(vectors, survivors, element_at, heads)
             filled |= candidate.is_full
         if filled:
             self.candidates = [c for c in self.candidates if not c.is_full]
-        return rechecked, exact
+        return rechecked, exact, len(heads)
+
+
+class _HeadRows:
+    """One chunk's resolve distances, each (head, row) pair evaluated once.
+
+    Every chunk row that heads a resolve round gets one distance row over
+    the chunk, filled on demand: a round reads its alive rows' entries and
+    evaluates only those no earlier round with the same head needed.  The
+    guess levels of a chunk share most heads — every empty level of a first
+    chunk starts at row 0 — so they share the arithmetic.  Entries come from
+    :meth:`~repro.metrics.base.Metric._head_distances`, whose entries depend
+    on their own row only, so a round reads exactly what its own kernel call
+    would return, and no round evaluates more than its alive rows.  Every
+    head is a row some level accepts, so the table holds at most one
+    chunk-long row per distinct row the chunk adds to the candidates.
+    """
+
+    __slots__ = ("_metric", "_vectors", "_rows")
+
+    def __init__(self, metric: Metric, vectors: np.ndarray) -> None:
+        self._metric = metric
+        self._vectors = vectors
+        self._rows: Dict[int, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        """The head rows evaluated so far."""
+        return len(self._rows)
+
+    def __call__(self, head: int, alive: np.ndarray) -> np.ndarray:
+        """Distances from chunk row ``head`` to the chunk rows ``alive``."""
+        row = self._rows.get(head)
+        if row is None:
+            # A negative entry is one not evaluated yet (distances are not
+            # negative; one that is would just be evaluated again).
+            row = self._rows[head] = np.full(len(self._vectors), -1.0)
+        distances = row[alive]
+        missing = distances < 0.0
+        if np.count_nonzero(missing):
+            rows = alive[missing]
+            fresh = self._metric._head_distances(self._vectors[head], self._vectors[rows])
+            row[rows] = distances[missing] = fresh
+        return distances

@@ -14,8 +14,10 @@ Two update paths exist:
   ingestion engine (:mod:`repro.core.base`): a whole chunk is screened
   against the pre-chunk members of every guess level at once by the union
   screen, and only the survivors (typically few once the candidate fills)
-  are resolved here, round by round.  Elements are only materialised for
-  the rows actually accepted.
+  are resolved here, round by round.  The rounds read their distances off
+  the engine's per-chunk table of head rows, which every guess level
+  shares, rather than calling the metric.  Elements are only materialised
+  for the rows actually accepted.
 
 Both produce the identical accepted set for the same arrival order — an
 element rejected against a prefix of the members can never be accepted
@@ -191,37 +193,49 @@ class Candidate:
         self._append_member(element)
         return True
 
-    def _resolve_survivors(self, vectors, survivor_indices, materialise) -> int:
+    def _resolve_survivors(self, vectors, survivor_indices, materialise, head_distances) -> int:
         """Accept pre-screened chunk survivors, resolving them against each other.
 
         ``survivor_indices`` (ascending positions into ``vectors``) are the
         chunk elements at distance at least ``µ`` from every *pre-chunk*
         member.  The rule implemented here is round-based: the first alive
         survivor is accepted (nothing accepted this chunk is close to it),
-        one batched distance computation then eliminates every remaining
-        survivor within ``µ`` of it, and the process repeats until capacity
-        or exhaustion.
+        its distances to the remaining survivors then eliminate every one
+        within ``µ`` of it, and the process repeats until capacity or
+        exhaustion.
 
         This accepts exactly the elements the element-at-a-time
         :meth:`offer` loop would: by induction, the alive list holds the
         survivors at distance ``>= µ`` from everything accepted so far, so
         its head is precisely the next element the sequential scan accepts,
         and the ones skipped between two accepted heads are precisely the
-        ones the sequential scan rejects.  One distance computation per
-        *accepted* element (at most ``capacity`` per chunk) replaces one
-        per surviving element — the schedule changes, the decisions do not.
+        ones the sequential scan rejects.  One round per *accepted* element
+        (at most ``capacity`` per chunk) replaces one distance scan per
+        surviving element — the schedule changes, the decisions do not.
+
+        ``head_distances(head, alive)`` returns the distances from chunk
+        row ``head`` to the chunk rows ``alive``, each equal to what
+        ``distances_to(vectors[head], vectors[alive])`` returns.  The
+        ingestion engine reads them off a per-chunk table that every guess
+        level shares, so the metric is not called here.  The rounds'
+        ``len(alive)`` distances are charged through the metric's
+        ``charge``, so the count stays that of one kernel call per round.
         """
-        accepted = 0
+        room = self.capacity - len(self._elements)
+        accepted = charged = 0
         alive = survivor_indices
-        while alive.size and not self.is_full:
+        while alive.size and accepted < room:
             index = int(alive[0])
             self._append_member(materialise(index), row=vectors[index])
             accepted += 1
             alive = alive[1:]
-            if not alive.size or self.is_full:
+            if not alive.size or accepted == room:
                 break
-            distances = self.metric.distances_to(vectors[index], vectors[alive])
-            alive = alive[distances >= self.mu]
+            charged += alive.size
+            alive = alive[head_distances(index, alive) >= self.mu]
+        charge = getattr(self.metric, "charge", None)
+        if charged and charge is not None:
+            charge(charged)
         return accepted
 
     # ------------------------------------------------------------------

@@ -20,7 +20,11 @@ The streaming ingestion engine screens every chunk through the private
 radius screen :meth:`Metric._radius_screen`, whatever the metric.  Its
 base implementation is the exact matrix, one :meth:`Metric.pairwise`
 call; a metric may override it with a faster route whose decisions equal
-that matrix's (the Euclidean metric does).
+that matrix's (the Euclidean metric does).  The in-chunk resolve after
+the screen evaluates its distances through the private
+:meth:`Metric._head_distances`, :meth:`distances_to` by default, and
+reads subsets of them, so every entry of :meth:`distances_to` must
+depend on its own row only.
 
 The mathematical requirements — non-negativity, symmetry, identity of
 indiscernibles, and the triangle inequality — are not enforced at runtime
@@ -173,6 +177,19 @@ class Metric(ABC):
         """
         by_member = np.ascontiguousarray(self.pairwise(X, union).T)
         return _level_minima(by_member, columns) >= mus[:, None], 0, True
+
+    def _head_distances(self, point: Any, X: Any) -> np.ndarray:
+        """:meth:`distances_to` as the engine's in-chunk resolve evaluates it.
+
+        The resolve evaluates each row that heads one of its rounds once
+        per chunk and shares the entries between guess levels, reading a
+        subset of them in every round.  It relies on entry ``i`` depending
+        on ``X[i]`` alone, so a subset's entries equal what
+        :meth:`distances_to` returns for the subset; every shipped metric
+        keeps to this.  The resolve charges each round's distances itself,
+        so a counting wrapper forwards this hook uncounted.
+        """
+        return self.distances_to(point, X)
 
     def __call__(self, x: Any, y: Any) -> float:
         """Alias for :meth:`distance` so metrics can be used as callables."""

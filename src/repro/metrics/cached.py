@@ -78,6 +78,10 @@ class CountingMetric(Metric):
         self.calls += len(X) * len(union)
         return result
 
+    def _head_distances(self, point: Any, X: Any) -> np.ndarray:
+        """The wrapped metric's resolve distances (not counted: each round is charged)."""
+        return self.inner._head_distances(point, X)
+
     def charge(self, count: int) -> None:
         """Add ``count`` nominal distance evaluations to the counter.
 

@@ -385,8 +385,11 @@ class CosineDistanceMetric(Metric):
         pnorm = float(np.linalg.norm(p))
         if pnorm == 0.0:
             return np.where(norms == 0.0, 0.0, 1.0)
+        # einsum rather than BLAS ``A @ p``: a BLAS product's entry for one
+        # row can depend on the rows around it, and the engine's in-chunk
+        # resolve needs every entry to depend on its own row only.
         with np.errstate(divide="ignore", invalid="ignore"):
-            cosine = (A @ p) / (norms * pnorm)
+            cosine = np.einsum("ij,j->i", A, p) / (norms * pnorm)
         result = 1.0 - np.clip(cosine, -1.0, 1.0)
         result[norms == 0.0] = 1.0
         return result

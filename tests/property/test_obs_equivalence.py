@@ -145,6 +145,27 @@ def test_chunk_spans_record_the_screen_recheck_and_exact_fallback():
     assert sum(attrs["rechecked"] for attrs in chunks.values()) > 0
 
 
+def test_chunk_spans_count_the_head_rows_the_resolve_evaluated():
+    """``ingest.chunk`` says how many head rows its in-chunk resolve evaluated.
+
+    The first chunk after the warm-up meets every guess level empty, so
+    every level resolves it in full; later chunks resolve few rounds.
+    """
+    features, groups = _array_data(synthetic_blobs(n=3000, m=2, seed=7))
+    options = dict(k=10, groups=groups, algorithm="SFDM2", batch_size=256)
+    untraced = repro.solve(features, **options)
+    sink = MemorySink()
+    traced = repro.solve(features, trace=sink, **options)
+    assert traced.solution.uids == untraced.solution.uids
+    assert traced.solution.diversity == untraced.solution.diversity
+    assert traced.stats.total_distance_computations == untraced.stats.total_distance_computations
+    chunks = sorted(sink.spans("ingest.chunk"), key=lambda span: span["attrs"]["start"])
+    heads = [span["attrs"]["heads"] for span in chunks]
+    assert chunks[0]["attrs"]["start"] == 0
+    assert all(isinstance(count, int) for count in heads)
+    assert heads[0] > max(heads[1:])
+
+
 def test_sfdm2_guess_spans_record_the_intersection(dataset):
     """One ``sfdm2.guess`` span per eligible guess, carrying its pool, clusters and paths."""
     sink = MemorySink()

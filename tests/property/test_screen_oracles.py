@@ -9,9 +9,10 @@ Each test checks one primitive against an oracle over a grid of metrics
 and dimensions 1 through 16:
 
 * routes that evaluate the same kernel on the same operands (the
-  store-indexed kernels, the chunked pairwise loop) must agree *bitwise*,
-  and the union screen of the ingestion engine must decide as one screen
-  per level does;
+  store-indexed kernels, the chunked pairwise loop, ``distances_to`` on a
+  subset of rows) must agree *bitwise*, and the union screen of the
+  ingestion engine, whose levels share their in-chunk head rows, must
+  decide as one screen per level and as the sequential ``offer`` do;
 * routes that evaluate the scalar ``Metric.distance`` instead must agree
   to ``1e-9``, and screens at radii away from any evaluated distance must
   take identical decisions;
@@ -31,12 +32,14 @@ import zlib
 import numpy as np
 import pytest
 
+from repro import SFDM2, equal_representation, synthetic_blobs
 from repro.baselines.gmm import gmm_elements
 from repro.core.base import _UnionScreen
 from repro.core.candidate import Candidate
 from repro.data.element import Element
 from repro.data.store import ElementStore
 from repro.metrics import vector as vector_module
+from repro.metrics.base import CallableMetric
 from repro.metrics.cached import CountingMetric
 from repro.metrics.vector import (
     AngularMetric,
@@ -207,6 +210,23 @@ class TestKernelOracles:
             assert not exact
             assert rechecked >= (16 if case == "planted" else 1)
 
+    def test_distances_to_entries_depend_on_their_own_row_only(self, metric, dim):
+        # The in-chunk resolve reads a round's distances off rows evaluated
+        # for other subsets of the chunk, which is exact only if entry i
+        # depends on row i alone.
+        M = _cloud(metric, seed=dim + 29, n=60, dim=dim, duplicates=True)
+        rng = np.random.default_rng(dim)
+        subsets = [np.array([row]) for row in (0, 31, 59)]
+        subsets += [np.sort(rng.choice(60, size=size, replace=False)) for size in (2, 7, 30, 59)]
+        subsets.append(rng.integers(0, 60, size=40))
+        outside = _cloud(metric, seed=dim + 31, n=1, dim=dim)[0]
+        counting = CountingMetric(metric)
+        for point in (M[0], M[17], outside):
+            full = metric.distances_to(point, M)
+            for subset in subsets:
+                assert np.array_equal(metric.distances_to(point, M[subset]), full[subset])
+                assert np.array_equal(counting._head_distances(point, M[subset]), full[subset])
+
     def test_distances_idx_bitwise_equals_distances_to(self, metric, dim):
         M = _cloud(metric, seed=dim + 13, n=40, dim=dim)
         store = ElementStore(M, np.arange(40) % 3)
@@ -256,6 +276,8 @@ class TestKernelOracles:
                 )[0],
                 7 * 20,
             ),
+            # The resolve charges its rounds itself; the hook is not counted.
+            (lambda m: m._head_distances(M[0], M[3:19]), 0),
         ]
         for route, charge in routes:
             before = counting.calls
@@ -304,6 +326,44 @@ class TestEngineOracles:
             assert [e.uid for e in union_level] == [e.uid for e in single_level]
         # The shared columns are charged once per level, as separate screens are.
         assert union_counting.calls == level_counting.calls
+
+    def test_first_chunk_of_empty_levels_matches_sequential_offer(self, metric, dim):
+        # Every level starts empty, so all of them resolve the first chunk in
+        # full and share their head rows: the case the head-row table serves.
+        # Shuffled levels make later rounds ask for entries an earlier round
+        # with the same head did not need.
+        n = 192
+        M = _cloud(metric, seed=dim + 90, n=n, dim=dim, duplicates=True)
+        elements = _elements(M)
+        radii = _radii(_oracle(metric, M[:64], M[:64]), quantiles=np.linspace(0.02, 0.98, 24))
+        levels = [(mu, 1 + level % 12) for level, mu in enumerate(radii)]
+        levels = [levels[i] for i in np.random.default_rng(dim).permutation(len(levels))]
+        shared_counting, single_counting = CountingMetric(metric), CountingMetric(metric)
+        shared = [Candidate(mu=mu, capacity=cap, metric=shared_counting) for mu, cap in levels]
+        singles = [Candidate(mu=mu, capacity=cap, metric=single_counting) for mu, cap in levels]
+        sequential = [Candidate(mu=mu, capacity=cap, metric=metric) for mu, cap in levels]
+        union = _UnionScreen(list(shared))
+        per_level = [_UnionScreen([candidate]) for candidate in singles]
+        for start in range(0, n, 64):
+            rows = M[start : start + 64]
+            if not union.exhausted:
+                _, _, heads = union.process(shared_counting, rows, _at(elements, start))
+            single_heads = sum(
+                screen.process(single_counting, rows, _at(elements, start))[2]
+                for screen in per_level
+                if not screen.exhausted
+            )
+            if start == 0:
+                # Heads are accepted rows, each evaluated once for all levels.
+                accepted = {id(e) for candidate in shared for e in candidate}
+                assert 0 < heads <= min(len(accepted), single_heads)
+        for element in elements:
+            for candidate in sequential:
+                candidate.offer(element)
+        for via_union, via_single, oracle in zip(shared, singles, sequential):
+            assert [id(e) for e in via_union] == [id(e) for e in oracle]
+            assert [id(e) for e in via_single] == [id(e) for e in oracle]
+        assert shared_counting.calls == single_counting.calls
 
     def test_farthest_point_store_and_list_routes_agree(self, metric, dim):
         M = _cloud(metric, seed=dim + 60, n=80, dim=dim, duplicates=True)
@@ -360,3 +420,57 @@ class TestDegenerateInputs:
         assert np.array_equal(metric.distances_to(flat[0], flat), metric.distances_to(values[0], values))
         store = ElementStore(flat, np.zeros(9, dtype=int))
         assert np.array_equal(store.features, values)
+
+
+#: Distance evaluations an SFDM2 run charges on ``synthetic_blobs(n=3000,
+#: m=2, seed=7)`` with k=10, per chunk size: every level's screen in full
+#: and ``len(alive)`` per resolve round, as if each round were its own
+#: kernel call.
+PER_ROUND_CHARGES = {64: 596_901, 256: 762_062}
+
+
+@pytest.mark.parametrize("batch_size", sorted(PER_ROUND_CHARGES))
+def test_resolve_evaluates_no_more_scalar_distances_than_its_rounds(batch_size, monkeypatch):
+    """Shared head rows never cost a scalar metric more than a kernel call per round would.
+
+    Each ``(head, row)`` pair is evaluated at most once per chunk, so in
+    every union screen the metric's own calls during the resolve stay
+    within the rounds' charged distances, and fall below them where guess
+    levels share heads.  The charged counts are unaffected by the sharing.
+    """
+    calls = [0]
+    euclidean = EuclideanMetric()
+
+    def counted(x, y):
+        calls[0] += 1
+        return euclidean.distance(x, y)
+
+    ledger = []
+    process = _UnionScreen.process
+
+    def recorded(screen, metric, vectors, element_at):
+        # The screen evaluates chunk x union and charges chunk x members.
+        members = [id(member) for candidate in screen.candidates for member in candidate]
+        own, charged = calls[0], metric.calls
+        result = process(screen, metric, vectors, element_at)
+        ledger.append((
+            calls[0] - own - len(vectors) * len(set(members)),
+            metric.calls - charged - len(vectors) * len(members),
+            result[2],
+        ))
+        return result
+
+    monkeypatch.setattr(_UnionScreen, "process", recorded)
+    dataset = synthetic_blobs(n=3000, m=2, seed=7)
+    constraint = equal_representation(k=10, groups=dataset.group_sizes().keys())
+    algorithm = SFDM2(
+        metric=CallableMetric(counted), constraint=constraint, batch_size=batch_size
+    )
+    stats = algorithm.run(dataset.elements).stats
+    assert (
+        stats.stream_distance_computations + stats.postprocess_distance_computations
+        == PER_ROUND_CHARGES[batch_size]
+    )
+    assert all(evaluated <= rounds for evaluated, rounds, _ in ledger)
+    assert all(evaluated == 0 for evaluated, _, heads in ledger if not heads)
+    assert sum(evaluated for evaluated, _, _ in ledger) < sum(rounds for _, rounds, _ in ledger)
