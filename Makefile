@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast cov golden bench-smoke bench-parallel bench-hot bench-window bench-obs bench-serving bench-quality serve-smoke trace-smoke perf-gate docs-check api-check api-surface ci
+.PHONY: test test-fast cov doctest golden bench-smoke bench-parallel bench-hot bench-window bench-obs bench-serving bench-quality serve-smoke trace-smoke perf-gate docs-check api-check api-surface ci
 
 ## Run the full test suite (tier-1 gate).
 test:
@@ -21,6 +21,11 @@ test-fast:
 ## coverage improves, never lower it).
 cov:
 	$(PYTHON) tools/coverage_gate.py
+
+## Run the examples in the package's docstrings (the quickstart in
+## repro/__init__.py and the CallableMetric example).
+doctest:
+	$(PYTHON) -m pytest --doctest-modules src/repro -q
 
 ## Regenerate the golden-pin file (tests/golden/solutions.json) after an
 ## intentional algorithm behaviour change; commit the JSON diff.
@@ -149,7 +154,7 @@ api-surface:
 	$(PYTHON) tools/check_api_surface.py --write
 
 ## One-command PR gate: tests, docstring completeness, API-surface drift,
-## the line-coverage gate, the smoke-scale benchmark pass, the traced-run
-## schema smoke, the serving end-to-end smoke, and the perf-regression
-## gate.
-ci: test docs-check api-check cov bench-smoke trace-smoke serve-smoke perf-gate
+## the line-coverage gate, the docstring examples, the smoke-scale
+## benchmark pass, the traced-run schema smoke, the serving end-to-end
+## smoke, and the perf-regression gate.
+ci: test docs-check api-check cov doctest bench-smoke trace-smoke serve-smoke perf-gate

@@ -15,9 +15,9 @@ The package exposes:
 * the offline baselines ``gmm``, ``fair_swap``, ``fair_flow``, ``fair_gmm``;
 * the sharded parallel engine :class:`ParallelFDM` with its serial /
   thread / process execution backends;
-* the windowing layer: window policies, lazy windowed streams, and the
-  incremental sliding-window algorithm :class:`SlidingWindowFDM` (with
-  the block-summary baseline :class:`CheckpointedWindowFDM`);
+* the windowing layer: the incremental sliding-window algorithm
+  :class:`SlidingWindowFDM` (with the block-summary baseline
+  :class:`CheckpointedWindowFDM`);
 * the supporting substrates: metrics, streams, fairness constraints,
   matroids (with matroid intersection), max-flow, datasets, and an
   experiment harness.
@@ -89,16 +89,7 @@ from repro.parallel import (
 )
 from repro.data import ElementStore
 from repro.streaming import DataStream, Element, StreamStats, iter_batches, stream_from_arrays
-from repro.windowing import (
-    CheckpointedWindowFDM,
-    LandmarkWindowPolicy,
-    SlidingWindowFDM,
-    SlidingWindowPolicy,
-    SlidingWindowStream,
-    TumblingWindowPolicy,
-    WindowPolicy,
-    WindowedStream,
-)
+from repro.windowing import CheckpointedWindowFDM, SlidingWindowFDM
 from repro.api import (
     AlgorithmInfo,
     Capabilities,
@@ -191,12 +182,6 @@ __all__ = [
     # windowing layer
     "SlidingWindowFDM",
     "CheckpointedWindowFDM",
-    "WindowPolicy",
-    "SlidingWindowPolicy",
-    "TumblingWindowPolicy",
-    "LandmarkWindowPolicy",
-    "WindowedStream",
-    "SlidingWindowStream",
     # data layer + streaming
     "Element",
     "ElementStore",

@@ -17,12 +17,8 @@ from repro.evaluation.harness import (
     default_algorithms,
 )
 from repro.evaluation.reporting import format_table, records_to_rows, write_csv
-from repro.evaluation.plots import bar_chart, series_chart, sparkline
 
 __all__ = [
-    "bar_chart",
-    "series_chart",
-    "sparkline",
     "diversity",
     "fairness_violation",
     "optimum_upper_bound",

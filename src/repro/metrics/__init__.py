@@ -23,7 +23,7 @@ from repro.metrics.vector import (
     cosine,
     hamming,
 )
-from repro.metrics.cached import CachedMetric, CountingMetric
+from repro.metrics.cached import CountingMetric
 from repro.metrics.matrix import PrecomputedMetric
 from repro.metrics.space import (
     MetricSpace,
@@ -48,7 +48,6 @@ __all__ = [
     "angular",
     "cosine",
     "hamming",
-    "CachedMetric",
     "CountingMetric",
     "PrecomputedMetric",
     "MetricSpace",

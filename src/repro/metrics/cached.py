@@ -1,23 +1,17 @@
-"""Metric decorators: memoisation and distance-evaluation counting.
+"""Metric decorator for distance-evaluation counting.
 
 The paper reports per-element update cost in terms of *distance
 computations*; :class:`CountingMetric` lets the harness and the tests verify
-the ``O(k log(Delta)/eps)`` accounting empirically.  :class:`CachedMetric`
-memoises repeated pairs, which matters for the offline baselines that probe
-the same pairs many times.
+the ``O(k log(Delta)/eps)`` accounting empirically.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Any, Dict, Hashable, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import obs
 from repro.metrics.base import Metric
-
-_LOGGER = obs.get_logger("metrics")
 
 
 class CountingMetric(Metric):
@@ -100,112 +94,3 @@ class CountingMetric(Metric):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CountingMetric({self.inner!r}, calls={self.calls})"
-
-
-class CachedMetric(Metric):
-    """Memoises distances keyed on caller-provided hashable identifiers.
-
-    Vector payloads (numpy arrays) are not hashable, so callers that want
-    caching pass a ``key`` function mapping a payload to a hashable id — the
-    algorithms in this library use the element identifier.  When no key is
-    available the metric falls through to the inner metric uncached.
-
-    The memo dictionary is **bounded**: once ``maxsize`` entries are cached
-    the least-recently-used pair is evicted to admit a new one, so long
-    offline-baseline runs (which probe ``O(n·k)`` distinct pairs) hold the
-    working set rather than every pair ever seen.  Pass ``maxsize=None``
-    for the old unbounded behaviour.  :meth:`stats` reports hit/miss/
-    eviction counters and the current occupancy.
-    """
-
-    #: Default memo capacity (entries).  A float plus its two-tuple key
-    #: costs ~150 bytes, so the default bounds the cache near 150 MB.
-    DEFAULT_MAXSIZE = 1 << 20
-
-    def __init__(self, inner: Metric, maxsize: Optional[int] = DEFAULT_MAXSIZE) -> None:
-        self.inner = inner
-        self.name = f"cached({inner.name})"
-        if maxsize is not None and maxsize < 1:
-            raise ValueError(f"maxsize must be positive or None, got {maxsize}")
-        self.maxsize = maxsize
-        self._cache: "OrderedDict[Tuple[Hashable, Hashable], float]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @property
-    def supports_batch(self) -> bool:
-        """Whether the wrapped metric has vectorized batch kernels."""
-        return self.inner.supports_batch
-
-    def distance(self, x: Any, y: Any) -> float:
-        """Uncached distance via the wrapped metric (no key available)."""
-        return self.inner.distance(x, y)
-
-    def distances_to(self, point: Any, X: Any) -> np.ndarray:
-        """Batched distances via the wrapped metric (bypasses the cache)."""
-        return self.inner.distances_to(point, X)
-
-    def pairwise(self, X: Any, Y: Optional[Any] = None) -> np.ndarray:
-        """Batched distance matrix via the wrapped metric (bypasses the cache)."""
-        return self.inner.pairwise(X, Y)
-
-    def distance_keyed(self, key_x: Hashable, x: Any, key_y: Hashable, y: Any) -> float:
-        """Distance between payloads ``x``/``y`` memoised under ``(key_x, key_y)``.
-
-        A cache hit refreshes the pair's recency; a miss computes the
-        distance, inserts it, and — at capacity — evicts the least recently
-        used pair.
-        """
-        if key_x == key_y:
-            return 0.0
-        cache_key = (key_x, key_y) if key_x <= key_y else (key_y, key_x)
-        cached = self._cache.get(cache_key)
-        if cached is not None:
-            self.hits += 1
-            self._cache.move_to_end(cache_key)
-            return cached
-        self.misses += 1
-        value = self.inner.distance(x, y)
-        if self.maxsize is not None and len(self._cache) >= self.maxsize:
-            self._cache.popitem(last=False)
-            self.evictions += 1
-            if self.evictions == 1:
-                _LOGGER.warning(
-                    "%s reached capacity (%d entries); evicting least-recently-"
-                    "used pairs from here on — repeated probes of evicted pairs "
-                    "recompute their distances",
-                    self.name,
-                    self.maxsize,
-                )
-        self._cache[cache_key] = value
-        return value
-
-    def stats(self) -> Dict[str, float]:
-        """Occupancy and effectiveness counters for the memo dictionary.
-
-        Also mirrors the counters into the process-local obs registry as
-        ``repro.metric.cache.*`` gauges when tracing is enabled, so a
-        traced run's cache effectiveness lands next to its spans.
-        """
-        lookups = self.hits + self.misses
-        data = {
-            "size": len(self._cache),
-            "capacity": float("inf") if self.maxsize is None else self.maxsize,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hits / lookups if lookups else 0.0,
-        }
-        obs.gauges("repro.metric.cache", data)
-        return data
-
-    def clear(self) -> None:
-        """Drop all memoised entries and reset hit/miss/eviction counters."""
-        self._cache.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._cache)

@@ -10,12 +10,12 @@
   disabled path is a no-op fast path cheap enough for hot chunk loops.
 * **Metrics** — a process-local :class:`~repro.obs.metrics.MetricsRegistry`
   of named counters/gauges/histograms fed at run boundaries
-  (:func:`count`/:func:`gauge`/:func:`observe`/:func:`gauges`, all no-ops
-  while tracing is disabled).
+  (:func:`count`/:func:`gauge`/:func:`observe`, all no-ops while tracing
+  is disabled).
 * **Logging** — the package-level ``logging.getLogger("repro")`` with a
   ``NullHandler`` (silent by default, per library convention); engine
-  layers route warning-worthy events (clamped window ``blocks``,
-  metric-cache eviction) through :func:`get_logger`.
+  layers route warning-worthy events (clamped window ``blocks``) through
+  :func:`get_logger`.
 
 Enable tracing globally with :func:`configure`, for one scope with
 :func:`tracing`, per call with ``repro.solve(..., trace=...)``, per
@@ -27,7 +27,7 @@ standard library, so every engine layer can depend on it without cycles.
 from __future__ import annotations
 
 import logging
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Optional, Union
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.sinks import JsonlSink, MemorySink, Sink, StderrSink
@@ -55,7 +55,6 @@ __all__ = [
     "count",
     "gauge",
     "observe",
-    "gauges",
 ]
 
 #: Package logger: silent unless the embedding application attaches a
@@ -144,16 +143,3 @@ def observe(name: str, value: Union[int, float]) -> None:
     """Fold one observation into the named histogram (no-op when disabled)."""
     if _TRACER.enabled:
         _METRICS.histogram(name).observe(value)
-
-
-def gauges(prefix: str, values: Mapping[str, Any]) -> None:
-    """Set ``<prefix>.<key>`` gauges for every numeric item in ``values``.
-
-    Non-numeric values (for example a string in
-    :attr:`StreamStats.extra`) are skipped; booleans count as numeric.
-    """
-    if not _TRACER.enabled:
-        return
-    for key, value in values.items():
-        if isinstance(value, (int, float)):
-            _METRICS.gauge(f"{prefix}.{key}").set(value)

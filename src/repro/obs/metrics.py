@@ -5,9 +5,8 @@ tracer (:mod:`repro.obs.trace`) records *where time went* inside one run,
 the registry accumulates *how much work happened* across every run in the
 process.  The engine feeds it at run-finalization boundaries —
 :meth:`repro.streaming.stats.StreamStats.publish` after each
-:meth:`StreamingAlgorithm.run`, :meth:`repro.metrics.cached.CachedMetric.stats`
-for cache occupancy — alongside (never instead of) the private fields the
-existing accounting tests pin.
+:meth:`StreamingAlgorithm.run` — alongside (never instead of) the private
+fields the existing accounting tests pin.
 
 Instruments are deliberately minimal.  Updates are plain attribute
 arithmetic guarded by the tracer's enabled flag at the call sites, so the

@@ -8,8 +8,8 @@ from repro.utils.errors import (
     EmptyStreamError,
     NoFeasibleSolutionError,
 )
-from repro.utils.rng import ensure_rng, spawn_rngs
-from repro.utils.timer import Timer, StageTimer
+from repro.utils.rng import ensure_rng
+from repro.utils.timer import Timer
 from repro.utils.validation import (
     require,
     require_positive_int,
@@ -25,9 +25,7 @@ __all__ = [
     "EmptyStreamError",
     "NoFeasibleSolutionError",
     "ensure_rng",
-    "spawn_rngs",
     "Timer",
-    "StageTimer",
     "require",
     "require_positive_int",
     "require_in_open_interval",

@@ -8,7 +8,7 @@ calls ``numpy.random.default_rng`` directly with ad-hoc conventions.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -30,22 +30,6 @@ def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.SeedSequence):
         return np.random.default_rng(seed)
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: SeedLike, count: int) -> List[np.random.Generator]:
-    """Derive ``count`` statistically independent generators from ``seed``.
-
-    Useful when an experiment needs one generator per repetition so that
-    repetitions remain reproducible independently of each other.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    if isinstance(seed, np.random.Generator):
-        # Derive children by drawing fresh seeds from the provided generator.
-        seeds = seed.integers(0, 2**63 - 1, size=count)
-        return [np.random.default_rng(int(s)) for s in seeds]
-    sequence = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in sequence.spawn(count)]
 
 
 def derive_seed(seed: Optional[int], salt: int) -> Optional[int]:

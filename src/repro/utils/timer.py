@@ -1,15 +1,15 @@
-"""Lightweight wall-clock timers used by the algorithms and the harness.
+"""Lightweight wall-clock timer used by the algorithms and the harness.
 
 The paper reports *average update time* (stream-processing time divided by
 the number of elements) and *post-processing time* separately, so the
-algorithms need a timer that can account for named stages.
+runners time each stage with its own :class:`Timer`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from typing import Iterator, Optional
 from contextlib import contextmanager
 
 
@@ -51,41 +51,3 @@ class Timer:
             yield self
         finally:
             self.stop()
-
-
-class StageTimer:
-    """Accumulates elapsed wall-clock time for named stages.
-
-    Example
-    -------
-    >>> stages = StageTimer()
-    >>> with stages.stage("stream"):
-    ...     pass
-    >>> with stages.stage("postprocess"):
-    ...     pass
-    >>> sorted(stages.totals())
-    ['postprocess', 'stream']
-    """
-
-    def __init__(self) -> None:
-        self._timers: Dict[str, Timer] = {}
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[Timer]:
-        """Measure one stage; nested/different stages can interleave freely."""
-        timer = self._timers.setdefault(name, Timer())
-        with timer.measure():
-            yield timer
-
-    def elapsed(self, name: str) -> float:
-        """Total seconds recorded for stage ``name`` (0.0 if never entered)."""
-        timer = self._timers.get(name)
-        return timer.elapsed if timer is not None else 0.0
-
-    def totals(self) -> Dict[str, float]:
-        """Mapping of stage name to accumulated seconds."""
-        return {name: timer.elapsed for name, timer in self._timers.items()}
-
-    def total(self) -> float:
-        """Sum of all stages."""
-        return sum(timer.elapsed for timer in self._timers.values())

@@ -1,20 +1,12 @@
-"""Sliding-window fair diversity: policies, windowed streams, and algorithms.
+"""Sliding-window fair diversity algorithms.
 
 The paper names the sliding-window model as its primary future-work
 direction: maintain a fair, diverse subset over only the most recent ``w``
-elements of an unbounded stream.  This package is that model as a
-first-class subsystem:
-
-* **policies** (:mod:`repro.windowing.policy`) — the
-  :class:`WindowPolicy` abstraction with count-based sliding, tumbling,
-  and landmark rules;
-* **streams** (:mod:`repro.windowing.stream`) — :class:`WindowedStream`
-  and :class:`SlidingWindowStream`, lazy iterator adapters that report
-  per-arrival expiry without materialising the source;
-* **algorithms** — the incremental :class:`SlidingWindowFDM` (suffix
-  checkpoints of composable per-group GMM coresets, exact element-level
-  eviction) and the block-summary baseline
-  :class:`CheckpointedWindowFDM` it is benchmarked against.
+elements of an unbounded stream.  This package holds two algorithms for
+that model: the incremental :class:`SlidingWindowFDM` (suffix checkpoints
+of composable per-group GMM coresets, exact element-level eviction) and
+the block-summary baseline :class:`CheckpointedWindowFDM` it is
+benchmarked against.
 
 Both algorithms are registered in the algorithm registry (as
 ``"SlidingWindowFDM"`` and ``"WindowFDM"``), so ``repro.solve(...,
@@ -24,25 +16,10 @@ flags all reach them by name.
 """
 
 from repro.windowing.checkpointed import CheckpointedWindowFDM
-from repro.windowing.policy import (
-    LandmarkWindowPolicy,
-    SlidingWindowPolicy,
-    TumblingWindowPolicy,
-    WindowPolicy,
-    resolve_policy,
-)
 from repro.windowing.sliding import APPROXIMATION_FACTOR, SlidingWindowFDM
-from repro.windowing.stream import SlidingWindowStream, WindowedStream
 
 __all__ = [
     "APPROXIMATION_FACTOR",
     "CheckpointedWindowFDM",
-    "LandmarkWindowPolicy",
     "SlidingWindowFDM",
-    "SlidingWindowPolicy",
-    "SlidingWindowStream",
-    "TumblingWindowPolicy",
-    "WindowPolicy",
-    "WindowedStream",
-    "resolve_policy",
 ]

@@ -139,14 +139,19 @@ def _candidates(state):
 
 
 def _candidate_view(state):
-    """Each candidate with its member objects and a copy of its row buffer."""
+    """Each candidate with its member objects and a copy of its member rows.
+
+    Only the first ``len(candidate)`` rows of the buffer are copied: the
+    rows past them are allocated with ``np.empty`` and never written, so
+    whatever they hold (a NaN included) says nothing about the members.
+    """
     return [
         (
             candidate,
             candidate.metric,
             [id(member) for member in candidate],
             candidate._rows,
-            None if candidate._rows is None else candidate._rows.copy(),
+            None if candidate._rows is None else candidate._rows[: len(candidate)].copy(),
         )
         for candidate in _candidates(state)
     ]
@@ -208,6 +213,19 @@ class TestReadOnlyQueries:
         before = _state_view(state)
         session.solution()
         _assert_state_unchanged(before, state)
+
+    def test_unchanged_check_ignores_unwritten_rows_but_not_members(self):
+        state = self._session(256)._state
+        candidate = next(
+            c for c in _candidates(state)
+            if c._rows is not None and 0 < len(c) < c._rows.shape[0]
+        )
+        candidate._rows[len(candidate):] = np.nan
+        before = _candidate_view(state)
+        _assert_candidates_unchanged(before, state)
+        candidate._rows[0] += 1.0
+        with pytest.raises(AssertionError):
+            _assert_candidates_unchanged(before, state)
 
     def test_pending_partial_chunk_is_screened_into_forks(self):
         session = self._session(250)  # 58 rows past the last whole chunk

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.metrics.base import CallableMetric
-from repro.metrics.cached import CachedMetric, CountingMetric
+from repro.metrics.cached import CountingMetric
 from repro.metrics.matrix import PrecomputedMetric
 from repro.metrics.vector import (
     AngularMetric,
@@ -112,15 +112,6 @@ class TestDecoratorKernels:
         assert CountingMetric(EuclideanMetric()).supports_batch is True
         scalar = CallableMetric(lambda x, y: 0.0)
         assert CountingMetric(scalar).supports_batch is False
-
-    def test_cached_metric_delegates_kernels(self):
-        cached = CachedMetric(ManhattanMetric())
-        assert cached.supports_batch is True
-        X = np.arange(6.0).reshape(3, 2)
-        np.testing.assert_allclose(
-            cached.distances_to(np.zeros(2), X),
-            [m for m in (1.0, 5.0, 9.0)],
-        )
 
     def test_callable_metric_uses_scalar_fallback(self):
         metric = CallableMetric(lambda x, y: abs(float(x[0]) - float(y[0])), name="first-coord")

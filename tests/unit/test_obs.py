@@ -194,20 +194,15 @@ class TestMetrics:
         obs.count("repro.test.c", 3)
         obs.gauge("repro.test.g", 1.0)
         obs.observe("repro.test.h", 2.0)
-        obs.gauges("repro.test", {"a": 1})
         assert obs.get_metrics().snapshot() == {}
         obs.configure(enabled=True)
         obs.count("repro.test.c", 3)
         obs.gauge("repro.test.g", 1.0)
         obs.observe("repro.test.h", 2.0)
-        obs.gauges("repro.test", {"a": 1, "skip_me": "a string", "flag": True})
         snapshot = obs.get_metrics().snapshot()
         assert snapshot["repro.test.c"] == 3
         assert snapshot["repro.test.g"] == 1.0
         assert snapshot["repro.test.h"]["count"] == 1
-        assert snapshot["repro.test.a"] == 1
-        assert snapshot["repro.test.flag"] == 1
-        assert "repro.test.skip_me" not in snapshot
         obs.configure(reset_metrics=True, enabled=False)
 
     def test_stream_stats_publish_feeds_registry_when_enabled(self):

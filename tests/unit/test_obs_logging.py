@@ -1,9 +1,8 @@
 """Tests for the ``repro`` package logging: routed warnings stay visible.
 
 The library is silent by default (``NullHandler`` on the ``repro``
-logger), but two degradations warrant a warning an embedding
-application can surface: a window ``blocks`` request clamped to the
-window length, and the bounded distance cache starting to evict.
+logger), but a window ``blocks`` request clamped to the window length
+warrants a warning an embedding application can surface.
 """
 
 import logging
@@ -13,8 +12,6 @@ import pytest
 import repro
 from repro import obs
 from repro.datasets.synthetic import synthetic_blobs
-from repro.metrics.cached import CachedMetric
-from repro.metrics.vector import euclidean
 
 
 class TestPackageLogger:
@@ -51,24 +48,3 @@ class TestClampedBlocks:
                 dataset, k=4, algorithm="SlidingWindowFDM", seed=1, window=30, blocks=5
             )
         assert not [r for r in caplog.records if r.name == "repro.api"]
-
-
-class TestCacheEvictionWarning:
-    def test_first_eviction_warns_once(self, caplog):
-        metric = CachedMetric(euclidean(), maxsize=2)
-        points = [([float(i)], i) for i in range(4)]
-        with caplog.at_level(logging.WARNING, logger="repro"):
-            for (x, kx), (y, ky) in zip(points, points[1:]):
-                metric.distance_keyed(kx, x, ky, y)
-        assert metric.evictions >= 1
-        warnings = [r for r in caplog.records if r.name == "repro.metrics"]
-        assert len(warnings) == 1
-        assert "capacity" in warnings[0].message
-
-    def test_unbounded_cache_never_warns(self, caplog):
-        metric = CachedMetric(euclidean(), maxsize=None)
-        with caplog.at_level(logging.WARNING, logger="repro"):
-            for i in range(10):
-                metric.distance_keyed(i, [float(i)], i + 1, [float(i + 1)])
-        assert metric.evictions == 0
-        assert not [r for r in caplog.records if r.name == "repro.metrics"]

@@ -1,4 +1,4 @@
-"""Unit tests for the windowing layer: streams, baseline, and incremental FDM."""
+"""Unit tests for the windowing layer: baseline and incremental FDM."""
 
 import itertools
 
@@ -9,12 +9,7 @@ from repro.fairness.constraints import equal_representation
 from repro.metrics.vector import EuclideanMetric
 from repro.data.element import Element
 from repro.utils.errors import InvalidParameterError
-from repro.windowing import (
-    CheckpointedWindowFDM,
-    SlidingWindowFDM,
-    SlidingWindowStream,
-    WindowedStream,
-)
+from repro.windowing import CheckpointedWindowFDM, SlidingWindowFDM
 
 METRIC = EuclideanMetric()
 
@@ -32,62 +27,6 @@ def _element_generator(period=2):
     while True:
         yield Element(uid=i, vector=np.array([float(i % 17), 0.0]), group=i % period)
         i += 1
-
-
-class TestSlidingWindowStream:
-    def test_expiry_sequence(self):
-        stream = SlidingWindowStream(_elements(5), window=2)
-        expired_uids = []
-        for element, expired in stream:
-            expired_uids.extend(e.uid for e in expired)
-        # Elements 0, 1, 2 expire while 3 and 4 remain in the final window.
-        assert expired_uids == [0, 1, 2]
-
-    def test_no_expiry_when_window_large(self):
-        stream = SlidingWindowStream(_elements(4), window=10)
-        assert all(not expired for _, expired in stream)
-
-    def test_len(self):
-        assert len(SlidingWindowStream(_elements(7), window=3)) == 7
-
-    def test_invalid_window(self):
-        with pytest.raises(InvalidParameterError):
-            SlidingWindowStream(_elements(3), window=0)
-
-    def test_generator_source_is_lazy(self):
-        """Regression: an unbounded generator source must not be materialised."""
-        stream = SlidingWindowStream(_element_generator(), window=3)
-        taken = list(itertools.islice(iter(stream), 6))
-        assert [element.uid for element, _ in taken] == [0, 1, 2, 3, 4, 5]
-        assert [[e.uid for e in expired] for _, expired in taken] == [
-            [], [], [], [0], [1], [2],
-        ]
-
-    def test_generator_source_has_no_len(self):
-        stream = SlidingWindowStream(_element_generator(), window=3)
-        with pytest.raises(TypeError, match="unsized"):
-            len(stream)
-        assert stream.__length_hint__() == 0
-
-    def test_truthiness_never_raises(self):
-        """bool() must not fall back to the raising __len__ of unsized streams."""
-        assert bool(SlidingWindowStream(_element_generator(), window=3))
-        assert bool(SlidingWindowStream(_elements(2), window=3))
-
-
-class TestWindowedStreamPolicies:
-    def test_tumbling_expires_whole_buckets(self):
-        stream = WindowedStream(_elements(7), policy="tumbling", window=3)
-        expiries = [[e.uid for e in expired] for _, expired in stream]
-        assert expiries == [[], [], [], [0, 1, 2], [], [], [3, 4, 5]]
-
-    def test_landmark_never_expires(self):
-        stream = WindowedStream(_elements(64), policy="landmark")
-        assert all(not expired for _, expired in stream)
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(InvalidParameterError, match="unknown window policy"):
-            WindowedStream(_elements(3), policy="hopping", window=2)
 
 
 class TestCheckpointedWindowFDM:

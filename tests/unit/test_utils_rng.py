@@ -1,9 +1,8 @@
 """Unit tests for the RNG helpers."""
 
 import numpy as np
-import pytest
 
-from repro.utils.rng import derive_seed, ensure_rng, spawn_rngs
+from repro.utils.rng import derive_seed, ensure_rng
 
 
 class TestEnsureRng:
@@ -27,28 +26,6 @@ class TestEnsureRng:
     def test_seed_sequence_accepted(self):
         rng = ensure_rng(np.random.SeedSequence(7))
         assert isinstance(rng, np.random.Generator)
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 4)) == 4
-
-    def test_children_are_independent_yet_reproducible(self):
-        first = [rng.integers(0, 1000) for rng in spawn_rngs(42, 3)]
-        second = [rng.integers(0, 1000) for rng in spawn_rngs(42, 3)]
-        assert first == second
-
-    def test_children_differ_from_each_other(self):
-        draws = [int(rng.integers(0, 2**31)) for rng in spawn_rngs(7, 5)]
-        assert len(set(draws)) > 1
-
-    def test_negative_count_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_from_generator(self):
-        children = spawn_rngs(np.random.default_rng(3), 2)
-        assert len(children) == 2
 
 
 class TestDeriveSeed:

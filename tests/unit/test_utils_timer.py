@@ -1,10 +1,10 @@
-"""Unit tests for the wall-clock timers."""
+"""Unit tests for the wall-clock timer."""
 
 import time
 
 import pytest
 
-from repro.utils.timer import StageTimer, Timer
+from repro.utils.timer import Timer
 
 
 class TestTimer:
@@ -48,35 +48,3 @@ class TestTimer:
                 raise ValueError("boom")
         assert not timer.running
         assert timer.elapsed >= 0.0
-
-
-class TestStageTimer:
-    def test_records_named_stages(self):
-        stages = StageTimer()
-        with stages.stage("stream"):
-            time.sleep(0.002)
-        with stages.stage("postprocess"):
-            time.sleep(0.002)
-        totals = stages.totals()
-        assert set(totals) == {"stream", "postprocess"}
-        assert all(value > 0 for value in totals.values())
-
-    def test_unknown_stage_elapsed_is_zero(self):
-        assert StageTimer().elapsed("missing") == 0.0
-
-    def test_same_stage_accumulates(self):
-        stages = StageTimer()
-        with stages.stage("work"):
-            time.sleep(0.002)
-        first = stages.elapsed("work")
-        with stages.stage("work"):
-            time.sleep(0.002)
-        assert stages.elapsed("work") > first
-
-    def test_total_sums_all_stages(self):
-        stages = StageTimer()
-        with stages.stage("a"):
-            pass
-        with stages.stage("b"):
-            pass
-        assert stages.total() == pytest.approx(stages.elapsed("a") + stages.elapsed("b"))
