@@ -16,12 +16,14 @@ the same candidate state the one-shot run builds:
   session** — ingestion continues afterwards exactly as if the query never
   happened, so the final answer (and its distance accounting) is
   byte-identical to an uninterrupted run over the same element order;
-* :meth:`~SessionBase.checkpoint` snapshots the live state to disk and
-  :func:`resume` restores it — ``checkpoint -> resume -> continue`` yields
-  byte-identical solutions and equal distance counts versus never stopping,
-  which generalises the windowing layer's block-snapshot idea (its
-  algorithms are wrapped by :class:`WindowSession`) to the whole streaming
-  family.
+* :meth:`~SessionBase.checkpoint` writes the live state to disk as a
+  data-only checkpoint (:mod:`repro.api.checkpoint`: a JSON header and raw
+  arrays, never a pickle) and :func:`resume` restores it —
+  ``checkpoint -> resume -> continue`` yields byte-identical solutions and
+  equal distance counts versus never stopping, for every streaming-ladder
+  algorithm and for the windowed ones :class:`WindowSession` wraps.  The
+  checkpoint keeps the queries' :class:`~repro.core.base.ExtractionMemo`
+  too, so a resumed session answers warm.
 
 Sessions are created through :func:`repro.open_session`, which resolves the
 algorithm from the registry and rejects entries without the ``sessions``
@@ -33,31 +35,21 @@ from __future__ import annotations
 import copy
 import dataclasses
 import os
-import pickle
-import tempfile
 from pathlib import Path
 from typing import Any, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro import obs
+from repro.api import checkpoint as _checkpoint
 from repro.core.base import IngestState, StreamChunk, StreamingAlgorithm
 from repro.core.result import RunResult
 from repro.data.element import Element
-from repro.data.store import group_codes
+from repro.data.store import feature_rows, group_codes
 from repro.metrics.cached import CountingMetric
 from repro.streaming.stats import StreamStats
-from repro.utils.errors import (
-    CheckpointError,
-    EmptyStreamError,
-    InvalidParameterError,
-)
+from repro.utils.errors import EmptyStreamError, InvalidParameterError
 from repro.utils.timer import Timer
-
-#: Magic header of session checkpoint payloads.
-CHECKPOINT_FORMAT = "repro-session"
-#: Bumped whenever the pickled session layout changes incompatibly.
-CHECKPOINT_VERSION = 2
 
 
 class SessionBase:
@@ -74,8 +66,7 @@ class SessionBase:
     """
 
     #: ``(rows, stream distance evaluations)`` already fed to the obs
-    #: registry by earlier queries (see :meth:`_publish`).  A class default,
-    #: so version-2 checkpoints written without it still load.
+    #: registry by earlier queries (see :meth:`_publish`).
     _published: Tuple[int, int] = (0, 0)
 
     def __init__(self, trace: Any = None) -> None:
@@ -122,7 +113,10 @@ class SessionBase:
         Parameters
         ----------
         features:
-            Array of shape ``(n, d)`` — or a single ``(d,)`` row.
+            Array of shape ``(n, d)`` — or a single ``(d,)`` row — checked
+            by :func:`~repro.data.store.feature_rows`: a NaN or infinite
+            entry raises :class:`InvalidParameterError` naming its row,
+            before anything is ingested.
         groups:
             ``n`` integer group labels (default: group ``0`` for every row),
             checked by :func:`~repro.data.store.group_codes`: a NaN,
@@ -132,13 +126,7 @@ class SessionBase:
             ``n`` integer identifiers; auto-assigned past the largest uid
             seen so far when omitted.
         """
-        matrix = np.asarray(features, dtype=float)
-        if matrix.ndim == 1:
-            matrix = matrix.reshape(1, -1)
-        if matrix.ndim != 2:
-            raise InvalidParameterError(
-                f"features must be a (n, d) matrix or a single row, got ndim={matrix.ndim}"
-            )
+        matrix = feature_rows(features)
         n = matrix.shape[0]
         codes = np.zeros(n, dtype=np.int64) if groups is None else group_codes(groups, n)
         if uids is None:
@@ -199,58 +187,39 @@ class SessionBase:
     def checkpoint(self, path: Union[str, os.PathLike]) -> Path:
         """Snapshot the live session state to ``path`` (atomic replace).
 
-        The snapshot contains everything needed to continue byte-identically:
-        candidates, pending buffers, and the distance-count watermarks.
-        Elements that are views of a columnar store detach on pickling, so
-        a checkpoint never drags a whole dataset along.  Restore with
+        The checkpoint (:mod:`repro.api.checkpoint`) is data only: a JSON
+        header with the algorithm's registry name and configuration, the
+        counters and watermarks, and raw arrays holding every stored
+        element once, the candidates' members, the pending partial chunk
+        and the queries' extraction memo.  It holds everything needed to
+        continue byte-identically and to answer the next query warm, and
+        nothing that runs code when read.  Restore with
         :func:`repro.resume`.
 
-        The write is crash-safe: the payload goes to a uniquely named
-        temporary file in the target directory, is flushed and fsynced,
-        and only then atomically replaces ``path``.  An interruption at
-        any point — a raising pickler, a killed process — either leaves
-        the previous checkpoint untouched or (on a clean failure) removes
-        the partial temp file; a truncated payload is never visible under
-        ``path``.
+        The write is crash-safe: the payload is encoded in full first, then
+        goes to a uniquely named temporary file in the target directory, is
+        flushed and fsynced, and only then atomically replaces ``path``.
+        A failure at any point leaves the previous checkpoint untouched and
+        removes the temporary file; a truncated payload is never visible
+        under ``path``.
 
         Raises
         ------
         CheckpointError
-            If the target directory does not exist / is not writable, or
-            the session state cannot be pickled.
+            If the target directory does not exist or is not writable, or
+            the session cannot be encoded as data: its metric is not one of
+            :func:`repro.solve`'s named metrics (or ``minkowski``), a payload
+            is not numeric or fixed-width text, or the algorithm is not a
+            session-capable library class.
         """
         path = Path(path)
-        payload = {
-            "format": CHECKPOINT_FORMAT,
-            "version": CHECKPOINT_VERSION,
-            "algorithm": self.algorithm_name,
-            "session": self,
-        }
-        try:
-            fd, tmp_name = tempfile.mkstemp(
-                prefix=path.name + ".", suffix=".tmp", dir=path.parent
-            )
-        except OSError as error:
-            raise CheckpointError(path, f"cannot create temp file ({error})") from error
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException as error:
-            try:
-                os.unlink(tmp_name)
-            except OSError:  # pragma: no cover - already gone
-                pass
-            if isinstance(error, (pickle.PicklingError, TypeError, AttributeError, OSError)):
-                raise CheckpointError(path, f"cannot write ({error})") from error
-            raise
+        size = _checkpoint.save(self, path)
         obs.event(
             "session.checkpoint",
             algorithm=self.algorithm_name,
             path=str(path),
             offered=self._offered,
+            bytes=size,
         )
         return path
 
@@ -265,43 +234,25 @@ def resume(path: Union[str, os.PathLike]) -> SessionBase:
 
     The restored session continues exactly where the checkpoint left off:
     feeding it the remaining stream suffix yields byte-identical solutions
-    and equal distance counts to a session that was never interrupted.
+    and equal distance counts to a session that was never interrupted, and
+    its first query reuses every guess level the checkpointed session had
+    already post-processed.  Restoring evaluates no distance and runs no
+    code from the file: the algorithm is rebuilt from an allowlist of
+    session-capable classes, its metric from an allowlist of names.
 
     Raises
     ------
     CheckpointError
-        If ``path`` does not exist, cannot be read, is not a pickle, is
-        truncated, or does not contain a repro session checkpoint.  The
-        message always names the offending path.
+        If ``path`` does not exist, cannot be read, is truncated, fails
+        its checksum, is a pickle (the format of version 2 and earlier,
+        which is refused unread), or is not a version-3 checkpoint of an
+        allowlisted algorithm and metric.  The message always names the
+        offending path.
     """
-    try:
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-    except FileNotFoundError as error:
-        raise CheckpointError(path, "no such file") from error
-    except OSError as error:
-        raise CheckpointError(path, f"cannot read ({error})") from error
-    except (pickle.UnpicklingError, EOFError, AttributeError, ImportError,
-            IndexError, MemoryError, ValueError) as error:
-        # The pickle module surfaces corrupt/truncated/foreign payloads
-        # through any of these; fold them into one typed failure.
-        raise CheckpointError(
-            path, f"not a readable pickle ({type(error).__name__}: {error})"
-        ) from error
-    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(path, "not a repro session checkpoint")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            path,
-            f"version {payload.get('version')!r} is not supported "
-            f"(expected {CHECKPOINT_VERSION})",
-        )
-    session = payload.get("session")
-    if not isinstance(session, SessionBase):
-        raise CheckpointError(path, "does not contain a session object")
+    session = _checkpoint.load(path)
     obs.event(
         "session.resume",
-        algorithm=payload["algorithm"],
+        algorithm=session.algorithm_name,
         path=str(path),
         offered=session.elements_offered,
     )

@@ -57,8 +57,9 @@ from repro.utils.validation import require_in_open_interval
 CandidateState = Tuple[List[Candidate], Optional[List[Dict[int, Candidate]]]]
 
 #: Rows per screened chunk when an algorithm's ``batch_size`` is ``None``.
-#: 512 runs as fast as 1024 on the default ``solve`` workload while keeping
-#: the chunk-by-union distance matrix (and so peak memory) half as large.
+#: 1024 measured 12–20% faster on the default ``solve`` workload; 512 is
+#: kept because it halves the chunk-by-union distance matrix (and so peak
+#: memory) until the steady-state chunk cost is re-tuned.
 DEFAULT_BATCH_SIZE = 512
 
 
@@ -405,15 +406,17 @@ class StreamingAlgorithm:
 
 
 class ExtractionMemo:
-    """What one live state's extractions keep for the next: a cache, never pickled.
+    """What one live state's extractions keep for the next.
 
     Candidates only grow, and their members depend only on the stream
     prefix, so equal member counts mean equal members.  A guess level's
     answer (:attr:`levels`) is therefore keyed on its candidates' member
     counts, and the number of distinct stored elements (:attr:`stored`) on
     the total member count.  An entry stays valid for every extraction over
-    the same ladder: later queries of the live state, and the forks a
-    snapshot makes when a partial chunk is pending.
+    the same ladder: later queries of the live state, the forks a snapshot
+    makes when a partial chunk is pending, and the same state restored from
+    a checkpoint, which saves the memo's entries (:mod:`repro.api.checkpoint`)
+    so a resumed session answers warm.
     """
 
     __slots__ = ("levels", "stored", "reused", "extracted")
@@ -453,9 +456,10 @@ class IngestState:
       :meth:`flush` screens the trailing partial chunk at the end.
 
     Screened rows are not retained: between offers the state holds the
-    candidates, the pending partial chunk and the counters, so a pickled
-    session stays small.  Two caches ride along unpickled: the screens and
-    the :class:`ExtractionMemo` of its queries.
+    candidates, the pending partial chunk and the counters, so a
+    checkpoint stays small.  Two caches ride along: the screens, rebuilt
+    on demand and never checkpointed, and the :class:`ExtractionMemo` of
+    the queries, which a checkpoint keeps (:mod:`repro.api.checkpoint`).
     """
 
     def __init__(self, algorithm: StreamingAlgorithm) -> None:
@@ -470,23 +474,12 @@ class IngestState:
         self._pending: Deque[StreamChunk] = deque()
         self._pending_rows = 0
         #: The screens over the candidates; a cache rebuilt on demand, never
-        #: pickled.
+        #: checkpointed.
         self._screens: Optional[ChunkScreen] = None
-        #: Extraction answers kept across queries; never pickled.
+        #: Extraction answers kept across queries (and checkpoints).
         self._memo = ExtractionMemo()
         if algorithm.distance_bounds is not None:
             self._activate(algorithm.distance_bounds)
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        state["_screens"] = None
-        del state["_memo"]
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        # Also restores checkpoints written before the memo existed.
-        self.__dict__.update(state)
-        self._memo = ExtractionMemo()
 
     @property
     def is_active(self) -> bool:
@@ -535,8 +528,8 @@ class IngestState:
         twin.counting = copy.copy(self.counting)
         twin.stats = dataclasses.replace(self.stats, extra=dict(self.stats.extra))
         twin._pending = deque(self._pending)
-        if self.ladder is not None:
-            twin._memo = self._memo
+        twin._screens = None
+        twin._memo = self._memo if self.ladder is not None else ExtractionMemo()
         if self._pending_rows and self.ladder is not None:
             twin.blind = [candidate._fork(twin.counting) for candidate in self.blind]
             if self.specific is not None:

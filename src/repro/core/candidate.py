@@ -144,6 +144,17 @@ class Candidate:
             self._matrix = None
         self._elements.append(element)
 
+    def _restore(self, elements: List[Element], rows: Optional[np.ndarray]) -> None:
+        """Take ``elements`` as the members, as a checkpoint held them.
+
+        ``rows`` is their float64 payload matrix (it becomes the row
+        buffer, grown on the next accept), or ``None`` for payloads that do
+        not fit the buffer.
+        """
+        self._elements = elements
+        self._rows = rows
+        self._matrix = None
+
     def _fork(self, metric: Metric) -> "Candidate":
         """A copy that accepts further members without touching this candidate.
 

@@ -45,6 +45,19 @@ class Solution:
         self._metric = metric
         self._diversity = diversity_of(self._elements, metric)
 
+    @classmethod
+    def _measured(cls, elements: Sequence[Element], metric: Metric, diversity: float) -> "Solution":
+        """A solution whose diversity the caller has already measured.
+
+        Evaluates no distance; a resumed session rebuilds its remembered
+        answers this way.
+        """
+        solution = cls.__new__(cls)
+        solution._elements = list(elements)
+        solution._metric = metric
+        solution._diversity = float(diversity)
+        return solution
+
     @property
     def elements(self) -> List[Element]:
         """The selected elements (a copy, in selection order)."""
@@ -109,10 +122,7 @@ class FairSolution(Solution):
         matrix it already holds (and charged) for every guess.  The audit
         runs when first read, so only the guess that wins is audited.
         """
-        solution = cls.__new__(cls)
-        solution._elements = list(elements)
-        solution._metric = metric
-        solution._diversity = float(diversity)
+        solution = super()._measured(elements, metric, diversity)
         solution._constraint = constraint
         solution._audit = None
         return solution

@@ -297,6 +297,33 @@ def group_codes(labels: Any, count: int) -> np.ndarray:
     return codes
 
 
+def feature_rows(features: Any) -> np.ndarray:
+    """Offered feature rows as a finite float64 ``(n, d)`` matrix.
+
+    Session ``offer_rows`` and the served offer convert their features
+    here, once, before anything is queued or ingested; a single ``(d,)``
+    row stands for one row.  Anything else than a matrix raises
+    :class:`InvalidParameterError`, and so does a NaN or infinite entry,
+    naming the first row that holds one — a non-finite row would otherwise
+    poison the bounds estimate or win every distance comparison.
+    """
+    matrix = np.asarray(features, dtype=float)
+    if matrix.ndim == 1:
+        matrix = matrix.reshape(1, -1)
+    if matrix.ndim != 2:
+        raise InvalidParameterError(
+            f"features must be a (n, d) matrix or a single row, got shape {matrix.shape}"
+        )
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
+        value = matrix[row][~finite[row]][0]
+        raise InvalidParameterError(
+            f"features must be finite, but row {row} holds {float(value)}"
+        )
+    return matrix
+
+
 def _label_code(label: Any) -> int:
     """One label of a string or object column as an ``int`` (else raises)."""
     if isinstance(label, (str, bytes, numbers.Integral)):

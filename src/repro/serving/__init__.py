@@ -7,8 +7,9 @@ stdlib HTTP/JSON front end:
   sessions over any registry algorithm with session support.  Incoming
   offers are micro-batched per session (flushed on a max-batch or
   max-delay trigger), the number of *live* sessions is bounded by
-  LRU-evicting idle ones to pickle checkpoints with transparent
-  restore-on-touch, and per-session queues are bounded (backpressure).
+  LRU-evicting idle ones to data-only checkpoints with transparent (and
+  warm) restore-on-touch, and per-session queues are bounded
+  (backpressure).
 * :class:`ServingServer` / :func:`run_server` — the HTTP/1.1 front end
   (``repro serve``) with graceful SIGTERM drain.
 * :class:`ServerThread` / :class:`ServingClient` — in-process runtime

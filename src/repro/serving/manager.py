@@ -12,13 +12,17 @@ a single in-process session lacks:
   (new sessions default to ``batch_size = max_batch`` when their
   algorithm supports batching);
 * **bounded memory** — at most ``max_live`` sessions are resident; the
-  least-recently-used ones are evicted to pickle checkpoints under
-  ``state_dir`` (after flushing their queue, so nothing is lost) and
-  transparently restored on the next touch.  Because session
-  checkpoint/resume is byte-identical and ``offer_rows`` chunking is
-  alignment-independent, an evicted-and-restored session produces
-  solutions and distance counts identical to one that never left memory
-  — the serving property tests pin this;
+  least-recently-used ones are evicted to data-only checkpoints
+  (:mod:`repro.api.checkpoint`) under ``state_dir`` (after flushing their
+  queue, so nothing is lost) and transparently restored on the next
+  touch.  Because session checkpoint/resume is byte-identical and
+  ``offer_rows`` chunking is alignment-independent, an evicted-and-restored
+  session produces solutions and distance counts identical to one that
+  never left memory — the serving property tests pin this.  The checkpoint
+  keeps the session's extraction memo, so a restored session's next query
+  re-extracts only the guess levels that grew, and restoring reads no
+  pickle: a file planted in ``state_dir`` can fail a restore (HTTP 500)
+  but cannot run code;
 * **backpressure** — each session's queue is bounded (``max_queue``
   rows); an offer that would overflow it is rejected wholesale with
   :class:`~repro.serving.errors.QueueFullError` (HTTP 429 upstream).
@@ -52,7 +56,7 @@ from repro.api.registry import get_algorithm, has_algorithm
 from repro.api.session import SessionBase, resume
 from repro.api.solve import open_session
 from repro.core.result import RunResult
-from repro.data.store import group_codes
+from repro.data.store import feature_rows, group_codes
 from repro.serving.errors import (
     QueueFullError,
     SessionExistsError,
@@ -297,19 +301,19 @@ class SessionManager:
         Raises
         ------
         InvalidParameterError
-            If the features are not a non-empty matrix, a group label is
-            not an integer (see :func:`~repro.data.store.group_codes`), or
-            the labels or uids do not match the rows.  This is checked
-            here, so a bad batch is refused before it is queued.
+            If the features are not a non-empty matrix, a feature is NaN
+            or infinite (see :func:`~repro.data.store.feature_rows`), a
+            group label is not an integer (see
+            :func:`~repro.data.store.group_codes`), or the labels or uids do
+            not match the rows.  This is checked here, so a bad batch is
+            refused before it is queued and the session keeps answering.
         QueueFullError
             If accepting the rows would overflow the session's bounded
             queue; nothing is queued in that case (all-or-nothing).
         """
         entry = self._require(name)
-        matrix = np.asarray(features, dtype=float)
-        if matrix.ndim == 1:
-            matrix = matrix.reshape(1, -1)
-        if matrix.ndim != 2 or matrix.shape[0] == 0:
+        matrix = feature_rows(features)
+        if matrix.shape[0] == 0:
             raise InvalidParameterError(
                 f"features must be a non-empty (n, d) matrix or a single row, "
                 f"got shape {matrix.shape}"

@@ -206,7 +206,11 @@ class ServingServer:
             # quietly instead of tripping the stream protocol's logger.
             pass
         finally:
-            with contextlib.suppress(Exception):
+            # Shutdown can cancel the task again while it waits for the
+            # close.  A handler task that ends cancelled makes the stream
+            # protocol's done-callback log an ERROR, so that wait ends
+            # quietly too.
+            with contextlib.suppress(Exception, asyncio.CancelledError):
                 writer.close()
                 await writer.wait_closed()
 

@@ -37,12 +37,15 @@ class EmptyStreamError(ReproError, ValueError):
 class CheckpointError(InvalidParameterError):
     """A session checkpoint could not be written or restored.
 
-    Raised by :meth:`repro.api.session.SessionBase.checkpoint` and
-    :func:`repro.resume` whenever the checkpoint file is missing,
-    unreadable, truncated, not a pickle, or not a session checkpoint at
-    all.  The offending path is always part of the message (and available
-    as :attr:`path`), so a serving layer juggling thousands of checkpoint
-    files can report exactly which one went bad.
+    Raised by :meth:`repro.api.session.SessionBase.checkpoint` when a
+    session cannot be written as data (an unnamed metric, a non-numeric
+    payload, an unwritable directory), and by :func:`repro.resume`
+    whenever the checkpoint file is missing, unreadable, truncated,
+    altered, a pickle of format version 2 or earlier (refused unread), or
+    not a session checkpoint at all.  The offending path is always part of
+    the message (and available as :attr:`path`), so a serving layer
+    juggling thousands of checkpoint files can report exactly which one
+    went bad.
 
     Subclasses :class:`InvalidParameterError` so existing callers that
     caught the previous error type keep working.

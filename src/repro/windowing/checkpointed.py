@@ -88,20 +88,25 @@ class CheckpointedWindowFDM(WindowedAlgorithm):
             self._current_block = []
 
     def _evict_expired_blocks(self) -> None:
-        """Drop block summaries that lie entirely outside the live window."""
+        """Drop block summaries that lie entirely outside the live window.
+
+        The drop is traced as a ``window.block.retire`` span with the
+        attributes the incremental algorithm's retirements carry.
+        """
         window_start = self.window_start
         dropped = 0
-        while self._summaries:
-            start, summary = self._summaries[0]
-            if start + self._block_size <= window_start:
-                self._summaries.popleft()
-                dropped += 1
-            else:
+        for start, _ in self._summaries:
+            if start + self._block_size > window_start:
                 break
+            dropped += 1
         if dropped:
-            obs.event(
-                "window.block.retire", retired=dropped, live=len(self._summaries)
-            )
+            with obs.span(
+                "window.block.retire",
+                retired=dropped,
+                live=len(self._summaries) - dropped,
+            ):
+                for _ in range(dropped):
+                    self._summaries.popleft()
             obs.count("repro.window.blocks_retired", dropped)
 
     # ------------------------------------------------------------------

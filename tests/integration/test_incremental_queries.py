@@ -98,6 +98,19 @@ def _fresh(session):
         state._memo = memo
 
 
+def _memo_entries(session):
+    """The live memo as data: ``level -> (counts, uids, diversity bits, evaluations)``."""
+    return {
+        level: (
+            counts,
+            None if answer is None else answer.uids,
+            None if answer is None else float(answer.diversity).hex(),
+            evaluations,
+        )
+        for level, (counts, answer, evaluations) in session._state._memo.levels.items()
+    }
+
+
 def _query_after_every_offer(session, pieces, kind):
     """Offer every piece and compare each query with a fresh extraction.
 
@@ -172,7 +185,8 @@ def test_checkpoint_resume_mid_stream(name, tmp_path):
     half = len(pieces) // 2
     _query_after_every_offer(session, pieces[:half], kind)
     restored = repro.resume(session.checkpoint(tmp_path / f"{name}.ckpt"))
-    assert restored._state._memo.levels == {}
+    # The checkpoint keeps the memo: the same levels, keys, answers and costs.
+    assert _memo_entries(restored) == _memo_entries(session)
     final, reused = _query_after_every_offer(restored, pieces[half:], kind)
     assert reused > 0
     assert final == _outcome(uninterrupted)

@@ -370,6 +370,27 @@ class TestOpenSessionValidation:
         assert session.elements_offered == 3
 
     @pytest.mark.parametrize(
+        "bad, shown", [(np.inf, "inf"), (-np.inf, "-inf"), (np.nan, "nan")]
+    )
+    @pytest.mark.parametrize(
+        "algorithm, options", [("SFDM2", {}), ("SlidingWindowFDM", {"window": 200})]
+    )
+    def test_offer_rows_rejects_non_finite_rows_before_ingesting(
+        self, dataset, constraint, algorithm, options, bad, shown
+    ):
+        session = repro.open_session(constraint=constraint, algorithm=algorithm, **options)
+        features = np.asarray([element.vector for element in dataset.elements[:100]])
+        groups = [element.group for element in dataset.elements[:100]]
+        poisoned = features.copy()
+        poisoned[3, 1] = bad
+        poisoned[7, 0] = bad
+        with pytest.raises(InvalidParameterError, match=f"row 3 holds {shown}"):
+            session.offer_rows(poisoned, groups=groups)
+        assert session.elements_offered == 0
+        session.offer_rows(features, groups=groups)
+        assert session.solution().solution.is_fair
+
+    @pytest.mark.parametrize(
         "labels", [[[0], [1], [1]], [[0, 1, 1]]], ids=["column", "row"]
     )
     def test_offer_rows_reads_a_label_column_or_row_flat(self, constraint, labels):

@@ -152,6 +152,27 @@ def test_flush_deadline_fires(tmp_path, data):
     _run(scenario())
 
 
+def test_non_finite_rows_are_refused_before_queueing(tmp_path, data):
+    features, groups = data
+    poisoned = features[:100].copy()
+    poisoned[3, 0] = np.inf
+
+    async def scenario():
+        # max_batch above the offer: the rows would wait in the queue, so
+        # only the check at accept time can refuse them.
+        manager = SessionManager(_config(tmp_path))
+        name = await manager.create(k=K, groups=2)
+        with pytest.raises(repro.InvalidParameterError, match="row 3 holds inf"):
+            await manager.offer(name, poisoned, groups=groups[:100])
+        assert manager.pending_rows(name) == 0
+        receipt = await manager.offer(name, features[:100], groups=groups[:100])
+        assert receipt["accepted"] == 100
+        result = await manager.solution(name)
+        assert result.stats.elements_processed == 100
+
+    _run(scenario())
+
+
 def test_single_row_offers_and_validation(tmp_path):
     async def scenario():
         manager = SessionManager(_config(tmp_path))

@@ -7,6 +7,7 @@ parsing, routing, JSON bodies, status mapping, keep-alive — not mocks.
 """
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -195,3 +196,38 @@ def test_default_algorithm_used_when_unnamed(client):
     solutionless = client.request("GET", f"/sessions/{name}/solution")
     # no offers yet: the engine reports an empty-stream conflict
     assert solutionless[0] == 409
+
+
+def test_non_finite_offer_is_a_400_and_the_tenant_keeps_answering(tmp_path, data):
+    features, groups = data
+    poisoned = features[:100].copy()
+    poisoned[3, 1] = np.inf
+    config = ManagerConfig(state_dir=tmp_path / "state", max_batch=64, flush_ms=5.0)
+    with ServerThread(config) as running, ServingClient("127.0.0.1", running.port) as client:
+        name = client.create_session(k=K, groups=2)
+        with pytest.raises(ServingRequestError) as info:
+            client.offer(name, poisoned, groups=groups[:100])
+        assert info.value.status == 400
+        assert "row 3" in str(info.value)
+        assert client.offer(name, features[:100], groups=groups[:100])["accepted"] == 100
+        answer = client.solution(name)
+        assert answer["succeeded"] is True and answer["elements_processed"] == 100
+        assert client.offer(name, features[100:120], groups=groups[100:120])["accepted"] == 20
+        assert client.solution(name)["elements_processed"] == 120
+
+
+def test_stopping_with_a_connection_open_logs_no_asyncio_error(tmp_path, caplog):
+    """Shutdown cancels the open connection's handler; nothing reaches the log."""
+    caplog.set_level(logging.DEBUG, logger="asyncio")
+    for cycle in range(10):
+        config = ManagerConfig(state_dir=tmp_path / f"state-{cycle}")
+        running = ServerThread(config).start()
+        client = ServingClient("127.0.0.1", running.port)
+        assert client.healthz()["status"] == "ok"
+        client.close()
+        running.stop(drain=False)
+    errors = [
+        record for record in caplog.records
+        if record.name == "asyncio" and record.levelno >= logging.ERROR
+    ]
+    assert errors == []

@@ -2,26 +2,22 @@
 
 Satellite guarantees of the serving PR:
 
-* ``SessionBase.checkpoint`` is atomic — a crash mid-dump (simulated by a
-  raising pickler / failing fsync) never leaves a truncated file under
-  the target path, and never destroys the previous good checkpoint;
+* ``SessionBase.checkpoint`` is atomic — a crash mid-write (simulated by a
+  failing fsync) never leaves a truncated file under the target path, and
+  never destroys the previous good checkpoint;
 * ``repro.resume`` raises :class:`repro.CheckpointError` — naming the
-  offending path — for every corruption mode: missing file, non-pickle
-  bytes, truncated pickle, foreign pickle, unsupported version;
-* version-2 checkpoints stay one layout: the query caches are never
-  pickled, and a checkpoint written without them resumes and answers the
-  same.
+  offending path — for every corruption mode: missing file, foreign bytes,
+  truncated file, any pickle, unsupported version;
+* checkpoints of format version 2 and earlier (pickles) are refused
+  without being unpickled.
 """
 
-import os
 import pickle
 
 import pytest
 
 import repro
-from repro import obs
-from repro.api import session as session_module
-from repro.core.base import IngestState
+from repro.api import checkpoint as checkpoint_module
 from repro.core.sfdm2 import SFDM2
 from repro.datasets.synthetic import synthetic_blobs
 
@@ -41,44 +37,33 @@ def session(dataset):
     return live
 
 
-def _fingerprint(result):
-    return (
-        [element.uid for element in result.solution.elements],
-        result.solution.diversity,
-        result.stats.total_distance_computations,
-    )
-
-
 # ----------------------------------------------------------------------
 # Crash-safe writes
 # ----------------------------------------------------------------------
+def _failing_fsync(fd):
+    raise OSError(28, "No space left on device")
+
+
 def test_checkpoint_survives_failing_dump(session, tmp_path, monkeypatch):
-    """A raising pickler leaves the previous checkpoint bit-identical."""
+    """A write that fails before the rename leaves the previous checkpoint bit-identical."""
     path = session.checkpoint(tmp_path / "state.ckpt")
     good_bytes = path.read_bytes()
+    session.offer_batch(list(synthetic_blobs(n=20, m=2, seed=6).elements))
 
-    def exploding_dump(obj, handle, protocol=None):
-        handle.write(b"partial garbage")  # simulate a mid-write crash
-        raise pickle.PicklingError("boom")
-
-    monkeypatch.setattr(session_module.pickle, "dump", exploding_dump)
+    monkeypatch.setattr(checkpoint_module.os, "fsync", _failing_fsync)
     with pytest.raises(repro.CheckpointError, match="state.ckpt"):
         session.checkpoint(path)
     monkeypatch.undo()
 
     assert path.read_bytes() == good_bytes
-    assert _fingerprint(repro.resume(path).solution()) == _fingerprint(
-        session.solution()
-    )
+    assert [p.name for p in tmp_path.iterdir()] == ["state.ckpt"]
+    assert repro.resume(path).elements_offered == 120
 
 
 def test_checkpoint_failure_leaves_no_temp_files(session, tmp_path, monkeypatch):
     """The uniquely named temp file is cleaned up on a failed write."""
-    def unpicklable(obj, handle, protocol=None):
-        raise TypeError("cannot pickle a thread lock")
-
-    monkeypatch.setattr(session_module.pickle, "dump", unpicklable)
-    with pytest.raises(repro.CheckpointError):
+    monkeypatch.setattr(checkpoint_module.os, "fsync", _failing_fsync)
+    with pytest.raises(repro.CheckpointError, match="cannot write"):
         session.checkpoint(tmp_path / "fresh.ckpt")
     monkeypatch.undo()
     assert list(tmp_path.iterdir()) == []
@@ -123,7 +108,7 @@ def test_resume_non_pickle_bytes(tmp_path):
     path.write_bytes(b"\x00\x01this is not a pickle")
     with pytest.raises(repro.CheckpointError, match="garbage.ckpt") as info:
         repro.resume(path)
-    assert "not a readable pickle" in str(info.value)
+    assert "not a repro session checkpoint" in str(info.value)
 
 
 def test_resume_truncated_pickle(session, tmp_path):
@@ -138,29 +123,28 @@ def test_resume_foreign_pickle(tmp_path):
     path = tmp_path / "foreign.ckpt"
     with open(path, "wb") as handle:
         pickle.dump({"hello": "world"}, handle)
-    with pytest.raises(repro.CheckpointError, match="not a repro session checkpoint"):
+    with pytest.raises(repro.CheckpointError, match="pickle checkpoint of format version 2"):
         repro.resume(path)
+
+
+def _rewrite_header(path, edit):
+    """Re-pack ``path`` with an edited header (and a matching checksum)."""
+    header, body = checkpoint_module._unpack(path, path.read_bytes())
+    edit(header)
+    path.write_bytes(checkpoint_module._pack(header, bytes(body)))
 
 
 def test_resume_unsupported_version(session, tmp_path):
     path = session.checkpoint(tmp_path / "version.ckpt")
-    with open(path, "rb") as handle:
-        payload = pickle.load(handle)
-    payload["version"] = 999
-    with open(path, "wb") as handle:
-        pickle.dump(payload, handle)
+    _rewrite_header(path, lambda header: header.update(version=999))
     with pytest.raises(repro.CheckpointError, match="999"):
         repro.resume(path)
 
 
 def test_resume_payload_without_session_object(session, tmp_path):
     path = session.checkpoint(tmp_path / "hollow.ckpt")
-    with open(path, "rb") as handle:
-        payload = pickle.load(handle)
-    payload["session"] = "not a session"
-    with open(path, "wb") as handle:
-        pickle.dump(payload, handle)
-    with pytest.raises(repro.CheckpointError, match="does not contain a session"):
+    _rewrite_header(path, lambda header: header.pop("session"))
+    with pytest.raises(repro.CheckpointError, match="hollow.ckpt.*corrupt"):
         repro.resume(path)
 
 
@@ -172,67 +156,21 @@ def test_checkpoint_error_is_invalid_parameter_error(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Version-2 checkpoints written without the query caches
+# Version-2 checkpoints are refused unread
 # ----------------------------------------------------------------------
-#: The attributes a pickled ``IngestState`` carries in a version-2
-#: checkpoint.  The extraction memo is a cache and is never among them.
-VERSION_2_STATE = {
-    "algorithm",
-    "counting",
-    "stats",
-    "size",
-    "ladder",
-    "blind",
-    "specific",
-    "_pending",
-    "_pending_rows",
-    "_screens",
-}
+def test_resume_refuses_a_version_2_checkpoint(session, tmp_path, monkeypatch):
+    """The pickled layout of format version 2 names its version and is never loaded."""
+    path = tmp_path / "version-2.ckpt"
+    payload = {"format": "repro-session", "version": 2, "algorithm": "SFDM2", "session": session}
+    with open(path, "wb") as handle:
+        pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
 
+    def forbidden(*args, **kwargs):
+        raise AssertionError("resume() unpickled a checkpoint")
 
-def _version_2_state(state):
-    """The pickled state of ``state`` in the version-2 layout only."""
-    pickled = {name: value for name, value in vars(state).items() if name in VERSION_2_STATE}
-    pickled["_screens"] = None
-    return pickled
-
-
-def test_checkpoint_pickles_no_query_cache(session):
-    session.solution()
-    assert set(session._state.__getstate__()) == VERSION_2_STATE
-
-
-def test_resume_checkpoint_written_without_caches(dataset, tmp_path, monkeypatch):
-    """A checkpoint lacking the memo and ``_published`` resumes and answers the same.
-
-    Every checkpoint of the previous release has that shape: no extraction
-    memo on the ingestion state, and no ``_published`` on a session never
-    queried before the write (the class default stands in for it).
-    """
-    constraint = repro.equal_representation(K, list(dataset.group_sizes().keys()))
-    elements = list(dataset.stream(seed=3))
-    live = repro.StreamingSession(
-        SFDM2(metric=dataset.metric, constraint=constraint, batch_size=32)
-    )
-    live.offer_batch(elements[:90])  # past the warmup, with a partial chunk pending
-    assert "_published" not in vars(live)
-    with monkeypatch.context() as patch:
-        patch.setattr(IngestState, "__getstate__", _version_2_state)
-        path = live.checkpoint(tmp_path / "version-2.ckpt")
-    with open(path, "rb") as handle:
-        # The raw pickle, before resume() runs its checks.
-        assert "_published" not in vars(pickle.load(handle)["session"])
-
-    restored = repro.resume(path)
-    for current in (live, restored):
-        current.offer_batch(elements[90:])
-    reference = _fingerprint(live.solution())
-    obs.configure("memory", reset_metrics=True)
-    try:
-        assert _fingerprint(restored.solution()) == reference
-        restored.solution()
-        # The class default starts the publish watermark at zero: the two
-        # queries of the restored session published every ingested row once.
-        assert obs.get_metrics().snapshot()["repro.elements_processed"] == len(elements)
-    finally:
-        obs.configure(sink=None, enabled=False, reset_metrics=True)
+    monkeypatch.setattr(pickle, "load", forbidden)
+    monkeypatch.setattr(pickle, "loads", forbidden)
+    with pytest.raises(repro.CheckpointError, match="version-2.ckpt") as info:
+        repro.resume(path)
+    assert "pickle checkpoint of format version 2 or earlier" in str(info.value)
+    assert "never loaded" in str(info.value)

@@ -106,7 +106,7 @@ def test_retirements_are_traced_and_counted(solver):
     algorithm = solver(METRIC, CONSTRAINT, window=WINDOW, blocks=BLOCKS)
     with obs.tracing("memory") as sink:
         algorithm.run(_elements(95))
-    records = [r for r in sink.records if r["name"] == "window.block.retire"]
+    records = sink.spans("window.block.retire")
     assert sum(r["attrs"]["retired"] for r in records) == retired
     assert records[-1]["attrs"]["live"] == live
     assert obs.get_metrics().snapshot()["repro.window.blocks_retired"] == retired

@@ -12,7 +12,12 @@ slots, then scripts a client against it:
 5. ``GET /metrics`` shows nonzero eviction/restore counters;
 6. a backpressure probe overflows the bounded queue and gets a 429;
 7. ``SIGTERM`` drains: the process exits 0 and every session has a
-   loadable checkpoint in the state directory.
+   checkpoint in the state directory that is data-only (it starts with
+   the checkpoint format's magic, never a pickle), resumes, and answers
+   warm: every session was queried before the drain with the same rows
+   pending, so the resumed session's first ``solution()`` re-extracts no
+   guess level (``levels_extracted == 0`` on its ``session.solution``
+   span).
 
 Run directly (``python tools/serve_smoke.py``) or via ``make serve-smoke``.
 Exit status 0 means the serving path works end to end.
@@ -154,20 +159,32 @@ def main() -> int:
                 _expect((state_dir / f"{name}.ckpt").exists(),
                         f"missing drain checkpoint for {name}")
 
-            # The drained checkpoints must actually resume.
+            # The drained checkpoints are data, resume, and answer warm.
             sys.path.insert(0, str(REPO_ROOT / "src"))
             import repro
+            from repro import obs
+            from repro.api.checkpoint import MAGIC
 
             for name in SESSIONS:
-                restored = repro.resume(state_dir / f"{name}.ckpt")
+                path = state_dir / f"{name}.ckpt"
+                _expect(path.read_bytes().startswith(MAGIC),
+                        f"{name} checkpoint does not start with {MAGIC!r}")
+                restored = repro.resume(path)
                 _expect(restored.elements_offered == 90,
                         f"{name} checkpoint resumed at {restored.elements_offered}")
+                with obs.tracing("memory") as sink:
+                    restored.solution()
+                spans = sink.spans("session.solution")
+                attrs = spans[0]["attrs"] if spans else {}
+                _expect(attrs.get("levels_extracted") == 0
+                        and attrs.get("levels_reused", 0) > 0,
+                        f"{name} resumed cold: session.solution span {attrs}")
         finally:
             if process.poll() is None:
                 process.kill()
                 process.wait(timeout=30)
 
-    print("serve smoke: OK (create/offer/evict/restore/solution/429/drain)")
+    print("serve smoke: OK (create/offer/evict/restore/solution/429/drain/warm resume)")
     return 0
 
 
