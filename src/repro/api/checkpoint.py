@@ -46,6 +46,8 @@ objects to resume one.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import inspect
 import json
 import math
 import os
@@ -87,21 +89,13 @@ _PRELUDE = struct.Struct("<II")
 #: bool, int, uint, float, and fixed-width unicode or byte strings.
 _DTYPE = re.compile(r"[<|](?:[biuf][1248]|[US][1-9][0-9]{0,5})")
 
-#: The session-capable algorithm classes, by registry name, with the
-#: constructor arguments (stored under the same attribute names) that
-#: rebuild one besides its metric.
+#: The session-capable algorithm classes, by registry name.
 _STREAMING = {
-    "SFDM1": (SFDM1, ("constraint", "epsilon", "distance_bounds", "warmup_size",
-                      "fallback", "batch_size")),
-    "SFDM2": (SFDM2, ("constraint", "epsilon", "distance_bounds", "warmup_size",
-                      "fallback", "greedy_augmentation", "batch_size")),
-    "StreamingDM": (StreamingDiversityMaximization,
-                    ("k", "epsilon", "distance_bounds", "warmup_size", "batch_size")),
+    "SFDM1": SFDM1,
+    "SFDM2": SFDM2,
+    "StreamingDM": StreamingDiversityMaximization,
 }
-_WINDOWED = {
-    "WindowFDM": (CheckpointedWindowFDM, ("constraint", "window", "blocks")),
-    "SlidingWindowFDM": (SlidingWindowFDM, ("constraint", "window", "blocks")),
-}
+_WINDOWED = {"WindowFDM": CheckpointedWindowFDM, "SlidingWindowFDM": SlidingWindowFDM}
 
 _UNSIGNED = (np.uint8, np.uint16, np.uint32, np.uint64)
 _SIGNED = (np.int8, np.int16, np.int32, np.int64)
@@ -115,8 +109,8 @@ PathLike = Union[str, "os.PathLike[str]"]
 # ----------------------------------------------------------------------
 # Writing
 # ----------------------------------------------------------------------
-def save(session: Any, path: PathLike) -> int:
-    """Write ``session`` to ``path`` (atomic replace); returns the bytes written.
+def save(session: Any, path: PathLike) -> None:
+    """Write ``session`` to ``path`` (atomic replace).
 
     The whole payload is encoded first, so a session that cannot be
     encoded touches no file.  It then goes to a uniquely named temporary
@@ -150,7 +144,6 @@ def save(session: Any, path: PathLike) -> int:
         if isinstance(error, OSError):
             raise CheckpointError(path, f"cannot write ({error})") from error
         raise
-    return len(data)
 
 
 class _Encoder:
@@ -269,11 +262,21 @@ def _encode(session: Any, path: Path) -> bytes:
         raise CheckpointError(path, f"cannot encode the header ({error})") from error
 
 
-def _config(
-    algorithm: Any, allowed: Dict[str, Tuple[type, Tuple[str, ...]]], path: Path
-) -> Dict[str, Any]:
+@functools.lru_cache(maxsize=None)
+def _parameters(cls: type) -> Tuple[str, ...]:
+    """The constructor parameters of ``cls`` besides its metric.
+
+    Every allowlisted class stores each of them under its own name, so a
+    new parameter is saved and restored without an edit here.  Cached:
+    reading a signature takes tens of microseconds, which every save and
+    load would pay again.
+    """
+    return tuple(name for name in inspect.signature(cls).parameters if name != "metric")
+
+
+def _config(algorithm: Any, allowed: Dict[str, type], path: Path) -> Dict[str, Any]:
     """The JSON constructor configuration of an allowlisted algorithm."""
-    cls, names = allowed.get(algorithm.name, (None, ()))
+    cls = allowed.get(algorithm.name)
     if type(algorithm) is not cls:
         raise CheckpointError(
             path,
@@ -281,7 +284,7 @@ def _config(
             f"{', '.join(sorted(_STREAMING) + sorted(_WINDOWED))}",
         )
     config: Dict[str, Any] = {"metric": _metric_spec(algorithm.metric, path)}
-    for name in names:
+    for name in _parameters(cls):
         value = getattr(algorithm, name)
         if isinstance(value, FairnessConstraint):
             value = [[group, quota] for group, quota in value.quotas.items()]
@@ -432,7 +435,10 @@ def load(path: PathLike) -> Any:
         return _decode(path, header, arrays)
     except CheckpointError:
         raise
-    except (ReproError, ValueError, TypeError, KeyError, IndexError, AttributeError) as error:
+    except (
+        ReproError, ValueError, TypeError, KeyError, IndexError, AttributeError,
+        ArithmeticError, RecursionError,
+    ) as error:
         raise CheckpointError(path, f"corrupt ({type(error).__name__}: {error})") from error
 
 
@@ -459,7 +465,7 @@ def _unpack(path: PathLike, data: bytes) -> Tuple[Dict[str, Any], memoryview]:
         raise CheckpointError(path, "corrupt (checksum mismatch: truncated or altered)")
     try:
         header = json.loads(bytes(head).decode("utf-8"))
-    except ValueError as error:
+    except (ValueError, RecursionError) as error:
         raise CheckpointError(path, f"corrupt header ({error})") from error
     if not isinstance(header, dict) or header.get("format") != FORMAT:
         raise CheckpointError(path, "not a repro session checkpoint")
@@ -585,10 +591,10 @@ def _decode(path: PathLike, header: Dict[str, Any], arrays: Dict[str, np.ndarray
             f"unknown algorithm {name!r}; checkpoints hold only "
             f"{', '.join(sorted(_STREAMING) + sorted(_WINDOWED))}",
         )
-    cls, names = allowed[name]
+    cls = allowed[name]
     config = header["config"]
     metric = _metric(path, config["metric"])
-    options = {option: config[option] for option in names}
+    options = {option: config[option] for option in _parameters(cls)}
     if "constraint" in options:
         options["constraint"] = FairnessConstraint(dict(map(tuple, options["constraint"])))
     if options.get("distance_bounds") is not None:

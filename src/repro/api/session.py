@@ -213,13 +213,12 @@ class SessionBase:
             session-capable library class.
         """
         path = Path(path)
-        size = _checkpoint.save(self, path)
+        _checkpoint.save(self, path)
         obs.event(
             "session.checkpoint",
             algorithm=self.algorithm_name,
             path=str(path),
             offered=self._offered,
-            bytes=size,
         )
         return path
 

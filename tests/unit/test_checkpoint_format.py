@@ -161,6 +161,22 @@ def test_unsupported_version(saved):
     _refused(saved, "999")
 
 
+def test_a_header_counter_that_is_infinite(saved):
+    _rewrite(saved, header=lambda head: head.update(offered=float("inf")))
+    assert b'"offered":Infinity' in saved.read_bytes()
+    _refused(saved, "corrupt.*OverflowError")
+
+
+def test_a_header_nested_too_deeply(saved):
+    data = saved.read_bytes()
+    magic = len(checkpoint.MAGIC)
+    depth = 100_000
+    head = b'{"format":' + b"[" * depth + b"]" * depth + b"}"
+    crc = zlib.crc32(b"", zlib.crc32(head))
+    saved.write_bytes(data[:magic] + checkpoint._PRELUDE.pack(len(head), crc) + head)
+    _refused(saved, "corrupt header")
+
+
 # ----------------------------------------------------------------------
 # The arrays
 # ----------------------------------------------------------------------

@@ -37,6 +37,14 @@ def session(dataset):
     return live
 
 
+def _fingerprint(result):
+    return (
+        [element.uid for element in result.solution.elements],
+        result.solution.diversity,
+        result.stats.total_distance_computations,
+    )
+
+
 # ----------------------------------------------------------------------
 # Crash-safe writes
 # ----------------------------------------------------------------------
@@ -48,6 +56,7 @@ def test_checkpoint_survives_failing_dump(session, tmp_path, monkeypatch):
     """A write that fails before the rename leaves the previous checkpoint bit-identical."""
     path = session.checkpoint(tmp_path / "state.ckpt")
     good_bytes = path.read_bytes()
+    expected = _fingerprint(session.solution())
     session.offer_batch(list(synthetic_blobs(n=20, m=2, seed=6).elements))
 
     monkeypatch.setattr(checkpoint_module.os, "fsync", _failing_fsync)
@@ -57,7 +66,9 @@ def test_checkpoint_survives_failing_dump(session, tmp_path, monkeypatch):
 
     assert path.read_bytes() == good_bytes
     assert [p.name for p in tmp_path.iterdir()] == ["state.ckpt"]
-    assert repro.resume(path).elements_offered == 120
+    resumed = repro.resume(path)
+    assert resumed.elements_offered == 120
+    assert _fingerprint(resumed.solution()) == expected
 
 
 def test_checkpoint_failure_leaves_no_temp_files(session, tmp_path, monkeypatch):
