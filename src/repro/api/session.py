@@ -123,8 +123,8 @@ class SessionBase:
             infinite, fractional or non-scalar label raises
             :class:`InvalidParameterError` naming its row.
         uids:
-            ``n`` integer identifiers; auto-assigned past the largest uid
-            seen so far when omitted.
+            ``n`` integer identifiers, checked like the group labels;
+            auto-assigned past the largest uid seen so far when omitted.
         """
         matrix = feature_rows(features)
         n = matrix.shape[0]
@@ -132,11 +132,7 @@ class SessionBase:
         if uids is None:
             uid_array = np.arange(self._next_uid, self._next_uid + n, dtype=np.int64)
         else:
-            uid_array = np.asarray(uids).reshape(-1).astype(np.int64)
-            if uid_array.shape[0] != n:
-                raise InvalidParameterError(
-                    f"got {n} feature rows but {uid_array.shape[0]} uids"
-                )
+            uid_array = group_codes(uids, n, "uids")
         if n:
             self._offer_rows(matrix, codes, uid_array)
 

@@ -23,12 +23,11 @@ from typing import Dict, List, Sequence, Set
 import numpy as np
 
 from repro.baselines.gmm import gmm_elements
-from repro.metrics.base import stack_vectors
 from repro.core.result import RunResult
 from repro.core.solution import FairSolution
 from repro.fairness.constraints import FairnessConstraint
 from repro.flow.assignment import solve_cluster_assignment
-from repro.metrics.base import Metric
+from repro.metrics.base import Metric, stack_vectors
 from repro.metrics.cached import CountingMetric
 from repro.data.element import Element
 from repro.streaming.stats import StreamStats
@@ -41,32 +40,19 @@ def _assign_to_clusters(
 ) -> List[List[Element]]:
     """Assign every element to its nearest centre; returns one list per centre.
 
-    Metrics with vectorized kernels compute the assignment with chunked
-    ``pairwise(elements, centers)`` calls (store-backed element lists
-    gather their payload matrix from the store in one slice); the charged
-    distance count — ``n · k`` — and the chosen centres (``argmin`` breaks
-    ties on the first index, like the scalar scan) are identical to the
-    element-at-a-time loop.
+    Evaluates chunked ``pairwise(elements, centers)`` calls (store-backed
+    element lists gather their payload matrix from the store in one slice),
+    charged ``n · k`` in all; ``argmin`` breaks distance ties on the first
+    centre.
     """
     clusters: List[List[Element]] = [[] for _ in centers]
-    if metric.supports_batch and len(centers) > 1 and len(elements):
-        center_matrix = stack_vectors(centers)
-        element_matrix = stack_vectors(elements)
-        chunk = 4096
-        for start in range(0, len(elements), chunk):
-            block = metric.pairwise(element_matrix[start : start + chunk], center_matrix)
-            for offset, best_index in enumerate(np.argmin(block, axis=1)):
-                clusters[int(best_index)].append(elements[start + offset])
-        return clusters
-    for element in elements:
-        best_index = 0
-        best_distance = float("inf")
-        for index, center in enumerate(centers):
-            d = metric.distance(element.vector, center.vector)
-            if d < best_distance:
-                best_distance = d
-                best_index = index
-        clusters[best_index].append(element)
+    center_matrix = stack_vectors(centers)
+    element_matrix = stack_vectors(elements)
+    chunk = 4096
+    for start in range(0, len(elements), chunk):
+        block = metric.pairwise(element_matrix[start : start + chunk], center_matrix)
+        for offset, best_index in enumerate(np.argmin(block, axis=1)):
+            clusters[int(best_index)].append(elements[start + offset])
     return clusters
 
 

@@ -43,9 +43,9 @@ def gmm_elements(
         becomes a vectorized mask and only the ``k`` selected rows are ever
         materialised as elements).
     metric:
-        Distance metric.  Metrics with vectorized kernels update the
-        nearest-to-selection array with one batched ``distances_to`` call
-        per selected element; other metrics use the scalar loop.
+        Distance metric.  The nearest-to-selection array over the pool's
+        payload matrix is updated with one ``distances_to`` call per
+        selected element.
     k:
         Number of elements to select (capped at the pool size).
     start_index:
@@ -57,104 +57,37 @@ def gmm_elements(
     """
     k = require_positive_int(k, "k")
     if isinstance(elements, ElementStore):
-        sub = elements
+        pool: Union[List[Element], ElementStore] = elements
         if restrict_group is not None:
-            sub = sub.select(np.nonzero(sub.groups == restrict_group)[0])
-        if not len(sub):
-            return []
-        if not (0 <= start_index < len(sub)):
-            raise InvalidParameterError(
-                f"start_index {start_index} out of range for a pool of {len(sub)} elements"
-            )
-        if metric.supports_batch:
-            return _gmm_store_batched(sub, metric, k, start_index)
-        pool: List[Element] = sub.elements()
+            pool = elements.select(np.nonzero(elements.groups == restrict_group)[0])
     else:
         pool = [
             element
             for element in elements
             if restrict_group is None or element.group == restrict_group
         ]
-    if not pool:
+    if not len(pool):
         return []
     if not (0 <= start_index < len(pool)):
         raise InvalidParameterError(
             f"start_index {start_index} out of range for a pool of {len(pool)} elements"
         )
-    if metric.supports_batch:
-        return _gmm_elements_batched(pool, metric, k, start_index)
-    selected = [pool[start_index]]
-    # Maintain, for every pool element, its distance to the current selection.
-    nearest = [metric.distance(element.vector, selected[0].vector) for element in pool]
-    nearest[start_index] = -1.0  # exclude the seed from future selection
-    while len(selected) < min(k, len(pool)):
-        best_index = max(range(len(pool)), key=lambda i: nearest[i])
-        if nearest[best_index] < 0:
-            break
-        chosen = pool[best_index]
-        selected.append(chosen)
-        nearest[best_index] = -1.0
-        for i, element in enumerate(pool):
-            if nearest[i] < 0:
-                continue
-            d = metric.distance(element.vector, chosen.vector)
-            if d < nearest[i]:
-                nearest[i] = d
-    return selected
-
-
-def _gmm_store_batched(
-    store: ElementStore,
-    metric: Metric,
-    k: int,
-    start_index: int,
-) -> List[Element]:
-    """Columnar farthest-point greedy: selection over store rows.
-
-    Same selection sequence (and distance accounting) as
-    :func:`_gmm_elements_batched` over the corresponding element list —
-    the payload matrix is simply the store's feature matrix, and elements
-    are materialised (as zero-copy views) only for the ``k`` winners.
-    """
-    matrix = store.features
-    selected_rows = [start_index]
+    # One loop over the pool's payload matrix; only the winners become elements.
+    if isinstance(pool, ElementStore):
+        matrix, element_at = pool.features, pool.element
+    else:
+        matrix, element_at = stack_vectors(pool), pool.__getitem__
+    selected = [start_index]
     nearest = metric.distances_to(matrix[start_index], matrix)
-    nearest[start_index] = -1.0
-    while len(selected_rows) < min(k, len(store)):
-        best_index = int(np.argmax(nearest))
+    nearest[start_index] = -1.0  # selected rows never win again
+    while len(selected) < min(k, len(pool)):
+        best_index = int(np.argmax(nearest))  # ties go to the first row
         if nearest[best_index] < 0:
             break
-        selected_rows.append(best_index)
+        selected.append(best_index)
         np.minimum(nearest, metric.distances_to(matrix[best_index], matrix), out=nearest)
         nearest[best_index] = -1.0
-    return [store.element(row) for row in selected_rows]
-
-
-def _gmm_elements_batched(
-    pool: Sequence[Element],
-    metric: Metric,
-    k: int,
-    start_index: int,
-) -> List[Element]:
-    """Vectorized farthest-point greedy over an already-filtered pool.
-
-    Selects the same elements as the scalar loop (``np.argmax`` and
-    ``max(key=...)`` both break ties on the first index); selected entries
-    are masked with ``-1`` exactly as the scalar path does.
-    """
-    matrix = stack_vectors(pool)
-    selected = [pool[start_index]]
-    nearest = metric.distances_to(pool[start_index].vector, matrix)
-    nearest[start_index] = -1.0
-    while len(selected) < min(k, len(pool)):
-        best_index = int(np.argmax(nearest))
-        if nearest[best_index] < 0:
-            break
-        chosen = pool[best_index]
-        selected.append(chosen)
-        np.minimum(nearest, metric.distances_to(chosen.vector, matrix), out=nearest)
-        nearest[best_index] = -1.0
-    return selected
+    return [element_at(row) for row in selected]
 
 
 def gmm(elements: Sequence[Element], metric: Metric, k: int) -> RunResult:

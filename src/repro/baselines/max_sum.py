@@ -6,11 +6,12 @@ element with the largest total distance to the current selection.  The paper
 uses it only to illustrate (Figure 1) why max-min is preferable when uniform
 coverage matters; it is not part of the evaluated algorithms.
 
-Metrics with vectorized kernels run one ``pairwise`` evaluation up front and
-drive both the farthest-pair seeding and the per-round gain updates from the
-cached matrix; the selection sequence and the distance accounting are
-identical to the scalar path (ties break on the first row-major maximum
-either way, and gains accumulate in selection order on both paths).
+One ``pairwise`` evaluation up front drives both the farthest-pair seeding
+and the per-round gain updates.  The counter is charged what the
+element-at-a-time greedy evaluates — every pair once to find the farthest
+pair, then each unselected element's distance to each selected one per
+round — so the count does not depend on how the metric evaluates the
+matrix.
 """
 
 from __future__ import annotations
@@ -29,17 +30,13 @@ from repro.utils.timer import Timer
 from repro.utils.validation import require_positive_int
 
 
-def _select_batched(counting: CountingMetric, pool: Sequence[Element], k: int) -> List[Element]:
+def _select(counting: CountingMetric, pool: Sequence[Element], k: int) -> List[Element]:
     """The greedy selection driven by one cached pairwise matrix.
 
-    Seeds with the first row-major maximum of the upper triangle (the same
-    pair the scalar double loop keeps, which only replaces on strictly
-    greater distances), then grows the selection by the first maximum-gain
-    element, with gains folded in selection order so the float sums match
-    the scalar path's sequential accumulation.  The counter is charged the
-    scalar path's exact evaluation counts — ``n(n-1)/2`` for the seeding
-    sweep and ``(n - t) * t`` per round over the ``t`` selected — so the
-    accounting stays engine-path independent.
+    Seeds with the first row-major maximum of the upper triangle, then grows
+    the selection by the first maximum-gain element, with gains folded in
+    selection order.  The counter is charged ``n(n-1)/2`` for the seeding
+    sweep and ``(n - t) * t`` per round over the ``t`` selected.
     """
     n = len(pool)
     distances = counting.inner.pairwise(stack_vectors(pool))
@@ -60,42 +57,6 @@ def _select_batched(counting: CountingMetric, pool: Sequence[Element], k: int) -
     return [pool[row] for row in rows[:k]]
 
 
-def _select_scalar(counting: CountingMetric, pool: Sequence[Element], k: int) -> List[Element]:
-    """The element-at-a-time greedy for metrics without batch kernels."""
-    # Seed with the globally farthest pair, the standard greedy start.
-    best_pair = None
-    best_distance = -1.0
-    for i in range(len(pool)):
-        for j in range(i + 1, len(pool)):
-            d = counting.distance(pool[i].vector, pool[j].vector)
-            if d > best_distance:
-                best_distance = d
-                best_pair = (i, j)
-    if best_pair is None:
-        return list(pool[:k])
-    first, second = best_pair
-    selected = [pool[first], pool[second]]
-    chosen_uids = {element.uid for element in selected}
-    while len(selected) < min(k, len(pool)):
-        best_element = None
-        best_gain = -1.0
-        for element in pool:
-            if element.uid in chosen_uids:
-                continue
-            gain = sum(
-                counting.distance(element.vector, member.vector)
-                for member in selected
-            )
-            if gain > best_gain:
-                best_gain = gain
-                best_element = element
-        if best_element is None:
-            break
-        selected.append(best_element)
-        chosen_uids.add(best_element.uid)
-    return selected[:k]
-
-
 def max_sum_greedy(elements: Sequence[Element], metric: Metric, k: int) -> RunResult:
     """Greedy 1/2-approximation for max-sum dispersion packaged as a run result."""
     k = require_positive_int(k, "k")
@@ -103,12 +64,7 @@ def max_sum_greedy(elements: Sequence[Element], metric: Metric, k: int) -> RunRe
     timer = Timer()
     with timer.measure():
         remaining = list(elements)
-        if len(remaining) < 2:
-            selected = remaining[:k]
-        elif counting.supports_batch:
-            selected = _select_batched(counting, remaining, k)
-        else:
-            selected = _select_scalar(counting, remaining, k)
+        selected = remaining[:k] if len(remaining) < 2 else _select(counting, remaining, k)
     stats = StreamStats(
         elements_processed=len(elements),
         stream_distance_computations=counting.calls,

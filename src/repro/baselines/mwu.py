@@ -111,12 +111,6 @@ class _Pool:
                 self._matrix = stack_vectors(self._list)
         return self._matrix
 
-    def vector(self, row: int):
-        """The payload of row ``row``."""
-        if self._store is not None:
-            return self._store.features[row]
-        return self._list[row].vector
-
     def element(self, row: int) -> Element:
         """Materialise row ``row`` as an :class:`Element`."""
         if self._store is not None:
@@ -131,26 +125,6 @@ class _Pool:
         """Number of pool elements per group label."""
         labels, counts = np.unique(self.groups, return_counts=True)
         return {int(g): int(c) for g, c in zip(labels, counts)}
-
-
-def _fold_nearest(
-    counting: Metric, pool: _Pool, row: int, nearest: np.ndarray
-) -> None:
-    """Fold the distances to row ``row`` into the nearest-to-selection array.
-
-    Mirrors the per-round refresh of the farthest-point greedy: one batched
-    ``distances_to`` call (charged ``n``) on vectorized metrics, a scalar
-    scan (also ``n`` evaluations) otherwise, so the distance accounting is
-    identical across both paths.
-    """
-    if counting.supports_batch:
-        np.minimum(nearest, counting.distances_to(pool.vector(row), pool.matrix()), out=nearest)
-        return
-    chosen = pool.vector(row)
-    for i in range(pool.n):
-        d = counting.distance(chosen, pool.vector(i))
-        if d < nearest[i]:
-            nearest[i] = d
 
 
 def _oracle(
@@ -194,7 +168,8 @@ def _oracle(
         if remaining[group] == 0:
             open_mask &= pool.groups != group
         if len(chosen) < k:
-            _fold_nearest(counting, pool, pick, nearest)
+            matrix = pool.matrix()
+            np.minimum(nearest, counting.distances_to(matrix[pick], matrix), out=nearest)
     return chosen, chosen_mask, remaining
 
 
@@ -270,7 +245,7 @@ def mwu_fair(
         The candidate pool — an element sequence or a columnar
         :class:`~repro.data.store.ElementStore`.
     metric:
-        Distance metric; vectorized kernels are used when available.
+        Distance metric.
     constraint:
         The fairness constraint (validated feasible against the pool's
         group sizes before any work happens).

@@ -206,7 +206,7 @@ class StreamingAlgorithm:
         counted distance evaluations, since a chunk is screened in full).
         Metrics without vectorized kernels (e.g. custom callables) run the
         same chunks through :class:`~repro.metrics.base.Metric`'s scalar
-        loops.
+        loops and are charged the same distance counts.
     """
 
     #: Overridden by subclasses; used in reports.

@@ -37,6 +37,7 @@ from typing import Iterator, List, Optional
 import numpy as np
 
 from repro.metrics.base import Metric, stack_payloads
+from repro.metrics.space import distance_to_set, diversity_of
 from repro.data.element import Element
 
 
@@ -170,14 +171,8 @@ class Candidate:
     # Streaming update
     # ------------------------------------------------------------------
     def distance_to(self, element: Element) -> float:
-        """``d(x, S_µ)``; infinity when the candidate is empty."""
-        if not self._elements:
-            return float("inf")
-        if self.metric.supports_batch and len(self._elements) > 1:
-            return float(self.metric.distances_to(element.vector, self.member_matrix()).min())
-        return min(
-            self.metric.distance(element.vector, member.vector) for member in self._elements
-        )
+        """``d(x, S_µ)`` (:func:`~repro.metrics.space.distance_to_set`); ``inf`` when empty."""
+        return distance_to_set(element, self._elements, self.metric)
 
     def offer(self, element: Element) -> bool:
         """Process one stream element; return ``True`` if it was accepted.
@@ -253,19 +248,8 @@ class Candidate:
     # Inspection
     # ------------------------------------------------------------------
     def diversity(self) -> float:
-        """Minimum pairwise distance within the candidate (``inf`` if < 2 items)."""
-        if len(self._elements) < 2:
-            return float("inf")
-        if self.metric.supports_batch:
-            matrix = self.metric.pairwise(self.member_matrix())
-            return float(matrix[np.triu_indices(len(self._elements), k=1)].min())
-        best = float("inf")
-        for i in range(len(self._elements)):
-            for j in range(i + 1, len(self._elements)):
-                d = self.metric.distance(self._elements[i].vector, self._elements[j].vector)
-                if d < best:
-                    best = d
-        return best
+        """``div(S_µ)`` (:func:`~repro.metrics.space.diversity_of`); ``inf`` if < 2 items."""
+        return diversity_of(self._elements, self.metric)
 
     def count_group(self, group: int) -> int:
         """Number of accepted elements belonging to ``group``."""

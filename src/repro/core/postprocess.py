@@ -6,9 +6,10 @@
   over-filled group.
 * :func:`cluster_elements` — the threshold clustering of SFDM2 (Algorithm 3,
   lines 12–16): single-linkage connected components under ``d < µ/(m+1)``,
-  built from :func:`pool_distances` and :func:`threshold_clusters`, which
-  SFDM2 calls directly so one pool matrix also serves its matroid
-  intersection and the diversity of the picked solution.
+  built from :func:`~repro.metrics.space.pairwise_distances` and
+  :func:`threshold_clusters`, which SFDM2 calls directly so one pool
+  matrix also serves its matroid intersection and the diversity of the
+  picked solution.
 * :func:`greedy_fair_fill` — a GMM-style greedy that builds a fair set from
   an arbitrary pool of stored elements; used as a best-effort fallback when
   no guess admits the exact post-processing of the paper (this can happen
@@ -25,27 +26,8 @@ from repro import obs
 from repro.data.store import store_rows_of
 from repro.fairness.constraints import FairnessConstraint
 from repro.metrics.base import Metric, stack_vectors
+from repro.metrics.space import distance_to_set, pairwise_distances
 from repro.data.element import Element
-
-
-def distance_to_set(element: Element, subset: Sequence[Element], metric: Metric) -> float:
-    """``d(x, S)``; infinity for an empty ``S``.
-
-    Uses the metric's batched ``distances_to`` kernel when available and
-    ``S`` has more than one member; falls back to the scalar scan
-    otherwise.  When ``element`` and the whole subset are views of one
-    :class:`~repro.data.store.ElementStore` the computation routes through
-    the index-based ``distances_idx`` kernel, slicing the store directly.
-    """
-    if not subset:
-        return float("inf")
-    if metric.supports_batch and len(subset) > 1:
-        backing = store_rows_of(subset)
-        if backing is not None and getattr(element, "store", None) is backing[0]:
-            store, rows = backing
-            return float(metric.distances_idx(store, element.row, rows).min())
-        return float(metric.distances_to(element.vector, stack_vectors(subset)).min())
-    return min(metric.distance(element.vector, member.vector) for member in subset)
 
 
 def balance_by_swapping(
@@ -143,24 +125,6 @@ class _UnionFind:
             self._rank[ra] += 1
 
 
-def pool_distances(elements: Sequence[Element], metric: Metric) -> np.ndarray:
-    """The distance matrix of ``elements``: entry ``(i, j)`` is ``d(elements[i], elements[j])``.
-
-    Metrics with vectorized kernels evaluate it with one ``pairwise`` call
-    (one gather when the elements are views of one
-    :class:`~repro.data.store.ElementStore`); other metrics, and pools of at
-    most one element, evaluate one scalar ``distance`` per unordered pair and
-    mirror it.
-    """
-    if metric.supports_batch and len(elements) > 1:
-        return metric.pairwise(stack_vectors(elements))
-    matrix = np.zeros((len(elements), len(elements)))
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            matrix[i, j] = matrix[j, i] = metric.distance(elements[i].vector, elements[j].vector)
-    return matrix
-
-
 def threshold_clusters(distances: np.ndarray, threshold: float) -> np.ndarray:
     """Cluster code of every row of ``distances``, by single linkage under ``d < threshold``.
 
@@ -184,7 +148,8 @@ def cluster_elements(
     by a chain of pairwise distances below ``threshold`` — this is the fixed
     point of the repeated merging in Algorithm 3 (lines 13–16), computed
     with a union-find (:func:`threshold_clusters`) over the elements'
-    distance matrix (:func:`pool_distances`) instead of repeated scans.
+    distance matrix (:func:`~repro.metrics.space.pairwise_distances`)
+    instead of repeated scans.
 
     The returned clusters satisfy the paper's Property (i): any two elements
     in *different* clusters are at distance at least ``threshold``.
@@ -193,7 +158,7 @@ def cluster_elements(
     for element in elements:
         unique.setdefault(element.uid, element)
     items = list(unique.values())
-    codes = threshold_clusters(pool_distances(items, metric), threshold)
+    codes = threshold_clusters(pairwise_distances(items, metric), threshold)
     clusters: Dict[int, List[Element]] = {}
     for element, code in zip(items, codes):
         clusters.setdefault(int(code), []).append(element)
@@ -221,107 +186,54 @@ def greedy_fair_fill(
     implicitly assumes never happens because ``d_min``/``d_max`` are known
     exactly).
 
-    Metrics with vectorized kernels maintain a nearest-to-selection array
-    over the whole pool (one batched ``distances_to`` per accepted element)
-    instead of rescanning the selection per pool element; the selected set
-    is the same either way.
+    Every pool element's distance to the current selection is kept in one
+    array, updated by one ``distances_to`` over the pool per selected
+    element, and each round takes the arg-max over the quota-eligible
+    entries, ties going to the first pool element.  A store-backed pool
+    gathers its payload matrix and group and uid columns straight from the
+    store.
     """
     with obs.span("postprocess.fill", pool=len(pool), k=constraint.total_size):
-        return _greedy_fair_fill(pool, constraint, metric, initial)
-
-
-def _greedy_fair_fill(
-    pool: Sequence[Element],
-    constraint: FairnessConstraint,
-    metric: Metric,
-    initial: Optional[Sequence[Element]],
-) -> List[Element]:
-    """Implementation behind :func:`greedy_fair_fill` (span-wrapped there)."""
-    selection: List[Element] = list(initial) if initial else []
-    selected_uids = {element.uid for element in selection}
-    counts = {group: 0 for group in constraint.groups}
-    for element in selection:
-        if element.group in counts:
-            counts[element.group] += 1
-
-    candidates = [element for element in pool if element.uid not in selected_uids]
-    if metric.supports_batch and candidates:
-        return _greedy_fair_fill_batched(
-            candidates, selection, selected_uids, counts, constraint, metric
-        )
-    while len(selection) < constraint.total_size:
-        eligible = [
-            element
-            for element in candidates
-            if element.group in counts and counts[element.group] < constraint.quota(element.group)
-        ]
-        if not eligible:
-            break
-        if selection:
-            best = max(
-                eligible, key=lambda element: distance_to_set(element, selection, metric)
-            )
+        selection: List[Element] = list(initial) if initial else []
+        counts = {group: 0 for group in constraint.groups}
+        for element in selection:
+            if element.group in counts:
+                counts[element.group] += 1
+        selected_uids = {element.uid for element in selection}
+        candidates = [element for element in pool if element.uid not in selected_uids]
+        if not candidates:
+            return selection
+        backing = store_rows_of(candidates)
+        if backing is not None:
+            store, rows = backing
+            matrix = store.features[rows]
+            pool_groups = store.groups[rows]
+            pool_uids = store.uids[rows]
         else:
-            best = eligible[0]
-        selection.append(best)
-        selected_uids.add(best.uid)
-        counts[best.group] += 1
-        candidates = [element for element in candidates if element.uid != best.uid]
-    return selection
+            matrix = stack_vectors(candidates)
+            pool_groups = np.array([element.group for element in candidates])
+            pool_uids = np.array([element.uid for element in candidates])
+        taken = np.zeros(len(candidates), dtype=bool)
+        nearest = np.full(len(candidates), np.inf)
+        for member in selection:
+            np.minimum(nearest, metric.distances_to(member.vector, matrix), out=nearest)
 
-
-def _greedy_fair_fill_batched(
-    candidates: List[Element],
-    selection: List[Element],
-    selected_uids: Set[int],
-    counts: Dict[int, int],
-    constraint: FairnessConstraint,
-    metric: Metric,
-) -> List[Element]:
-    """Vectorized body of :func:`greedy_fair_fill`.
-
-    Keeps, for every pool candidate, its distance to the current selection
-    in one array and takes the arg-max over the quota-eligible entries each
-    round — the same greedy choice (with the same first-index tie-breaking)
-    as the scalar loop.  Store-backed pools gather the payload matrix and
-    the group/uid columns straight from the store instead of looping over
-    the elements.
-    """
-    backing = store_rows_of(candidates)
-    if backing is not None:
-        store, rows = backing
-        matrix = store.features[rows]
-        pool_groups = store.groups[rows]
-        pool_uids = store.uids[rows]
-    else:
-        matrix = stack_vectors(candidates)
-        pool_groups = np.array([element.group for element in candidates])
-        pool_uids = np.array([element.uid for element in candidates])
-    taken = np.zeros(len(candidates), dtype=bool)
-    nearest = np.full(len(candidates), np.inf)
-    for member in selection:
-        np.minimum(nearest, metric.distances_to(member.vector, matrix), out=nearest)
-
-    while len(selection) < constraint.total_size:
-        eligible = ~taken
-        for group in counts:
-            if counts[group] >= constraint.quota(group):
-                eligible &= pool_groups != group
-        known_groups = np.isin(pool_groups, list(counts))
-        eligible &= known_groups
-        indices = np.nonzero(eligible)[0]
-        if indices.size == 0:
-            break
-        if selection:
-            best_index = int(indices[np.argmax(nearest[indices])])
-        else:
-            best_index = int(indices[0])
-        best = candidates[best_index]
-        selection.append(best)
-        selected_uids.add(best.uid)
-        counts[best.group] += 1
-        # Mask every pool entry with the selected uid, not just the chosen
-        # index — the scalar path removes all duplicates of the uid too.
-        taken |= pool_uids == best.uid
-        np.minimum(nearest, metric.distances_to(best.vector, matrix), out=nearest)
-    return selection
+        while len(selection) < constraint.total_size:
+            eligible = ~taken & np.isin(pool_groups, list(counts))
+            for group in counts:
+                if counts[group] >= constraint.quota(group):
+                    eligible &= pool_groups != group
+            indices = np.nonzero(eligible)[0]
+            if indices.size == 0:
+                break
+            if selection:
+                best = candidates[int(indices[np.argmax(nearest[indices])])]
+            else:
+                best = candidates[int(indices[0])]
+            selection.append(best)
+            counts[best.group] += 1
+            # Mask every pool entry with the selected uid, not just the
+            # chosen index: the pool may hold one uid more than once.
+            taken |= pool_uids == best.uid
+            np.minimum(nearest, metric.distances_to(best.vector, matrix), out=nearest)
+        return selection

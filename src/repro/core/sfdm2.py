@@ -22,11 +22,12 @@ from repro import obs
 from repro.core.base import CandidateState, StreamingAlgorithm
 from repro.core.candidate import Candidate
 from repro.core.guesses import GuessLadder
-from repro.core.postprocess import pool_distances, threshold_clusters
+from repro.core.postprocess import threshold_clusters
 from repro.core.solution import FairSolution
 from repro.fairness.constraints import FairnessConstraint
 from repro.matroids.intersection import partition_intersection
 from repro.metrics.base import Metric
+from repro.metrics.space import pairwise_distances
 from repro.data.element import Element
 
 
@@ -150,7 +151,7 @@ class SFDM2(StreamingAlgorithm):
             ground = list(frozenset(pool.values()))
             position = {element.uid: index for index, element in enumerate(ground)}
 
-            distances = pool_distances(ground, metric)
+            distances = pairwise_distances(ground, metric)
             clusters = threshold_clusters(distances, mu / (m + 1))
             # Group codes index the quotas; groups outside the constraint share
             # one last code with capacity zero.
@@ -195,7 +196,7 @@ class SFDM2(StreamingAlgorithm):
             if len(picked) == k and k > 1:
                 pairs = distances[np.ix_(picked, picked)][np.triu_indices(k, k=1)]
                 diversity = float(pairs.min())
-                evaluations += k * k if metric.supports_batch else pairs.size
+                evaluations += k * k
             charge = getattr(metric, "charge", None)
             if charge is not None:
                 charge(evaluations)

@@ -4,32 +4,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.fairness.constraints import FairnessAudit, FairnessConstraint, audit_fairness
-from repro.metrics.base import Metric, stack_vectors
+from repro.metrics.base import Metric
+from repro.metrics.space import diversity_of
 from repro.data.element import Element
-
-
-def diversity_of(elements: Sequence[Element], metric: Metric) -> float:
-    """``div(S)``: the minimum pairwise distance within ``elements``.
-
-    Returns ``inf`` for fewer than two elements (the empty minimum), which
-    matches the convention used throughout the paper's analysis.  Metrics
-    with vectorized kernels evaluate the whole pairwise matrix in one call.
-    """
-    if len(elements) < 2:
-        return float("inf")
-    if metric.supports_batch:
-        matrix = metric.pairwise(stack_vectors(elements))
-        return float(matrix[np.triu_indices(len(elements), k=1)].min())
-    best = float("inf")
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            d = metric.distance(elements[i].vector, elements[j].vector)
-            if d < best:
-                best = d
-    return best
 
 
 class Solution:

@@ -78,14 +78,7 @@ class ElementStore:
             )
         n = features.shape[0]
         groups = group_codes(groups, n)
-        if uids is None:
-            uids = np.arange(n, dtype=np.int64)
-        else:
-            uids = np.ascontiguousarray(uids, dtype=np.int64)
-            if uids.shape != (n,):
-                raise InvalidParameterError(
-                    f"uids must be a length-{n} vector, got shape {uids.shape}"
-                )
+        uids = np.arange(n, dtype=np.int64) if uids is None else group_codes(uids, n, "uids")
         if labels is not None:
             labels = list(labels)
             if len(labels) != n:
@@ -250,17 +243,18 @@ class ElementStore:
         )
 
 
-def group_codes(labels: Any, count: int) -> np.ndarray:
-    """``count`` group labels as a validated int64 column.
+def group_codes(labels: Any, count: int, column: str = "groups") -> np.ndarray:
+    """``count`` integer labels of one column as a validated int64 column.
 
     Every array entry point (:class:`ElementStore` construction,
     ``stream_from_arrays``, session ``offer_rows`` and the served offer)
-    converts its labels here, once.  Integer, boolean, integral float and
-    numeric string labels convert; a NaN, infinite, fractional or
-    non-scalar label raises :class:`InvalidParameterError` naming the first
-    such row, as does a label count other than ``count``.  A scalar label
-    stands for a single row, and a label array of ``count`` entries in any
-    shape (an ``(n, 1)`` column, a ``(1, n)`` row) is read flat.
+    converts its group labels, and any uids it is given (``column="uids"``),
+    here, once.  Integer, boolean, integral float and numeric string labels
+    convert; a NaN, infinite, fractional or non-scalar label raises
+    :class:`InvalidParameterError` naming ``column`` and the first such
+    row, as does a label count other than ``count``.  A scalar label stands
+    for a single row, and a label array of ``count`` entries in any shape
+    (an ``(n, 1)`` column, a ``(1, n)`` row) is read flat.
     """
     if isinstance(labels, Iterator):
         labels = list(labels)
@@ -274,11 +268,11 @@ def group_codes(labels: Any, count: int) -> np.ndarray:
         array = array.reshape(-1)
     if array.shape[0] != count:
         raise InvalidParameterError(
-            f"groups must hold one label per row: got {count} feature rows "
-            f"but {array.shape[0]} group labels"
+            f"{column} must hold one label per row: got {count} feature rows "
+            f"but {array.shape[0]} {column[:-1]} labels"
         )
     if array.ndim != 1:
-        raise _bad_label(0, array[0].tolist())
+        raise _bad_label(column, 0, array[0].tolist())
     kind = array.dtype.kind
     if kind in "biu":
         return np.ascontiguousarray(array, dtype=np.int64)
@@ -286,14 +280,14 @@ def group_codes(labels: Any, count: int) -> np.ndarray:
         valid = np.isfinite(array) & (np.floor(array) == array) & (np.abs(array) < 2.0**63)
         if not valid.all():
             row = int(np.argmin(valid))
-            raise _bad_label(row, array[row].item())
+            raise _bad_label(column, row, array[row].item())
         return array.astype(np.int64)
     codes = np.empty(count, dtype=np.int64)
     for row, label in enumerate(array.tolist()):
         try:
             codes[row] = _label_code(label)
         except (TypeError, ValueError, OverflowError):
-            raise _bad_label(row, label) from None
+            raise _bad_label(column, row, label) from None
     return codes
 
 
@@ -333,10 +327,10 @@ def _label_code(label: Any) -> int:
     raise TypeError(label)
 
 
-def _bad_label(row: int, label: Any) -> InvalidParameterError:
-    """The error for a group label that is not an integer."""
+def _bad_label(column: str, row: int, label: Any) -> InvalidParameterError:
+    """The error for a label of ``column`` that is not an integer."""
     return InvalidParameterError(
-        f"groups must hold integer labels, but row {row} has {label!r}"
+        f"{column} must hold integer labels, but row {row} has {label!r}"
     )
 
 

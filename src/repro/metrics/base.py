@@ -8,13 +8,13 @@ payload it understands).
 
 Besides the scalar ``distance``, every metric offers two *batch kernels*:
 ``distances_to(point, X)`` (one point against a stack of payloads) and
-``pairwise(X, Y)`` (all cross distances between two stacks).  The base
-class implements both as scalar loops, so any metric — including user
-callables — works everywhere a batch kernel is requested; the built-in
-vector metrics override them with NumPy-broadcast implementations and
-advertise that via :attr:`Metric.supports_batch`, which the offline
-helpers consult to pick between a batched and a scalar formulation of the
-same computation.
+``pairwise(X, Y)`` (all cross distances between two stacks).  Every
+helper that evaluates many distances calls these kernels; there is no
+second, scalar formulation of any computation.  The base class implements
+both kernels as loops over ``distance`` — ``pairwise(X)`` evaluates each
+unordered pair once — so any metric, including a user callable, runs the
+same code paths as the built-in vector metrics, which override the
+kernels with NumPy-broadcast implementations.
 
 The streaming ingestion engine screens every chunk through the private
 radius screen :meth:`Metric._radius_screen`, whatever the metric.  Its
@@ -48,12 +48,6 @@ class Metric(ABC):
     #: Human-readable name used in experiment reports.
     name: str = "metric"
 
-    #: Whether :meth:`distances_to` and :meth:`pairwise` are backed by a
-    #: vectorized kernel (``True``) or by the scalar fallback loops
-    #: (``False``).  Offline helpers use this to decide between a batched
-    #: and a scalar formulation of the same computation.
-    supports_batch: bool = False
-
     @abstractmethod
     def distance(self, x: Any, y: Any) -> float:
         """Return the distance between two payloads as a ``float``."""
@@ -74,9 +68,9 @@ class Metric(ABC):
             1-D float array of length ``len(X)`` where entry ``i`` equals
             ``distance(point, X[i])``.
 
-        The base implementation is a scalar loop; vectorized metrics
-        override it with a broadcast kernel that agrees with the scalar
-        path to floating-point round-off.
+        The base implementation is a loop over :meth:`distance`;
+        vectorized metrics override it with a broadcast kernel that agrees
+        with :meth:`distance` to floating-point round-off.
         """
         return np.array([self.distance(point, row) for row in X], dtype=float)
 
@@ -97,14 +91,20 @@ class Metric(ABC):
             2-D float array of shape ``(len(X), len(Y))`` with entry
             ``(i, j)`` equal to ``distance(X[i], Y[j])``.
 
-        The base implementation loops over all pairs; vectorized metrics
-        override it with a broadcast kernel.
+        The base implementation loops over all pairs; with ``Y=None`` it
+        evaluates each unordered pair once, mirrors it and leaves the
+        diagonal zero.  Vectorized metrics override it with a broadcast
+        kernel.
         """
-        rows: Sequence[Any] = X
-        cols: Sequence[Any] = X if Y is None else Y
-        out = np.empty((len(rows), len(cols)), dtype=float)
-        for i, x in enumerate(rows):
-            for j, y in enumerate(cols):
+        if Y is None:
+            out = np.zeros((len(X), len(X)))
+            for i in range(len(X)):
+                for j in range(i + 1, len(X)):
+                    out[i, j] = out[j, i] = self.distance(X[i], X[j])
+            return out
+        out = np.empty((len(X), len(Y)), dtype=float)
+        for i, x in enumerate(X):
+            for j, y in enumerate(Y):
                 out[i, j] = self.distance(x, y)
         return out
 

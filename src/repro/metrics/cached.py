@@ -29,11 +29,6 @@ class CountingMetric(Metric):
         self.name = f"counting({inner.name})"
         self.calls = 0
 
-    @property
-    def supports_batch(self) -> bool:
-        """Whether the wrapped metric has vectorized batch kernels."""
-        return self.inner.supports_batch
-
     def distance(self, x: Any, y: Any) -> float:
         """Distance via the wrapped metric; increments the call counter by one."""
         self.calls += 1

@@ -28,7 +28,6 @@ class PrecomputedMetric(Metric):
     """
 
     name = "precomputed"
-    supports_batch = True
 
     def __init__(self, matrix: np.ndarray) -> None:
         matrix = np.asarray(matrix, dtype=float)

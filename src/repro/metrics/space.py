@@ -1,9 +1,10 @@
 """Metric-space helpers that operate on collections of elements.
 
 The streaming algorithms need (estimates of) ``d_min`` and ``d_max`` to seed
-the guess ladder for OPT; the offline baselines and the evaluation harness
-need full or partial pairwise-distance computations.  Both live here so the
-algorithms themselves stay free of bulk-distance code.
+the guess ladder for OPT; the post-processing, the offline baselines and the
+evaluation harness need distance matrices, ``div(S)`` and ``d(x, S)``.  Each
+of these has its one implementation here, on the metric's batch kernels, so
+the algorithms themselves stay free of bulk-distance code.
 """
 
 from __future__ import annotations
@@ -20,26 +21,48 @@ from repro.utils.rng import ensure_rng
 
 
 def pairwise_distances(elements: Sequence[Element], metric: Metric) -> np.ndarray:
-    """Full symmetric pairwise-distance matrix for ``elements`` under ``metric``.
+    """Symmetric distance matrix of ``elements``, entry ``(i, j)`` being ``d(x_i, x_j)``.
 
-    Quadratic in ``len(elements)``; intended for the offline baselines and
-    for small exact checks, not for full streams.  Metrics with vectorized
-    kernels (``metric.supports_batch``) are evaluated with one
-    :meth:`~repro.metrics.base.Metric.pairwise` call; other metrics fall
-    back to the scalar loop over the upper triangle.
+    One :meth:`~repro.metrics.base.Metric.pairwise` call over the stacked
+    payloads (one gather when the elements are views of one
+    :class:`~repro.data.store.ElementStore`), with a zero diagonal; a pool
+    of fewer than two elements evaluates no distance.  Quadratic in
+    ``len(elements)``: meant for post-processing pools, the offline
+    baselines and small exact checks, not for full streams.
     """
     n = len(elements)
-    if metric.supports_batch and n:
-        matrix = metric.pairwise(stack_vectors(elements))
-        np.fill_diagonal(matrix, 0.0)
-        return matrix
-    matrix = np.zeros((n, n), dtype=float)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = metric.distance(elements[i].vector, elements[j].vector)
-            matrix[i, j] = d
-            matrix[j, i] = d
+    if n < 2:
+        return np.zeros((n, n))
+    matrix = metric.pairwise(stack_vectors(elements))
+    np.fill_diagonal(matrix, 0.0)
     return matrix
+
+
+def diversity_of(elements: Sequence[Element], metric: Metric) -> float:
+    """``div(S)``: the minimum pairwise distance within ``elements``.
+
+    Returns ``inf`` for fewer than two elements (the empty minimum), which
+    matches the convention used throughout the paper's analysis; otherwise
+    the upper triangle of one ``pairwise`` call over the stacked payloads.
+    """
+    if len(elements) < 2:
+        return float("inf")
+    matrix = metric.pairwise(stack_vectors(elements))
+    return float(matrix[np.triu_indices(len(elements), k=1)].min())
+
+
+def distance_to_set(element: Element, subset: Sequence[Element], metric: Metric) -> float:
+    """``d(x, S) = min_{y in S} d(x, y)``; ``inf`` for an empty ``S``.
+
+    A one-member ``S`` costs one scalar ``distance``, a larger one one
+    ``distances_to`` over its stacked payloads (one gather when the members
+    are views of one :class:`~repro.data.store.ElementStore`).
+    """
+    if not subset:
+        return float("inf")
+    if len(subset) == 1:
+        return float(metric.distance(element.vector, subset[0].vector))
+    return float(metric.distances_to(element.vector, stack_vectors(subset)).min())
 
 
 def exact_distance_bounds(elements: Sequence[Element], metric: Metric) -> Tuple[float, float]:
@@ -47,7 +70,7 @@ def exact_distance_bounds(elements: Sequence[Element], metric: Metric) -> Tuple[
 
     ``d_min`` ignores zero distances between duplicate points so that the
     guess ladder stays meaningful for datasets with repeated rows.
-    Vectorized metrics are evaluated with one batched pairwise call.
+    One ``pairwise`` call evaluates every pair.
     """
     return payload_distance_bounds(stack_vectors(elements), metric)
 
@@ -56,29 +79,16 @@ def payload_distance_bounds(payloads: Sequence[Any], metric: Metric) -> Tuple[fl
     """:func:`exact_distance_bounds` over a stack of raw payloads.
 
     The ingestion engine estimates its guess-ladder bounds on the warmup
-    rows with this, so offered feature rows need no :class:`Element`.
-    Vectorized metrics evaluate one ``pairwise`` over the whole stack;
-    other metrics the scalar ``distance`` over the upper triangle.
+    rows with this, so offered feature rows need no :class:`Element`.  One
+    ``pairwise`` call evaluates the whole stack.
     """
     n = len(payloads)
     if n < 2:
         raise InvalidParameterError("need at least two elements to compute distance bounds")
-    if metric.supports_batch:
-        matrix = metric.pairwise(payloads)
-        upper = matrix[np.triu_indices(n, k=1)]
-        d_max = float(upper.max()) if upper.size else 0.0
-        positive = upper[upper > 0.0]
-        d_min = float(positive.min()) if positive.size else float("inf")
-    else:
-        d_min = float("inf")
-        d_max = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = metric.distance(payloads[i], payloads[j])
-                if d > d_max:
-                    d_max = d
-                if 0.0 < d < d_min:
-                    d_min = d
+    upper = metric.pairwise(payloads)[np.triu_indices(n, k=1)]
+    d_max = float(upper.max())
+    positive = upper[upper > 0.0]
+    d_min = float(positive.min()) if positive.size else float("inf")
     if not np.isfinite(d_min):
         # All points identical: fall back to an arbitrary positive value so
         # downstream code does not divide by zero; any solution is optimal.
@@ -141,31 +151,12 @@ class MetricSpace:
         return self.metric.distance(x.vector, y.vector)
 
     def distance_to_set(self, x: Element, subset: Sequence[Element]) -> float:
-        """``d(x, S) = min_{y in S} d(x, y)``; ``inf`` for an empty ``S``."""
-        if not subset:
-            return float("inf")
-        if self.metric.supports_batch and len(subset) > 1:
-            return float(self.metric.distances_to(x.vector, stack_vectors(subset)).min())
-        return min(self.metric.distance(x.vector, y.vector) for y in subset)
+        """``d(x, S)`` (:func:`distance_to_set`); ``inf`` for an empty ``S``."""
+        return distance_to_set(x, subset, self.metric)
 
     def diversity(self, subset: Sequence[Element]) -> float:
-        """``div(S)``: minimum pairwise distance within ``subset``.
-
-        Returns ``inf`` for subsets with fewer than two elements, matching
-        the convention that such sets are unconstrained.
-        """
-        if len(subset) < 2:
-            return float("inf")
-        if self.metric.supports_batch:
-            matrix = self.metric.pairwise(stack_vectors(subset))
-            return float(matrix[np.triu_indices(len(subset), k=1)].min())
-        best = float("inf")
-        for i in range(len(subset)):
-            for j in range(i + 1, len(subset)):
-                d = self.metric.distance(subset[i].vector, subset[j].vector)
-                if d < best:
-                    best = d
-        return best
+        """``div(S)`` (:func:`diversity_of`); ``inf`` for fewer than two elements."""
+        return diversity_of(subset, self.metric)
 
     def groups(self) -> List[int]:
         """Sorted list of distinct group labels present in the space."""

@@ -5,10 +5,10 @@ Adult and the synthetic blobs, Manhattan on CelebA and Census, angular on
 Lyrics) plus a few extra standard metrics that are useful for downstream
 users (Chebyshev, general Minkowski, Hamming, cosine distance).
 
-Every metric here implements the batch kernels ``distances_to(point, X)``
-and ``pairwise(X, Y)`` with NumPy broadcasting and sets
-``supports_batch = True``; the kernels agree with the scalar ``distance``
-to floating-point round-off (the property tests pin this to ``1e-9``).
+Every metric here overrides the batch kernels ``distances_to(point, X)``
+and ``pairwise(X, Y)`` with NumPy broadcasting; the kernels agree with
+the scalar ``distance`` to floating-point round-off (the property tests
+pin this to ``1e-9``).
 Pairwise kernels that materialise an ``(n, m, d)`` difference tensor are
 chunked along the first axis so memory stays bounded for large stacks.
 
@@ -78,7 +78,6 @@ class EuclideanMetric(Metric):
     """The Euclidean (L2) distance ``sqrt(sum_i (x_i - y_i)^2)``."""
 
     name = "euclidean"
-    supports_batch = True
 
     def distance(self, x: Any, y: Any) -> float:
         """Scalar Euclidean distance between payloads ``x`` and ``y``."""
@@ -181,7 +180,6 @@ class ManhattanMetric(Metric):
     """The Manhattan (L1) distance ``sum_i |x_i - y_i|``."""
 
     name = "manhattan"
-    supports_batch = True
 
     def distance(self, x: Any, y: Any) -> float:
         """Scalar Manhattan distance between payloads ``x`` and ``y``."""
@@ -207,7 +205,6 @@ class ChebyshevMetric(Metric):
     """The Chebyshev (L-infinity) distance ``max_i |x_i - y_i|``."""
 
     name = "chebyshev"
-    supports_batch = True
 
     def distance(self, x: Any, y: Any) -> float:
         """Scalar Chebyshev distance between payloads ``x`` and ``y``."""
@@ -235,8 +232,6 @@ class MinkowskiMetric(Metric):
     ``p = 1`` and ``p = 2`` reduce to the Manhattan and Euclidean metrics;
     those dedicated classes are faster and should be preferred.
     """
-
-    supports_batch = True
 
     def __init__(self, p: float) -> None:
         if not (p >= 1):
@@ -287,7 +282,6 @@ class AngularMetric(Metric):
     """
 
     name = "angular"
-    supports_batch = True
 
     def distance(self, x: Any, y: Any) -> float:
         """Scalar angular distance (radians) between payloads ``x`` and ``y``."""
@@ -364,7 +358,6 @@ class CosineDistanceMetric(Metric):
     """
 
     name = "cosine"
-    supports_batch = True
 
     def distance(self, x: Any, y: Any) -> float:
         """Scalar cosine distance between payloads ``x`` and ``y``."""
@@ -424,7 +417,6 @@ class HammingMetric(Metric):
     """
 
     name = "hamming"
-    supports_batch = True
 
     @staticmethod
     def _raw_batch(X: Any) -> np.ndarray:

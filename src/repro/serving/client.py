@@ -93,15 +93,15 @@ class ServingClient:
     ) -> Dict[str, Any]:
         """``POST /sessions/{name}/offer``; returns the accept receipt.
 
-        Group labels are sent as given (NumPy scalars as the Python values
-        they hold): the server checks them, so a label that is not an
-        integer, such as ``1.7`` or NaN, gets a 400 naming its row.
+        Group labels and uids are sent as given (NumPy scalars as the Python
+        values they hold): the server checks them, so a label or uid that is
+        not an integer, such as ``1.7`` or NaN, gets a 400 naming its row.
         """
         body: Dict[str, Any] = {"features": _listify(features)}
         if groups is not None:
             body["groups"] = [_plain(group) for group in _listify(groups)]
         if uids is not None:
-            body["uids"] = [int(uid) for uid in _listify(uids)]
+            body["uids"] = [_plain(uid) for uid in _listify(uids)]
         status, response = self.request("POST", f"/sessions/{name}/offer", body)
         self._check(status, response, expected=202)
         return response

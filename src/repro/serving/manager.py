@@ -49,8 +49,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
 from repro import obs
 from repro.api.registry import get_algorithm, has_algorithm
 from repro.api.session import SessionBase, resume
@@ -304,9 +302,10 @@ class SessionManager:
             If the features are not a non-empty matrix, a feature is NaN
             or infinite (see :func:`~repro.data.store.feature_rows`), a
             group label is not an integer (see
-            :func:`~repro.data.store.group_codes`), or the labels or uids do
-            not match the rows.  This is checked here, so a bad batch is
-            refused before it is queued and the session keeps answering.
+            :func:`~repro.data.store.group_codes`, which checks the uids
+            too), or the labels or uids do not match the rows.  This is
+            checked here, so a bad batch is refused before it is queued and
+            the session keeps answering.
         QueueFullError
             If accepting the rows would overflow the session's bounded
             queue; nothing is queued in that case (all-or-nothing).
@@ -321,10 +320,8 @@ class SessionManager:
         rows = matrix.shape[0]
         if groups is not None:
             groups = group_codes(groups, rows)
-        if uids is not None and len(np.asarray(uids).reshape(-1)) != rows:
-            raise InvalidParameterError(
-                f"got {rows} feature rows but {len(np.asarray(uids).reshape(-1))} uids"
-            )
+        if uids is not None:
+            uids = group_codes(uids, rows, "uids")
         if entry.pending_rows + rows > self._config.max_queue:
             self._count("rejected_rows", rows)
             raise QueueFullError(name, entry.pending_rows, self._config.max_queue)

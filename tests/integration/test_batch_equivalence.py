@@ -1,15 +1,21 @@
-"""Every chunk size must produce the same streaming output.
+"""Every chunk size, and every metric's kernels, must produce the same output.
 
 The ingestion engine only reschedules the arithmetic of the paper's update
 rule — every accept/reject decision is the same whatever the chunk size
 (``batch_size``) on the same stream order.  These tests pin that
 equivalence end-to-end for all three streaming algorithms, between the
 default chunk size and explicit ones, and for the vectorized offline
-helpers.
+helpers.  Every helper has one formulation, so a metric without NumPy
+kernels returns what the Euclidean kernels return and is charged the same
+distance count, for every registered algorithm.
 """
+
+import math
 
 import pytest
 
+import repro
+from repro.api.registry import algorithm_names, get_algorithm
 from repro.baselines.gmm import gmm_elements
 from repro.core.postprocess import greedy_fair_fill
 from repro.core.sfdm1 import SFDM1
@@ -36,6 +42,32 @@ def _scalar_euclidean():
     """The Euclidean formula without batch kernels (the scalar-loop kernels)."""
     inner = EuclideanMetric()
     return CallableMetric(inner.distance, name="scalar-euclidean")
+
+
+def _naive_fair_fill(pool, constraint, metric):
+    """The fill greedy by brute force: ``d(x, S)`` anew for every eligible ``x``, every round."""
+    selection, counts = [], dict.fromkeys(constraint.groups, 0)
+    while len(selection) < constraint.total_size:
+        taken = {element.uid for element in selection}
+        eligible = [
+            element
+            for element in pool
+            if element.uid not in taken
+            and element.group in counts
+            and counts[element.group] < constraint.quota(element.group)
+        ]
+        if not eligible:
+            break
+        best = max(
+            eligible,
+            key=lambda x: min(
+                (metric.distance(x.vector, member.vector) for member in selection),
+                default=math.inf,
+            ),
+        )
+        selection.append(best)
+        counts[best.group] += 1
+    return selection
 
 
 class TestStreamingEquivalence:
@@ -96,6 +128,24 @@ class TestOfflineHelpersEquivalence:
 
     def test_greedy_fair_fill_batched_matches_scalar(self, dataset, constraint):
         pool = dataset.elements[:300]
-        fast = greedy_fair_fill(pool, constraint, EuclideanMetric())
-        slow = greedy_fair_fill(pool, constraint, _scalar_euclidean())
-        assert [e.uid for e in fast] == [e.uid for e in slow]
+        expected = [e.uid for e in _naive_fair_fill(pool, constraint, EuclideanMetric())]
+        for metric in (EuclideanMetric(), _scalar_euclidean()):
+            assert [e.uid for e in greedy_fair_fill(pool, constraint, metric)] == expected
+
+
+@pytest.fixture(scope="module")
+def blobs():
+    return synthetic_blobs(n=600, m=2, seed=11).elements
+
+
+@pytest.mark.parametrize("name", algorithm_names())
+def test_kernel_less_metric_matches_kernels_and_their_counts(blobs, name):
+    options = {"window": 300} if get_algorithm(name).capabilities.kind == "window" else {}
+    kernel, scalar = (
+        repro.solve(blobs, k=6, seed=3, algorithm=name, metric=metric, **options)
+        for metric in (EuclideanMetric(), _scalar_euclidean())
+    )
+    assert sorted(kernel.solution.uids) == sorted(scalar.solution.uids)
+    assert kernel.solution.diversity == scalar.solution.diversity
+    for count in ("stream_distance_computations", "postprocess_distance_computations"):
+        assert getattr(kernel.stats, count) == getattr(scalar.stats, count), count

@@ -357,14 +357,26 @@ class TestOpenSessionValidation:
             session.offer_rows(np.eye(3), groups=[0, 1])
 
     @pytest.mark.parametrize(
-        "bad, shown",
-        [(1.7, "1.7"), (np.nan, "nan"), (-np.inf, "-inf")],
-        ids=["fractional", "nan", "inf"],
+        "column, bad, shown",
+        [
+            ("groups", 1.7, "1.7"),
+            ("groups", np.nan, "nan"),
+            ("groups", -np.inf, "-inf"),
+            ("uids", 1.5, "1.5"),
+            ("uids", "a", "'a'"),
+        ],
+        ids=["fractional", "nan", "inf", "uid-fractional", "uid-string"],
     )
-    def test_offer_rows_rejects_bad_labels_before_ingesting(self, constraint, bad, shown):
+    def test_offer_rows_rejects_bad_labels_before_ingesting(
+        self, constraint, column, bad, shown
+    ):
         session = repro.open_session(constraint=constraint, algorithm="SFDM2")
-        with pytest.raises(InvalidParameterError, match=f"row 1 has {shown}"):
-            session.offer_rows(np.eye(3), groups=[0.0, bad, 1.0])
+        columns = {"groups": [0.0, 1.0, 1.0], "uids": [0, 1, 2]}
+        columns[column][1] = bad
+        with pytest.raises(
+            InvalidParameterError, match=f"{column} must hold integer labels, but row 1 has {shown}"
+        ):
+            session.offer_rows(np.eye(3), **columns)
         assert session.elements_offered == 0
         session.offer_rows(np.eye(3), groups=[0.0, 1.0, True])
         assert session.elements_offered == 3

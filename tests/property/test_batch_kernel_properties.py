@@ -52,9 +52,6 @@ def _coerce(metric, array):
 
 @pytest.mark.parametrize("metric", ALL_VECTOR_METRICS, ids=lambda m: m.name)
 class TestBatchScalarAgreement:
-    def test_advertises_batch_support(self, metric):
-        assert metric.supports_batch is True
-
     @given(point=vectors, X=stacks)
     @settings(max_examples=40, deadline=None)
     def test_distances_to_matches_scalar(self, metric, point, X):
@@ -108,17 +105,26 @@ class TestDecoratorKernels:
         counting.pairwise(X, X[:2])
         assert counting.calls == 4 + 8
 
-    def test_counting_metric_delegates_support(self):
-        assert CountingMetric(EuclideanMetric()).supports_batch is True
-        scalar = CallableMetric(lambda x, y: 0.0)
-        assert CountingMetric(scalar).supports_batch is False
-
     def test_callable_metric_uses_scalar_fallback(self):
-        metric = CallableMetric(lambda x, y: abs(float(x[0]) - float(y[0])), name="first-coord")
-        assert metric.supports_batch is False
+        calls = [0]
+
+        def first_coord(x, y):
+            calls[0] += 1
+            return abs(float(x[0]) - float(y[0]))
+
+        metric = CallableMetric(first_coord, name="first-coord")
         X = np.array([[1.0, 9.0], [4.0, 9.0]])
         np.testing.assert_allclose(metric.distances_to(np.array([2.0, 0.0]), X), [1.0, 2.0])
         np.testing.assert_allclose(metric.pairwise(X), [[0.0, 3.0], [3.0, 0.0]])
+        # pairwise(X) evaluates each unordered pair once; pairwise(X, Y) every pair.
+        X = np.arange(14.0).reshape(7, 2)
+        calls[0] = 0
+        self_matrix = metric.pairwise(X)
+        assert calls[0] == 7 * 6 // 2
+        np.testing.assert_array_equal(self_matrix, np.abs(X[:, :1] - X[:, 0]))
+        calls[0] = 0
+        assert metric.pairwise(X, X[:3]).shape == (7, 3)
+        assert calls[0] == 7 * 3
 
 
 class TestPrecomputedKernels:
@@ -128,7 +134,6 @@ class TestPrecomputedKernels:
         matrix = (matrix + matrix.T) / 2.0
         np.fill_diagonal(matrix, 0.0)
         metric = PrecomputedMetric(matrix)
-        assert metric.supports_batch is True
         rows = np.array([0, 2, 6])
         cols = np.array([1, 5])
         np.testing.assert_allclose(

@@ -24,12 +24,7 @@ from typing import Dict, List
 import numpy as np
 import pytest
 
-from repro.core.postprocess import (
-    cluster_elements,
-    distance_to_set,
-    pool_distances,
-    threshold_clusters,
-)
+from repro.core.postprocess import cluster_elements, distance_to_set, threshold_clusters
 from repro.core.sfdm2 import SFDM2
 from repro.core.solution import FairSolution
 from repro.data.element import Element
@@ -38,6 +33,7 @@ from repro.matroids.cluster import ClusterMatroid
 from repro.matroids.intersection import matroid_intersection, partition_intersection
 from repro.matroids.partition import matroid_from_constraint
 from repro.metrics.base import CallableMetric
+from repro.metrics.space import pairwise_distances as pool_distances
 from repro.metrics.vector import EuclideanMetric
 from repro.utils.errors import InvalidParameterError
 

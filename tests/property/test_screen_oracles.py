@@ -425,8 +425,9 @@ class TestDegenerateInputs:
 #: Distance evaluations an SFDM2 run charges on ``synthetic_blobs(n=3000,
 #: m=2, seed=7)`` with k=10, per chunk size: every level's screen in full
 #: and ``len(alive)`` per resolve round, as if each round were its own
-#: kernel call.
-PER_ROUND_CHARGES = {64: 596_901, 256: 762_062}
+#: kernel call.  A kernel-less metric is charged what ``EuclideanMetric``
+#: is on the same run.
+PER_ROUND_CHARGES = {64: 614_212, 256: 779_373}
 
 
 @pytest.mark.parametrize("batch_size", sorted(PER_ROUND_CHARGES))

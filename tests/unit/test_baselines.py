@@ -28,6 +28,34 @@ def _line_elements(count, group_period=2):
 METRIC = EuclideanMetric()
 
 
+def _naive_max_sum(elements, k):
+    """The max-sum greedy by brute force: its uids and the distances it evaluated.
+
+    Seeds with the first farthest pair, then adds the element with the
+    largest sum of distances to the selection, summing anew every round.
+    """
+    calls = 0
+
+    def distance(i, j):
+        nonlocal calls
+        calls += 1
+        return METRIC.distance(elements[i].vector, elements[j].vector)
+
+    if len(elements) < 2:
+        return [element.uid for element in elements[:k]], 0
+    pairs = [(i, j) for i in range(len(elements)) for j in range(i + 1, len(elements))]
+    seeds = [distance(i, j) for i, j in pairs]
+    selected = list(pairs[seeds.index(max(seeds))])
+    while len(selected) < min(k, len(elements)):
+        gains = {
+            i: sum(distance(i, j) for j in selected)
+            for i in range(len(elements))
+            if i not in selected
+        }
+        selected.append(max(gains, key=gains.get))
+    return [elements[i].uid for i in selected[:k]], calls
+
+
 class TestGMM:
     def test_selects_k_elements(self):
         assert len(gmm_elements(_line_elements(20), METRIC, 5)) == 5
@@ -86,25 +114,22 @@ class TestMaxSumGreedy:
 
     @pytest.mark.parametrize("n,k", [(1, 1), (1, 3), (2, 1), (7, 1), (25, 6), (31, 12)])
     def test_batched_path_matches_scalar_path(self, n, k):
-        """The batched kernels select the same elements on the same counts.
+        """The matrix-driven greedy selects what the element-at-a-time one does.
 
-        The scalar reference forces the element-at-a-time path via a
-        ``CallableMetric`` wrapping the same distance function; selections
-        and distance accounting must be identical, including the ``k=1``
-        and single-element edges.
+        The reference is :func:`_naive_max_sum`, which evaluates every
+        distance it reads; selections and distance accounting must be
+        identical, including the ``k=1`` and single-element edges, with and
+        without the metric's NumPy kernels.
         """
         rng = np.random.default_rng(100 * n + k)
         elements = [
             Element(uid=i, vector=rng.normal(size=3), group=i % 2) for i in range(n)
         ]
-        scalar_metric = CallableMetric(METRIC.distance, name="scalar-euclidean")
-        batched = max_sum_greedy(elements, METRIC, k)
-        scalar = max_sum_greedy(elements, scalar_metric, k)
-        assert batched.solution.uids == scalar.solution.uids
-        assert (
-            batched.stats.stream_distance_computations
-            == scalar.stats.stream_distance_computations
-        )
+        uids, calls = _naive_max_sum(elements, k)
+        for metric in (METRIC, CallableMetric(METRIC.distance, name="scalar-euclidean")):
+            result = max_sum_greedy(elements, metric, k)
+            assert result.solution.uids == uids
+            assert result.stats.stream_distance_computations == calls
 
     def test_single_element_pool(self):
         result = max_sum_greedy(_line_elements(1), METRIC, 4)

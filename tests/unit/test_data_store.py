@@ -43,6 +43,11 @@ class TestConstruction:
         with pytest.raises(InvalidParameterError):
             ElementStore(np.ones((3, 2)), np.zeros(3), labels=["a"])
 
+    def test_non_integer_uids_rejected(self):
+        with pytest.raises(InvalidParameterError, match="uids must hold integer labels, but row 0"):
+            ElementStore(np.ones((3, 2)), np.zeros(3), uids=[0.5, 1.7, 2.2])
+        assert list(ElementStore(np.ones((3, 2)), np.zeros(3), uids=[4.0, 5.0, 6.0]).uids) == [4, 5, 6]
+
     def test_from_elements_roundtrip(self):
         elements = [
             Element(uid=7 + i, vector=[float(i), 0.0], group=i % 3, label=f"e{i}")

@@ -134,16 +134,19 @@ class TestHttpFraming:
         # Keep-alive survives the failed request.
         assert client.healthz()["status"] == "ok"
 
-    @pytest.mark.parametrize("bad", [1.7, float("nan")], ids=["fractional", "nan"])
-    def test_bad_group_label_gets_400_at_accept_time(self, client, bad):
+    @pytest.mark.parametrize(
+        "column, bad",
+        [("groups", 1.7), ("groups", float("nan")), ("uids", 1.7), ("uids", "a")],
+        ids=["fractional", "nan", "uid-fractional", "uid-string"],
+    )
+    def test_bad_group_label_gets_400_at_accept_time(self, client, column, bad):
         client.create_session(name="labels", k=K, groups=GROUPS)
         features, groups = _rows(4)
-        groups[2] = bad
-        status, body = client.request(
-            "POST", "/sessions/labels/offer", {"features": features, "groups": groups}
-        )
+        offer = {"features": features, "groups": groups, "uids": list(range(4))}
+        offer[column][2] = bad
+        status, body = client.request("POST", "/sessions/labels/offer", offer)
         assert status == 400
-        assert "row 2" in body["error"]
+        assert f"{column} must hold integer labels, but row 2" in body["error"]
         # Nothing was queued, so the next flush has no bad batch to fail on.
         assert client.healthz()["queued_rows"] == 0
         features, groups = _rows(12)
@@ -152,17 +155,27 @@ class TestHttpFraming:
 
 
     @pytest.mark.parametrize(
-        "bad", [1.7, float("nan"), np.float64(1.7), np.float64("nan")],
-        ids=["fractional", "nan", "numpy-fractional", "numpy-nan"],
+        "column, bad",
+        [
+            ("groups", 1.7),
+            ("groups", float("nan")),
+            ("groups", np.float64(1.7)),
+            ("groups", np.float64("nan")),
+            ("uids", 1.7),
+            ("uids", np.float64(1.7)),
+        ],
+        ids=["fractional", "nan", "numpy-fractional", "numpy-nan", "uid-fractional",
+             "uid-numpy-fractional"],
     )
-    def test_client_offer_sends_labels_as_given(self, client, bad):
+    def test_client_offer_sends_labels_as_given(self, client, column, bad):
         client.create_session(name="client-labels", k=K, groups=GROUPS)
         features, groups = _rows(4)
-        groups[2] = bad
+        columns = {"groups": groups, "uids": list(range(4))}
+        columns[column][2] = bad
         with pytest.raises(ServingRequestError) as raised:
-            client.offer("client-labels", features, groups)
+            client.offer("client-labels", features, **columns)
         assert raised.value.status == 400
-        assert "row 2" in str(raised.value)
+        assert f"{column} must hold integer labels, but row 2" in str(raised.value)
         assert client.healthz()["queued_rows"] == 0
 
     @pytest.mark.parametrize(

@@ -10,8 +10,10 @@ slots, then scripts a client against it:
    one forces a transparent restore);
 4. every session answers ``GET .../solution`` with a fair solution;
 5. ``GET /metrics`` shows nonzero eviction/restore counters;
-6. a backpressure probe overflows the bounded queue and gets a 429;
-7. ``SIGTERM`` drains: the process exits 0 and every session has a
+6. an offer with a non-integer uid and one with a NaN feature each get a
+   400, leave ``queued_rows`` unchanged, and the session keeps answering;
+7. a backpressure probe overflows the bounded queue and gets a 429;
+8. ``SIGTERM`` drains: the process exits 0 and every session has a
    checkpoint in the state directory that is data-only (it starts with
    the checkpoint format's magic, never a pickle), resumes, and answers
    warm: every session was queried before the drain with the same rows
@@ -140,6 +142,26 @@ def main() -> int:
             _expect(metrics.get("repro.serving.sessions.restored", 0) >= 1,
                     "no restore recorded in metrics")
 
+            # Bad rows are refused at accept time: 400, nothing queued, and
+            # the session still answers with the rows it had.
+            features, groups = _rows(8, offset=900)
+            poisoned = [list(row) for row in features]
+            poisoned[3][0] = float("nan")
+            for label, offer in (
+                ("non-integer uid", {"features": features, "groups": groups,
+                                     "uids": [index + 0.5 for index in range(8)]}),
+                ("NaN feature", {"features": poisoned, "groups": groups}),
+            ):
+                _, before = _request(port, "GET", "/healthz")
+                status, body = _request(port, "POST", "/sessions/beta/offer", offer)
+                _expect(status == 400, f"{label} offer -> {status} {body}")
+                _, after = _request(port, "GET", "/healthz")
+                _expect(after.get("queued_rows") == before.get("queued_rows"),
+                        f"{label} offer moved queued_rows: {before} -> {after}")
+                status, body = _request(port, "GET", "/sessions/beta/solution")
+                _expect(status == 200 and body.get("elements_processed") == 90,
+                        f"solution beta after the {label} offer -> {status} {body}")
+
             # Backpressure: a single giant offer overflows max_queue=150.
             features, groups = _rows(151)
             status, body = _request(
@@ -184,7 +206,7 @@ def main() -> int:
                 process.kill()
                 process.wait(timeout=30)
 
-    print("serve smoke: OK (create/offer/evict/restore/solution/429/drain/warm resume)")
+    print("serve smoke: OK (create/offer/evict/restore/solution/400/429/drain/warm resume)")
     return 0
 
 
