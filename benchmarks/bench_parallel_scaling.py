@@ -5,9 +5,11 @@ to ``n = 100 000`` points (override with ``REPRO_BENCH_PARALLEL_N``):
 
 1. **Scaling scan** (``test_parallel_scaling``): for each shard count the
    same ``ParallelFDM`` configuration runs on the serial backend and on
-   the process backend with the shared-memory transport; solutions must
-   be identical (the engine guarantees the backend and transport only
-   decide *where* and *how* shard work runs, never what it computes) and
+   the process backend, whose shards ship over shared memory; solutions
+   must be identical (the engine guarantees the backend and transport
+   only decide *where* and *how* shard work runs, never what it computes,
+   and a run with shared memory hidden — the pickle fallback — must match
+   too) and
    the per-shard-count speedup-per-core goes into the shared perf
    trajectory.  On a machine with at least 4 usable cores the process
    backend must deliver at least 2.5x the serial throughput at the
@@ -16,9 +18,10 @@ to ``n = 100 000`` points (override with ``REPRO_BENCH_PARALLEL_N``):
    core.
 
 2. **Bytes shipped**: what actually crosses the pickle boundary per
-   worker — the pickled :class:`~repro.data.store.ElementStore` columns
-   on the pickle transport vs. the O(1) :class:`ShardRef` descriptors on
-   the shm transport (the block itself is shared, not copied per worker,
+   worker — the pickled :class:`~repro.data.store.ElementStore` of each
+   shard, which the fallback ships, vs. the O(1) :class:`ShardRef`
+   descriptors of the shared-memory route (the block itself is shared,
+   not copied per worker,
    and is recorded separately).  The shm payload must be smaller than the
    pickle payload at every scale — this assertion is hardware-independent
    and always on.
@@ -50,7 +53,7 @@ import time
 from repro.datasets.synthetic import synthetic_blobs
 from repro.evaluation.reporting import write_csv
 from repro.fairness.constraints import equal_representation
-from repro.parallel import ParallelFDM
+from repro.parallel import ParallelFDM, shm
 from repro.parallel.backends import usable_cpus
 from repro.parallel.planner import ShardPlanner
 from repro.parallel.shm import ship_shards
@@ -84,39 +87,41 @@ COLUMNS = [
 ]
 
 
-def _engine(dataset, constraint, shards, backend, transport="auto"):
-    """The benchmarked engine configuration on one backend/transport."""
+def _engine(dataset, constraint, shards, backend):
+    """The benchmarked engine configuration on one backend."""
     return ParallelFDM(
         metric=dataset.metric,
         constraint=constraint,
         shards=shards,
         backend=backend,
-        transport=transport,
         summarizer=StreamShardSummarizer(chunk_size=512, epsilon=0.15),
         refine_with_swap=False,
         seed=BENCH_SEED,
     )
 
 
-def _timed_run(dataset, constraint, shards, backend, transport="auto"):
+def _timed_run(dataset, constraint, shards, backend):
     """One timed run; returns (RunResult, wall-clock seconds)."""
-    engine = _engine(dataset, constraint, shards, backend, transport)
+    engine = _engine(dataset, constraint, shards, backend)
     start = time.perf_counter()
     result = engine.run(dataset.stream(seed=BENCH_SEED))
     return result, time.perf_counter() - start
 
 
-def _payload_bytes(elements, shards):
-    """Bytes crossing the pickle boundary per transport for one shard plan.
+def _payload_bytes(elements, shards, monkeypatch):
+    """Bytes crossing the pickle boundary per route for one shard plan.
 
     Returns ``(pickle_bytes, shm_bytes, shm_block_bytes)``: the summed
-    pickled size of the per-worker payloads on each transport, plus the
-    size of the (shared, shipped-once) block backing the shm descriptors.
+    pickled size of the per-worker payloads on the pickle fallback and on
+    the shared-memory route, plus the size of the (shared, shipped-once)
+    block backing the shm descriptors.
     """
     plan = ShardPlanner(shards, strategy="stratified").plan(elements)
-    payloads, block, used = ship_shards(plan, transport="pickle")
+    with monkeypatch.context() as patch:
+        patch.setattr(shm, "shm_available", lambda: False)
+        payloads, _, _ = ship_shards(plan)
     pickle_bytes = sum(len(pickle.dumps(payload)) for payload in payloads)
-    payloads, block, used = ship_shards(plan, transport="shm")
+    payloads, block, used = ship_shards(plan)
     try:
         shm_bytes = sum(len(pickle.dumps(payload)) for payload in payloads)
         block_bytes = block.nbytes if block is not None else 0
@@ -128,7 +133,7 @@ def _payload_bytes(elements, shards):
     return pickle_bytes, shm_bytes, block_bytes
 
 
-def test_parallel_scaling(benchmark, results_dir):
+def test_parallel_scaling(benchmark, results_dir, monkeypatch):
     """Identity + speedup-per-core per shard count; shm ships fewer bytes."""
     dataset = synthetic_blobs(
         n=PARALLEL_BENCH_N, m=M, dimensions=PARALLEL_BENCH_D, seed=BENCH_SEED
@@ -140,9 +145,7 @@ def test_parallel_scaling(benchmark, results_dir):
         scan = {}
         for shards in SHARD_COUNTS:
             serial = _timed_run(dataset, constraint, shards, "serial")
-            process = _timed_run(
-                dataset, constraint, shards, "process", transport="shm"
-            )
+            process = _timed_run(dataset, constraint, shards, "process")
             scan[shards] = {"serial": serial, "process": process}
         return scan
 
@@ -153,9 +156,9 @@ def test_parallel_scaling(benchmark, results_dir):
         serial_uids = sorted(runs["serial"][0].solution.uids)
         process_uids = sorted(runs["process"][0].solution.uids)
         assert serial_uids == process_uids, f"{shards} shards: process diverged"
-    pickled_result, _ = _timed_run(
-        dataset, constraint, SHARDS, "process", transport="pickle"
-    )
+    with monkeypatch.context() as patch:
+        patch.setattr(shm, "shm_available", lambda: False)
+        pickled_result, _ = _timed_run(dataset, constraint, SHARDS, "process")
     reference = sorted(scan[SHARDS]["serial"][0].solution.uids)
     assert sorted(pickled_result.solution.uids) == reference, "pickle diverged"
     threaded_result, _ = _timed_run(dataset, constraint, SHARDS, "thread")
@@ -163,7 +166,7 @@ def test_parallel_scaling(benchmark, results_dir):
 
     # Per-worker payload accounting: descriptors beat column pickles.
     elements = list(dataset.stream(seed=BENCH_SEED))
-    pickle_bytes, shm_bytes, block_bytes = _payload_bytes(elements, SHARDS)
+    pickle_bytes, shm_bytes, block_bytes = _payload_bytes(elements, SHARDS, monkeypatch)
     assert shm_bytes < pickle_bytes, (
         f"shm payload ({shm_bytes} B) must undercut pickle ({pickle_bytes} B)"
     )

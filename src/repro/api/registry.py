@@ -112,10 +112,11 @@ class Capabilities:
 class RunContext:
     """The resolved problem a registered runner executes on.
 
-    Built by :func:`repro.solve` (from user data) and by the experiment
-    harness (from a :class:`~repro.datasets.spec.DatasetSpec`); runners only
-    ever see this one shape, which is what makes every calling convention in
-    the library uniform.
+    Built in one place, the resolver behind :func:`repro.solve` and
+    :func:`repro.open_session` (the experiment harness runs each cell as a
+    ``solve`` call); runners and session factories only ever see this one
+    shape, which is what makes every calling convention in the library
+    uniform.
 
     Attributes
     ----------
@@ -149,41 +150,6 @@ class RunContext:
     _stream_factory: Optional[Callable[[], Iterable[Any]]] = None
     #: Number of elements, when known up front.
     size: Optional[int] = None
-
-    @classmethod
-    def from_dataset(
-        cls,
-        dataset: Any,
-        constraint: Optional[Any],
-        epsilon: float = 0.1,
-        seed: Optional[int] = None,
-        k: Optional[int] = None,
-        options: Optional[Mapping[str, Any]] = None,
-    ) -> "RunContext":
-        """Context over a :class:`~repro.datasets.spec.DatasetSpec`-like object.
-
-        The offline view is ``dataset.elements`` and the streaming view is
-        ``dataset.stream(seed=seed)`` — exactly the conventions direct
-        callers use, so registry dispatch is byte-identical to direct
-        invocation.
-        """
-        if k is None:
-            if constraint is None:
-                raise InvalidParameterError(
-                    "a RunContext needs k when no constraint is given"
-                )
-            k = constraint.total_size
-        return cls(
-            metric=dataset.metric,
-            k=int(k),
-            constraint=constraint,
-            epsilon=epsilon,
-            seed=seed,
-            options=dict(options) if options else {},
-            _elements=dataset.elements,
-            _stream_factory=lambda: dataset.stream(seed=seed),
-            size=dataset.size,
-        )
 
     @property
     def elements(self) -> Sequence[Any]:

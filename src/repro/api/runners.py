@@ -14,7 +14,7 @@ package import.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
 from repro import obs
 from repro.api.registry import RunContext, register_algorithm
@@ -23,6 +23,7 @@ from repro.baselines.fair_gmm import fair_gmm
 from repro.baselines.fair_swap import fair_swap
 from repro.baselines.gmm import gmm
 from repro.baselines.mwu import mwu_fair
+from repro.core.base import DEFAULT_BATCH_SIZE
 from repro.core.coreset import coreset_fair_diversity
 from repro.core.result import RunResult
 from repro.core.sfdm1 import SFDM1
@@ -31,10 +32,10 @@ from repro.core.streaming_dm import StreamingDiversityMaximization
 from repro.parallel.backends import resolve_backend
 from repro.parallel.driver import ParallelFDM
 from repro.parallel.planner import ShardPlanner
-from repro.parallel.shm import TRANSPORTS
 from repro.parallel.summarize import resolve_summarizer
 from repro.metrics.cached import CountingMetric
 from repro.streaming.stats import StreamStats
+from repro.streaming.stream import iter_batches
 from repro.utils.errors import InvalidParameterError
 from repro.windowing import CheckpointedWindowFDM, SlidingWindowFDM
 from repro.utils.timer import Timer
@@ -302,57 +303,40 @@ def _validate_window(options: Mapping[str, Any]) -> None:
         require_positive_int(options["blocks"], "blocks")
 
 
-def _make_windowed(
-    context: RunContext,
-    factory: Any,
-    window: Optional[int],
-    metric: Optional[Any] = None,
-):
-    """A windowed algorithm (``factory``) configured from the context's options.
-
-    ``metric`` overrides the context's metric — the one-shot runner passes
-    a counting wrapper so the run's distance accounting is reported.
-    """
-    if window is None:
-        raise InvalidParameterError(
-            f"{factory.name} needs a window length; pass window= (sessions) or "
-            f"provide sized data (runs default to window = dataset size)"
-        )
-    requested_blocks = context.option("blocks", 8)
-    blocks = min(requested_blocks, window)
-    if blocks != requested_blocks:
-        _LOGGER.warning(
-            "%s: blocks=%d exceeds window=%d; clamping to %d (one block per "
-            "window element)",
-            factory.name,
-            requested_blocks,
-            window,
-            blocks,
-        )
-    return factory(
-        metric=context.metric if metric is None else metric,
-        constraint=context.require_constraint(),
-        window=window,
-        blocks=blocks,
-    )
-
-
 def _windowed_session(factory):
     """A session factory wrapping ``factory``'s algorithm in a WindowSession.
 
-    The algorithm gets a counting metric so session queries report real
-    distance accounting, mirroring the one-shot runner.
+    The window comes from the ``window`` option (default: the data size)
+    and the algorithm gets a counting metric, so queries report real
+    distance accounting.
     """
 
     def _factory(context: RunContext):
         from repro.api.session import WindowSession
 
+        window = context.option("window", context.size)
+        if window is None:
+            raise InvalidParameterError(
+                f"{factory.name} needs a window length; pass window= (sessions) or "
+                f"provide sized data (runs default to window = dataset size)"
+            )
+        requested_blocks = context.option("blocks", 8)
+        blocks = min(requested_blocks, window)
+        if blocks != requested_blocks:
+            _LOGGER.warning(
+                "%s: blocks=%d exceeds window=%d; clamping to %d (one block per "
+                "window element)",
+                factory.name,
+                requested_blocks,
+                window,
+                blocks,
+            )
         return WindowSession(
-            _make_windowed(
-                context,
-                factory,
-                context.option("window", context.size),
+            factory(
                 metric=CountingMetric(context.metric),
+                constraint=context.require_constraint(),
+                window=window,
+                blocks=blocks,
             )
         )
 
@@ -360,35 +344,11 @@ def _windowed_session(factory):
 
 
 def _run_windowed(context: RunContext, factory: Any) -> RunResult:
-    """One-pass run of a windowed algorithm with full distance accounting."""
-    effective_window = context.option("window", context.size)
-    counting = CountingMetric(context.metric)
-    algorithm = _make_windowed(context, factory, effective_window, metric=counting)
-    stats = StreamStats()
-    stream_timer = Timer()
-    with stream_timer.measure():
-        for element in context.stream():
-            algorithm.process(element)
-            stats.elements_processed += 1
-            stats.record_stored(algorithm.stored_elements)
-    stream_calls = counting.calls
-    post_timer = Timer()
-    with post_timer.measure():
-        solution = algorithm.solution()
-    stats.stream_seconds = stream_timer.elapsed
-    stats.postprocess_seconds = post_timer.elapsed
-    stats.stream_distance_computations = stream_calls
-    stats.postprocess_distance_computations = counting.calls - stream_calls
-    return RunResult(
-        algorithm=factory.name,
-        solution=solution,
-        stats=stats,
-        params={
-            "k": context.require_constraint().total_size,
-            "window": effective_window,
-            "blocks": algorithm.blocks,
-        },
-    )
+    """One-pass run of a windowed algorithm: its session, offered the stream and queried once."""
+    session = _windowed_session(factory)(context)
+    for batch in iter_batches(context.stream(), DEFAULT_BATCH_SIZE):
+        session.offer_batch(batch)
+    return session.solution()
 
 
 @register_algorithm(
@@ -433,11 +393,6 @@ def _validate_parallel(options: Mapping[str, Any]) -> None:
     backend = options.get("backend", "serial")
     if backend != "auto":
         resolve_backend(backend)
-    transport = options.get("transport", "auto")
-    if transport not in TRANSPORTS:
-        raise InvalidParameterError(
-            f"transport must be one of {', '.join(TRANSPORTS)}, got {transport!r}"
-        )
     ShardPlanner(shards, strategy=options.get("strategy", "stratified"))
     resolve_summarizer(options.get("summarizer", "gmm"))
     if "summary_size" in options:
@@ -457,7 +412,6 @@ def _validate_parallel(options: Mapping[str, Any]) -> None:
         "strategy",
         "summarizer",
         "summary_size",
-        "transport",
         "refine_with_swap",
     ),
     validator=_validate_parallel,
@@ -472,7 +426,6 @@ def _run_parallel(context: RunContext) -> RunResult:
         strategy=context.option("strategy", "stratified"),
         summarizer=context.option("summarizer", "gmm"),
         summary_size=context.option("summary_size"),
-        transport=context.option("transport", "auto"),
         refine_with_swap=context.option("refine_with_swap", True),
         seed=context.seed,
     )

@@ -423,10 +423,15 @@ class WindowSession(SessionBase):
     def solution(self) -> RunResult:
         """The current windowed solution as a RunResult.
 
-        Unlike :class:`StreamingSession` this never raises on infeasibility:
-        the windowed extractor reports ``solution=None`` (``succeeded`` is
-        ``False``) when the live window cannot satisfy the quotas, matching
-        the one-shot ``WindowFDM`` runner's behaviour.
+        Unlike :class:`StreamingSession` this does not raise when the live
+        window cannot satisfy the quotas: the windowed extractor reports
+        ``solution=None`` (``succeeded`` is ``False``).  A one-shot
+        windowed run (:func:`repro.solve`, the harness) is this session,
+        offered the whole stream and queried once, so a window that lacks
+        a quota answers ``None`` there too; but when the data as a whole
+        cannot meet the quotas, no window can, and the run raises
+        :class:`~repro.utils.errors.InfeasibleConstraintError` before
+        ingesting anything.
         """
         if self._offered == 0:
             raise EmptyStreamError(

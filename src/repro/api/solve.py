@@ -19,10 +19,11 @@ library understands::
 
 ``solve`` resolves the data (arrays, :class:`~repro.data.store.ElementStore`,
 :class:`~repro.streaming.stream.DataStream`, element lists, or
-:class:`~repro.datasets.spec.DatasetSpec`), builds or validates the fairness
-constraint, picks or validates the algorithm against the registry's declared
-capabilities, and invokes the registered runner on a resolved
-:class:`~repro.api.registry.RunContext` — returning the **same**
+:class:`~repro.datasets.spec.DatasetSpec`), picks or validates the algorithm
+against the registry's declared capabilities, builds or validates the
+fairness constraint and checks that the data can meet it (one resolver,
+shared with :func:`open_session` and the harness), and invokes the runner
+on the resolved :class:`~repro.api.registry.RunContext` — returning the **same**
 :class:`~repro.core.result.RunResult` (byte-identical solution, identical
 distance accounting) a direct call to the underlying algorithm would.
 """
@@ -239,7 +240,12 @@ def _resolve_data(spec: SolveSpec) -> _ResolvedData:
 def _resolve_constraint(
     spec: SolveSpec, group_sizes: Dict[int, int]
 ) -> FairnessConstraint:
-    """Build (or validate) the fairness constraint for the resolved data."""
+    """Build (or validate) the fairness constraint for the resolved data.
+
+    ``group_sizes`` maps every label to its count; a session opened without
+    data knows only the labels (every count is zero), which is enough for
+    equal quotas but not for proportional ones.
+    """
     if spec.constraint is not None:
         if spec.k is not None and spec.k != spec.constraint.total_size:
             raise InvalidParameterError(
@@ -247,8 +253,6 @@ def _resolve_constraint(
                 f"{spec.constraint.total_size}"
             )
         return spec.constraint
-    if spec.k is None:
-        raise InvalidParameterError("solve() needs k (or an explicit constraint)")
     if not group_sizes:
         raise InvalidParameterError(
             "cannot build a fairness constraint without group labels; "
@@ -257,6 +261,12 @@ def _resolve_constraint(
     if spec.fairness == "equal":
         return equal_representation(spec.k, list(group_sizes.keys()))
     if spec.fairness == "proportional":
+        if not any(group_sizes.values()):
+            raise InvalidParameterError(
+                "proportional quotas need materialised data; sessions "
+                "without data support fairness='equal' or an explicit "
+                "constraint"
+            )
         return proportional_representation(spec.k, group_sizes)
     raise InvalidParameterError(
         f"fairness must be 'equal' or 'proportional', got {spec.fairness!r}"
@@ -342,38 +352,57 @@ def _solve(spec: SolveSpec, span: Any = None) -> Any:
     entry = _resolve_entry(spec, len(resolved.group_sizes))
     if span is not None:
         span.set(algorithm=entry.name, n=resolved.size)
-    options = entry.validate_options(spec.options)
+    context = _resolve_context(spec, entry, resolved.group_sizes, resolved)
+    if span is not None:
+        span.set(k=context.k)
+    return entry.run(context)
 
-    constraint: Optional[FairnessConstraint] = None
+
+def _resolve_context(
+    spec: SolveSpec,
+    entry: RegisteredAlgorithm,
+    group_sizes: Dict[int, int],
+    resolved: Optional[_ResolvedData],
+) -> RunContext:
+    """The one resolver behind :func:`solve`, :func:`open_session` and the harness.
+
+    Validates the options against ``entry``, builds the constraint and
+    checks that the entry supports it and, when data is given
+    (``resolved``), that every group holds its quota; then settles ``k``
+    and returns the :class:`RunContext` the runner or session factory
+    takes.  ``resolved`` is ``None`` for a session opened without data.
+
+    Raises
+    ------
+    InvalidParameterError
+        For unknown or out-of-range options, a missing ``k``, a constraint
+        the entry does not support, or one that conflicts with ``k``.
+    InfeasibleConstraintError
+        If the data holds fewer elements of some group than its quota.
+    """
+    options = entry.validate_options(spec.options)
+    if spec.k is None and spec.constraint is None:
+        raise InvalidParameterError("the problem needs k (or an explicit constraint)")
+    constraint = spec.constraint
     if entry.capabilities.constrained:
-        constraint = _resolve_constraint(spec, resolved.group_sizes)
+        constraint = _resolve_constraint(spec, group_sizes)
         if not entry.supports(constraint):
             raise InvalidParameterError(
                 f"{entry.name} does not support m={constraint.num_groups} groups"
             )
-    elif spec.constraint is not None:
-        constraint = spec.constraint
-
-    k_value = spec.k if spec.k is not None else (
-        constraint.total_size if constraint is not None else None
-    )
-    if k_value is None:
-        raise InvalidParameterError("solve() needs k (or an explicit constraint)")
-    if span is not None:
-        span.set(k=int(k_value))
-
-    context = RunContext(
-        metric=_resolve_metric(spec, resolved.metric),
-        k=int(k_value),
+        if resolved is not None:
+            constraint.validate_feasible(group_sizes)
+    return RunContext(
+        metric=_resolve_metric(spec, resolved.metric if resolved else None),
+        k=int(spec.k if spec.k is not None else spec.constraint.total_size),
         constraint=constraint,
         epsilon=spec.epsilon,
         seed=spec.seed,
         options=options,
-        _elements=resolved.elements,
-        _stream_factory=resolved.stream_factory,
-        size=resolved.size,
+        _elements=resolved.elements if resolved else None,
+        _stream_factory=resolved.stream_factory if resolved else None,
+        size=resolved.size if resolved else None,
     )
-    return entry.run(context)
 
 
 def _spec_from_kwargs(data: Any, k: Optional[int], kwargs: Dict[str, Any]) -> SolveSpec:
@@ -432,55 +461,7 @@ def open_session(spec: Optional[SolveSpec] = None, **kwargs: Any) -> Any:
             f"algorithms declare the 'sessions' capability "
             f"(see repro.algorithms())"
         )
-    options = entry.validate_options(spec.options)
-
-    constraint: Optional[FairnessConstraint] = None
-    if entry.capabilities.constrained:
-        if spec.constraint is not None:
-            constraint = _resolve_constraint(spec, group_sizes)
-        else:
-            if spec.k is None:
-                raise InvalidParameterError(
-                    "open_session() needs k (or an explicit constraint)"
-                )
-            if not group_sizes:
-                raise InvalidParameterError(
-                    "open_session() needs groups= (the labels the constraint "
-                    "covers) or constraint= for fair algorithms"
-                )
-            if spec.fairness == "proportional" and resolved is None:
-                raise InvalidParameterError(
-                    "proportional quotas need materialised data; sessions "
-                    "without data support fairness='equal' or an explicit "
-                    "constraint"
-                )
-            constraint = _resolve_constraint(spec, group_sizes)
-        if not entry.supports(constraint):
-            raise InvalidParameterError(
-                f"{entry.name} does not support m={constraint.num_groups} groups"
-            )
-    elif spec.constraint is not None:
-        constraint = spec.constraint
-
-    k_value = spec.k if spec.k is not None else (
-        constraint.total_size if constraint is not None else None
-    )
-    if k_value is None:
-        raise InvalidParameterError(
-            "open_session() needs k (or an explicit constraint)"
-        )
-
-    context = RunContext(
-        metric=_resolve_metric(spec, resolved.metric if resolved else None),
-        k=int(k_value),
-        constraint=constraint,
-        epsilon=spec.epsilon,
-        seed=spec.seed,
-        options=options,
-        _elements=resolved.elements if resolved else None,
-        _stream_factory=resolved.stream_factory if resolved else None,
-        size=resolved.size if resolved else None,
-    )
+    context = _resolve_context(spec, entry, group_sizes, resolved)
     if spec.trace is not None:
         # Sessions outlive the call, so the tracer cannot be scoped to it:
         # install the sink process-wide (mirrors the session constructors).

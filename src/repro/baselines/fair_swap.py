@@ -5,17 +5,20 @@ whole dataset to obtain an unconstrained size-``k`` solution, then balances
 it: while some group is under its quota, it inserts the element of that
 group (from the *entire dataset*) farthest from the already-selected
 elements of that group, and removes the element of the over-filled group
-closest to the under-filled group's selection.  It needs the whole dataset
-in memory and random access over it, which is exactly the cost the paper's
-streaming algorithms avoid.
+closest to the under-filled group's selection.  That balancing is SFDM1's
+post-processing (Algorithm 2, lines 10–17) with the whole group as the
+group-specific candidate, so both run
+:func:`~repro.core.postprocess.balance_by_swapping`.  FairSwap needs the
+whole dataset in memory and random access over it, which is exactly the
+cost the paper's streaming algorithms avoid.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.baselines.gmm import gmm_elements
-from repro.core.postprocess import distance_to_set
+from repro.core.postprocess import balance_by_swapping
 from repro.core.result import RunResult
 from repro.core.solution import FairSolution
 from repro.fairness.constraints import FairnessConstraint
@@ -23,7 +26,7 @@ from repro.metrics.base import Metric
 from repro.metrics.cached import CountingMetric
 from repro.data.element import Element
 from repro.streaming.stats import StreamStats
-from repro.utils.errors import InfeasibleConstraintError, InvalidParameterError
+from repro.utils.errors import InvalidParameterError
 from repro.utils.timer import Timer
 
 
@@ -33,6 +36,9 @@ def fair_swap(
     constraint: FairnessConstraint,
 ) -> RunResult:
     """Run FairSwap on ``elements`` and return a :class:`RunResult`.
+
+    Elements of groups outside the constraint take no part: GMM runs over
+    the elements of the constraint's two groups only.
 
     Raises
     ------
@@ -45,53 +51,20 @@ def fair_swap(
         raise InvalidParameterError(
             f"FairSwap supports exactly two groups, got {constraint.num_groups}"
         )
-    group_sizes: dict = {}
+    members = {group: [] for group in constraint.groups}
     for element in elements:
-        group_sizes[element.group] = group_sizes.get(element.group, 0) + 1
-    constraint.validate_feasible(group_sizes)
+        if element.group in members:
+            members[element.group].append(element)
+    constraint.validate_feasible({group: len(pool) for group, pool in members.items()})
 
     counting = CountingMetric(metric)
     timer = Timer()
     k = constraint.total_size
     with timer.measure():
-        solution: List[Element] = gmm_elements(elements, counting, k)
-        counts = {group: 0 for group in constraint.groups}
-        for element in solution:
-            if element.group in counts:
-                counts[element.group] += 1
-
-        under = [g for g in constraint.groups if counts[g] < constraint.quota(g)]
-        if under:
-            under_group = under[0]
-            # Insert far elements of the under-filled group from the whole dataset.
-            selected_uids = {element.uid for element in solution}
-            pool = [
-                element
-                for element in elements
-                if element.group == under_group and element.uid not in selected_uids
-            ]
-            while counts[under_group] < constraint.quota(under_group) and pool:
-                anchor = [e for e in solution if e.group == under_group]
-                best = max(pool, key=lambda e: distance_to_set(e, anchor, counting))
-                pool.remove(best)
-                solution.append(best)
-                selected_uids.add(best.uid)
-                counts[under_group] += 1
-            # Remove close elements of the over-filled group.
-            while len(solution) > k:
-                under_members = [e for e in solution if e.group == under_group]
-                removable = [
-                    e
-                    for e in solution
-                    if e.group != under_group and counts[e.group] > constraint.quota(e.group)
-                ]
-                if not removable:
-                    break
-                worst = min(
-                    removable, key=lambda e: distance_to_set(e, under_members, counting)
-                )
-                solution.remove(worst)
-                counts[worst.group] -= 1
+        blind = gmm_elements(
+            [element for element in elements if element.group in members], counting, k
+        )
+        solution = balance_by_swapping(blind, members, constraint, counting)
 
     stats = StreamStats(
         elements_processed=len(elements),

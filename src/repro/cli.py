@@ -53,7 +53,6 @@ from repro.evaluation.harness import (
 )
 from repro.evaluation.reporting import format_table, records_to_rows, write_csv
 from repro.parallel.backends import backend_names
-from repro.parallel.shm import TRANSPORTS
 from repro.utils.errors import ReproError
 
 
@@ -275,16 +274,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--transport",
-        choices=TRANSPORTS,
-        default="auto",
-        help=(
-            "how ParallelFDM ships shards to process workers: shared memory, "
-            "pickle, or auto-degrade (default: auto); solutions are identical "
-            "either way"
-        ),
-    )
-    parser.add_argument(
         "--window",
         type=int,
         default=None,
@@ -378,7 +367,6 @@ def _options_for(args: argparse.Namespace, name: str) -> dict:
         "batch_size": args.batch_size,
         "shards": args.shards,
         "backend": args.backend,
-        "transport": args.transport,
         "window": args.window,
         "blocks": args.blocks,
         "iterations": args.iterations,

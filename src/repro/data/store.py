@@ -19,7 +19,7 @@ int64 ``groups[n]`` / ``uids[n]`` columns, so that
 ``Element`` survives as a *thin view*: :meth:`ElementStore.element` returns
 an ordinary :class:`~repro.data.element.Element` whose ``vector`` is a
 zero-copy row view of ``features`` and whose ``store``/``row`` back-pointers
-let consumers (``stack_vectors``, the ``*_idx`` metric kernels, the shard
+let consumers (``stack_vectors``, ``greedy_fair_fill``, the shard
 packer) recover columnar access from an element list without copying.
 Everything that accepts elements keeps working; everything hot gets to
 bypass them.
@@ -28,6 +28,7 @@ bypass them.
 from __future__ import annotations
 
 import numbers
+import reprlib
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -297,11 +298,15 @@ def feature_rows(features: Any) -> np.ndarray:
     Session ``offer_rows`` and the served offer convert their features
     here, once, before anything is queued or ingested; a single ``(d,)``
     row stands for one row.  Anything else than a matrix raises
-    :class:`InvalidParameterError`, and so does a NaN or infinite entry,
-    naming the first row that holds one — a non-finite row would otherwise
-    poison the bounds estimate or win every distance comparison.
+    :class:`InvalidParameterError`: a row that is not numeric or not as
+    long as the first, naming the first such row, and a NaN or infinite
+    entry, naming the first row that holds one — a non-finite row would
+    otherwise poison the bounds estimate or win every distance comparison.
     """
-    matrix = np.asarray(features, dtype=float)
+    try:
+        matrix = np.asarray(features, dtype=float)
+    except (TypeError, ValueError):
+        raise _bad_feature_row(features) from None
     if matrix.ndim == 1:
         matrix = matrix.reshape(1, -1)
     if matrix.ndim != 2:
@@ -316,6 +321,30 @@ def feature_rows(features: Any) -> np.ndarray:
             f"features must be finite, but row {row} holds {float(value)}"
         )
     return matrix
+
+
+def _bad_feature_row(features: Any) -> InvalidParameterError:
+    """The error for offered features that do not convert to a float matrix."""
+    sequences = (list, tuple, np.ndarray)
+    rows = list(features) if isinstance(features, sequences) else [features]
+    if rows and not isinstance(rows[0], sequences):  # a single (d,) row
+        rows = [features]
+    width = None
+    for row, values in enumerate(rows):
+        try:
+            vector = np.asarray(values, dtype=float)
+        except (TypeError, ValueError):
+            return InvalidParameterError(
+                f"features must be numeric, but row {row} holds {reprlib.repr(values)}"
+            )
+        if width is None:
+            width = vector.shape
+        elif vector.shape != width:
+            return InvalidParameterError(
+                f"features must have one length per row, but row {row} has "
+                f"{vector.size} entries and row 0 has {int(np.prod(width))}"
+            )
+    return InvalidParameterError("features must be a numeric (n, d) matrix")
 
 
 def _label_code(label: Any) -> int:

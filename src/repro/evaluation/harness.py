@@ -14,7 +14,11 @@ All dispatch goes through the :mod:`repro.api.registry`: a harness
 :class:`AlgorithmSpec` is a registry entry plus a frozen, eagerly-validated
 option set, and the suite builders (:func:`streaming_algorithms`,
 :func:`offline_algorithms`, :func:`extended_algorithms`) are registry
-queries — there are no per-family runner closures here.
+queries — there are no per-family runner closures here.  Each cell runs
+as one :func:`repro.solve` call, so it resolves, validates and answers
+exactly as ``solve`` does on the same dataset; a cell whose data cannot
+meet the quotas raises :class:`~repro.utils.errors.InfeasibleConstraintError`
+and counts as a failure.
 """
 
 from __future__ import annotations
@@ -22,14 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.api.registry import RegisteredAlgorithm, RunContext, get_algorithm
+from repro.api.registry import RegisteredAlgorithm, get_algorithm
+from repro.api.solve import SolveSpec, _resolve_constraint, solve
 from repro.core.result import RunResult
 from repro.datasets.spec import DatasetSpec
-from repro.fairness.constraints import (
-    FairnessConstraint,
-    equal_representation,
-    proportional_representation,
-)
+from repro.fairness.constraints import FairnessConstraint
 from repro.utils.errors import InvalidParameterError, ReproError
 from repro.utils.rng import derive_seed
 
@@ -63,7 +64,13 @@ class AlgorithmSpec:
 def _registry_runner(
     entry: RegisteredAlgorithm, options: Dict[str, Any]
 ) -> AlgorithmRunner:
-    """The one generic runner: dispatch a harness cell through the registry."""
+    """The one generic runner: a harness cell is one :func:`repro.solve` call.
+
+    The cell resolves exactly as a direct ``solve`` on the dataset would:
+    the dataset's metric, ``dataset.elements`` offline and
+    ``dataset.stream(seed=seed)`` streaming, and the same option,
+    constraint and feasibility checks.
+    """
 
     def _run(
         dataset: DatasetSpec,
@@ -71,10 +78,16 @@ def _registry_runner(
         epsilon: float,
         seed: Optional[int],
     ) -> RunResult:
-        context = RunContext.from_dataset(
-            dataset, constraint, epsilon=epsilon, seed=seed, options=options
+        return solve(
+            SolveSpec(
+                data=dataset,
+                algorithm=entry.name,
+                constraint=constraint,
+                epsilon=epsilon,
+                seed=seed,
+                options=options,
+            )
         )
-        return entry.run(context)
 
     return _run
 
@@ -131,15 +144,14 @@ def parallel_algorithm(
     backend: str = "serial",
     strategy: str = "stratified",
     summarizer: str = "gmm",
-    transport: str = "auto",
 ) -> AlgorithmSpec:
     """The sharded ParallelFDM engine as a harness algorithm.
 
     ``shards`` and ``backend`` accept ``"auto"`` to defer the decision to
     the execution planner.  Parameters are validated eagerly through the
-    registry entry: an invalid shard count, backend name, strategy,
-    summarizer, or transport raises :class:`InvalidParameterError` here,
-    before any run starts.
+    registry entry: an invalid shard count, backend name, strategy, or
+    summarizer raises :class:`InvalidParameterError` here, before any run
+    starts.
     """
     return algorithm_spec(
         "ParallelFDM",
@@ -147,7 +159,6 @@ def parallel_algorithm(
         backend=backend,
         strategy=strategy,
         summarizer=summarizer,
-        transport=transport,
     )
 
 
@@ -250,16 +261,15 @@ class ExperimentConfig:
     constraint: Optional[FairnessConstraint] = None
 
     def resolve_constraint(self) -> FairnessConstraint:
-        """The fairness constraint for this cell (built from ``fairness`` if absent)."""
+        """The fairness constraint for this cell (built from ``fairness`` if absent).
+
+        Built by the rule :func:`repro.solve` applies; an explicit
+        ``constraint`` is returned as is.
+        """
         if self.constraint is not None:
             return self.constraint
-        group_sizes = self.dataset.group_sizes()
-        if self.fairness == "equal":
-            return equal_representation(self.k, list(group_sizes.keys()))
-        if self.fairness == "proportional":
-            return proportional_representation(self.k, group_sizes)
-        raise InvalidParameterError(
-            f"fairness must be 'equal' or 'proportional', got {self.fairness!r}"
+        return _resolve_constraint(
+            SolveSpec(k=self.k, fairness=self.fairness), self.dataset.group_sizes()
         )
 
 
@@ -381,11 +391,7 @@ def run_experiment(
     for config in configs:
         constraint = config.resolve_constraint()
         for spec in algorithms:
-            if not spec.supports(constraint):
-                if skip_unsupported:
-                    continue
-                raise InvalidParameterError(
-                    f"{spec.name} does not support m={constraint.num_groups} groups"
-                )
+            if skip_unsupported and not spec.supports(constraint):
+                continue
             records.append(run_algorithm(spec, config))
     return records

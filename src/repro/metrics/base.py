@@ -108,28 +108,6 @@ class Metric(ABC):
                 out[i, j] = self.distance(x, y)
         return out
 
-    def distances_idx(self, store: Any, row: int, indexer: Any) -> np.ndarray:
-        """Distances from store row ``row`` to the store rows in ``indexer``.
-
-        Index-based counterpart of :meth:`distances_to`: both sides are
-        sliced straight out of an
-        :class:`~repro.data.store.ElementStore`'s contiguous feature
-        matrix, so a basic-slice ``indexer`` reaches the kernel with zero
-        copies.
-        """
-        return self.distances_to(store.features[int(row)], store.rows(indexer))
-
-    def pairwise_idx(self, store: Any, rows: Any, cols: Optional[Any] = None) -> np.ndarray:
-        """Distance matrix between two sets of store rows.
-
-        Index-based counterpart of :meth:`pairwise` over an
-        :class:`~repro.data.store.ElementStore`; ``cols=None`` computes the
-        self-distance matrix of ``rows``.
-        """
-        return self.pairwise(
-            store.rows(rows), None if cols is None else store.rows(cols)
-        )
-
     def _screen_union(self, union: np.ndarray) -> Any:
         """What :meth:`_radius_screen` reuses of ``union`` from chunk to chunk.
 

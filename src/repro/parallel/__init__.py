@@ -11,7 +11,8 @@ orthogonal pieces — each independently replaceable:
   workers through one read-only ``multiprocessing.shared_memory`` block
   (workers attach zero-copy NumPy views from ``(offset, length)``
   descriptors), degrading to pickled columnar stores when shared memory
-  is unavailable;
+  is unavailable or a shard is not columnar — :func:`ship_shards` alone
+  decides, per run;
 * **execution** (:mod:`repro.parallel.backends`): run per-shard summaries
   serially, on threads, or on worker processes behind one ``map_shards``
   contract;
@@ -23,9 +24,9 @@ orthogonal pieces — each independently replaceable:
 :class:`~repro.parallel.driver.ParallelFDM` wires them into a runnable
 algorithm with the library's standard :class:`~repro.core.result.RunResult`
 interface; the evaluation harness and the CLI expose it next to the
-paper's algorithms (``--shards`` / ``--backend`` / ``--transport``).
-Neither the backend, the transport, nor the planner's choices ever
-change the computed solution — only where and how fast it is computed.
+paper's algorithms (``--shards`` / ``--backend``).  Neither the backend,
+the transport, nor the planner's choices ever change the computed
+solution — only where and how fast it is computed.
 """
 
 from repro.parallel.backends import (
@@ -47,7 +48,6 @@ from repro.parallel.planner import (
     ShardPlanner,
 )
 from repro.parallel.shm import (
-    TRANSPORTS,
     AttachedShard,
     ShardRef,
     StoreBlock,
@@ -77,7 +77,6 @@ __all__ = [
     "STRATEGIES",
     "ExecutionPlan",
     "ExecutionPlanner",
-    "TRANSPORTS",
     "ShardRef",
     "AttachedShard",
     "StoreBlock",

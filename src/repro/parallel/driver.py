@@ -47,16 +47,10 @@ from repro.metrics.cached import CountingMetric
 from repro.parallel.backends import Backend, resolve_backend
 from repro.parallel.merge import merge_tree
 from repro.parallel.planner import ExecutionPlanner, ShardPlanner
-from repro.parallel.shm import (
-    TRANSPORTS,
-    ShardRef,
-    detach_elements,
-    ship_shards,
-)
+from repro.parallel.shm import ShardRef, detach_elements, ship_shards
 from repro.parallel.summarize import ShardSummarizer, resolve_summarizer
 from repro.data.element import Element
 from repro.streaming.stats import StreamStats
-from repro.utils.errors import InvalidParameterError
 from repro.utils.rng import derive_seed
 from repro.utils.timer import Timer
 from repro.utils.validation import require_positive_int
@@ -143,12 +137,6 @@ class ParallelFDM:
         ``"stream"``; defaults to the per-group GMM composable coreset.
     summary_size:
         Per-group summary budget; defaults to ``constraint.total_size``.
-    transport:
-        How shards cross a process boundary: ``"auto"`` (shared memory
-        when the platform and payload allow, pickle otherwise),
-        ``"shm"`` (prefer shared memory, warn-and-degrade on failure), or
-        ``"pickle"``.  Solutions and distance counts are identical on
-        every transport; in-process backends ignore it.
     planner:
         The :class:`~repro.parallel.planner.ExecutionPlanner` consulted
         for ``"auto"`` decisions (a default-configured one if omitted).
@@ -159,6 +147,12 @@ class ParallelFDM:
         Seed for the GMM start positions inside shards; results are
         reproducible for a fixed ``(stream order, shards, strategy, seed)``
         and identical across backends and transports.
+
+    Shards crossing a process boundary ship over shared memory when the
+    platform allows it and every shard is columnar, as pickled stores
+    otherwise (:func:`~repro.parallel.shm.ship_shards` decides; the route
+    taken is recorded as ``params["transport"]``).  Solutions and distance
+    counts are identical on either route.
     """
 
     name = "ParallelFDM"
@@ -172,7 +166,6 @@ class ParallelFDM:
         strategy: str = "stratified",
         summarizer: Union[str, ShardSummarizer, None] = "gmm",
         summary_size: Optional[int] = None,
-        transport: str = "auto",
         planner: Optional[ExecutionPlanner] = None,
         refine_with_swap: bool = True,
         seed: Optional[int] = None,
@@ -194,11 +187,6 @@ class ParallelFDM:
             summary_size if summary_size is not None else constraint.total_size,
             "summary_size",
         )
-        if transport not in TRANSPORTS:
-            raise InvalidParameterError(
-                f"transport must be one of {', '.join(TRANSPORTS)}, got {transport!r}"
-            )
-        self.transport = transport
         self.refine_with_swap = refine_with_swap
         self.seed = seed
 
@@ -258,9 +246,7 @@ class ParallelFDM:
                 block = None
                 transport_used = "inline"
                 if backend.requires_pickling:
-                    payloads, block, transport_used = ship_shards(
-                        shards, self.transport
-                    )
+                    payloads, block, transport_used = ship_shards(shards)
                 else:
                     payloads = shards
                 jobs = [
@@ -349,5 +335,5 @@ class ParallelFDM:
         return (
             f"ParallelFDM(shards={shards}, backend={backend!r}, "
             f"strategy={self.planner.strategy!r}, "
-            f"summarizer={self.summarizer.name!r}, transport={self.transport!r})"
+            f"summarizer={self.summarizer.name!r})"
         )

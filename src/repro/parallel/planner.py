@@ -103,7 +103,7 @@ class ShardPlanner:
 
 
 class ExecutionPlan(NamedTuple):
-    """One adaptive execution decision: backend, shard count, chunking.
+    """One adaptive execution decision: backend and shard count.
 
     ``reason`` is a short human-readable justification recorded in the
     run's params so a trace reader can see *why* a run stayed serial.
@@ -111,12 +111,11 @@ class ExecutionPlan(NamedTuple):
 
     backend: str
     shards: int
-    chunk_size: int
     reason: str
 
 
 class ExecutionPlanner:
-    """Pick backend, shard count, and chunking from a tunable cost model.
+    """Pick backend and shard count from a tunable cost model.
 
     The model is deliberately coarse — three knobs, all in row units —
     because the decision it guards is coarse: forking a process pool and
@@ -180,16 +179,10 @@ class ExecutionPlanner:
                 if cpus <= 1
                 else f"input below serial cutoff ({rows} < {self.serial_cutoff} effective rows)"
             )
-            return ExecutionPlan("serial", shards, self._chunk(n, shards), reason)
+            return ExecutionPlan("serial", shards, reason)
         shards = min(self.max_shards, max(cpus, min(by_rows, 2 * cpus)))
         reason = f"{rows} effective rows across {cpus} usable cpus"
-        return ExecutionPlan("process", shards, self._chunk(n, shards), reason)
-
-    def _chunk(self, n: int, shards: int) -> int:
-        """A power-of-two ingestion chunk sized to ~1/8 of a shard."""
-        per_shard = max(1, n // max(shards, 1))
-        target = max(256, min(4096, per_shard // 8))
-        return 1 << (target - 1).bit_length()
+        return ExecutionPlan("process", shards, reason)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -10,10 +10,11 @@ receives only a tiny :class:`ShardRef` descriptor — block name plus
 ``(offset, length)`` per column — from which it reconstructs its shard as
 zero-copy NumPy views over the mapped block.
 
-Payload formats (what actually crosses the pickle boundary per shard):
+:func:`ship_shards` alone picks the payload of a run; there is no knob.
+What crosses the pickle boundary per shard:
 
 ================  ==========================================  ============
-transport          pickled payload                             array copies
+route              pickled payload                             array copies
 ================  ==========================================  ============
 ``shm``            :class:`ShardRef` (a few hundred bytes)     0 (views)
 ``pickle``         :class:`~repro.data.store.ElementStore`     2 (out + in)
@@ -23,12 +24,14 @@ in-process         the element list itself (never pickled)     0
 Fallback matrix (every degradation is logged through the ``repro``
 logger, never silent):
 
-* ``multiprocessing.shared_memory`` unavailable on the platform → pickle;
+* ``multiprocessing.shared_memory`` unavailable on the platform → pickle
+  (debug note);
 * a shard whose payloads are not columnar (ragged or categorical data,
   precomputed-matrix indices) → pickle, element lists for the non-columnar
-  shards;
+  shards (debug note);
 * the block allocation or publish itself raises (``OSError`` on exhausted
-  ``/dev/shm``, for instance) → pickle, after unwinding any partial block.
+  ``/dev/shm``, for instance) → pickle, after unwinding any partial block
+  (warning).
 
 Lifecycle: the driver owns the block via :class:`StoreBlock` (a context
 manager); workers attach with :meth:`ShardRef.attach` and close their
@@ -55,9 +58,6 @@ try:  # pragma: no cover - import succeeds on every supported platform
     from multiprocessing import shared_memory as _shared_memory
 except ImportError:  # pragma: no cover - exotic builds without _posixshmem
     _shared_memory = None
-
-#: Shard transports accepted by the driver, in documentation order.
-TRANSPORTS: Tuple[str, ...] = ("auto", "shm", "pickle")
 
 #: Column dtypes of a published store, in block layout order.
 _FEATURE_DTYPE = np.float64
@@ -326,39 +326,31 @@ def detach_elements(elements: Sequence) -> List:
     return detached
 
 
-def ship_shards(
-    shards: Sequence[Sequence],
-    transport: str = "auto",
-) -> Tuple[List, Optional[StoreBlock], str]:
+def ship_shards(shards: Sequence[Sequence]) -> Tuple[List, Optional[StoreBlock], str]:
     """Pick the shipping payload for every shard; returns ``(payloads, block, used)``.
 
-    ``transport`` is one of :data:`TRANSPORTS`: ``"shm"`` and ``"auto"``
-    publish one shared block and ship :class:`ShardRef` descriptors when
-    every shard is columnar and the platform cooperates, degrading to
-    pickle (with a logged warning for ``"shm"``/a debug note for
-    ``"auto"``) otherwise; ``"pickle"`` ships columnar shards as
+    Shared memory when it is available and every shard is columnar: one
+    published block and a :class:`ShardRef` descriptor per shard.
+    Otherwise pickle: columnar shards ship as
     :class:`~repro.data.store.ElementStore` pickles and non-columnar
-    shards as plain element lists.  ``used`` names the transport that
-    actually applies; ``block`` is the published :class:`StoreBlock` (the
-    caller must ``dispose()`` it after the map completes) or ``None``.
+    shards as plain element lists (see the module's fallback matrix).
+    ``used`` names the route taken (``"shm"`` or ``"pickle"``); ``block``
+    is the published :class:`StoreBlock` (the caller must ``dispose()``
+    it after the map completes) or ``None``.
     """
-    if transport not in TRANSPORTS:
-        raise ValueError(f"transport must be one of {TRANSPORTS}, got {transport!r}")
     stores = [ElementStore.try_from_elements(list(shard)) for shard in shards]
-    if transport != "pickle":
-        reason = None
-        if not shm_available():
-            reason = "multiprocessing.shared_memory is unavailable"
-        elif any(store is None for store in stores):
-            reason = "shard payloads are not columnar"
-        else:
-            try:
-                block = publish_shards(stores)
-                return list(block.refs), block, "shm"
-            except Exception as error:
-                reason = f"publish failed: {error}"
-        log = logger.warning if transport == "shm" else logger.debug
-        log("shared-memory shard transport degraded to pickle (%s)", reason)
+    log, reason = logger.debug, None
+    if not shm_available():
+        reason = "multiprocessing.shared_memory is unavailable"
+    elif any(store is None for store in stores):
+        reason = "shard payloads are not columnar"
+    else:
+        try:
+            block = publish_shards(stores)
+            return list(block.refs), block, "shm"
+        except Exception as error:
+            log, reason = logger.warning, f"publish failed: {error}"
+    log("shared-memory shard transport degraded to pickle (%s)", reason)
     payloads = [
         store if store is not None else list(shard)
         for store, shard in zip(stores, shards)

@@ -2,18 +2,21 @@
 
 :class:`WindowedAlgorithm` owns everything the checkpointed baseline and
 the incremental algorithm have in common — validated window/blocks
-geometry, the stream-position counter, and the extraction path (greedy
-fair fill over the subclass's candidate pool) — so the two
-implementations differ only in how they summarise and evict.
+geometry, the stream-position counter, the block reduction (one
+composable per-group GMM coreset) and the extraction path (greedy fair
+fill over the subclass's candidate pool) — so the two implementations
+differ only in how they compose summaries and evict.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Sequence
 
+from repro.core.coreset import gmm_coreset
 from repro.core.postprocess import greedy_fair_fill
 from repro.core.solution import FairSolution
 from repro.data.element import Element
+from repro.data.store import ElementStore
 from repro.fairness.constraints import FairnessConstraint
 from repro.metrics.base import Metric
 from repro.utils.errors import InvalidParameterError
@@ -98,6 +101,20 @@ class WindowedAlgorithm:
     def candidate_pool(self) -> List[Element]:
         """Elements available for solution extraction (subclass-provided)."""
         raise NotImplementedError
+
+    def _reduce(self, pool: Sequence[Element]) -> List[Element]:
+        """One composable per-group GMM reduction of ``pool``.
+
+        Routes through the columnar store kernels whenever the pool's
+        payloads are columnar (store-backed streams, ``offer_rows``).
+        """
+        store = ElementStore.try_from_elements(pool)
+        return gmm_coreset(
+            pool if store is None else store,
+            self.metric,
+            self.constraint.total_size,
+            per_group=True,
+        )
 
     # ------------------------------------------------------------------
     def solution(self) -> Optional[FairSolution]:

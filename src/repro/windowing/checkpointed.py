@@ -18,7 +18,6 @@ from collections import deque
 from typing import Deque, Dict, List, Tuple
 
 from repro import obs
-from repro.core.coreset import gmm_coreset
 from repro.data.element import Element
 from repro.fairness.constraints import FairnessConstraint
 from repro.metrics.base import Metric
@@ -78,12 +77,7 @@ class CheckpointedWindowFDM(WindowedAlgorithm):
             start=self._current_start,
             size=len(self._current_block),
         ):
-            summary = gmm_coreset(
-                self._current_block,
-                self.metric,
-                self.constraint.total_size,
-                per_group=True,
-            )
+            summary = self._reduce(self._current_block)
             self._summaries.append((self._current_start, summary))
             self._current_block = []
 

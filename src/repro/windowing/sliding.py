@@ -41,12 +41,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Sequence
+from typing import Deque, List
 
 from repro import obs
-from repro.core.coreset import gmm_coreset
 from repro.data.element import Element
-from repro.data.store import ElementStore
 from repro.windowing.base import WindowedAlgorithm
 
 #: Documented quality envelope: the windowed solution's diversity stays
@@ -121,20 +119,6 @@ class SlidingWindowFDM(WindowedAlgorithm):
         if self._count % self._block_size == 0:
             self._seal_block()
         self._retire_expired_blocks()
-
-    def _reduce(self, pool: Sequence[Element]) -> List[Element]:
-        """One composable per-group GMM reduction of ``pool``.
-
-        Routes through the columnar store kernels whenever the pool's
-        payloads are columnar (store-backed streams, ``offer_rows``).
-        """
-        store = ElementStore.try_from_elements(pool)
-        return gmm_coreset(
-            pool if store is None else store,
-            self.metric,
-            self.constraint.total_size,
-            per_group=True,
-        )
 
     def _seal_block(self) -> None:
         """Summarise the filled block and fold it into the active summary."""

@@ -403,6 +403,24 @@ class TestOpenSessionValidation:
         assert session.solution().solution.is_fair
 
     @pytest.mark.parametrize(
+        "features, message",
+        [
+            ([[1.0, 0.0], ["a", "b"], [0.0, 1.0]], "features must be numeric, but row 1"),
+            ([[1.0, 0.0], [0.0, 1.0], [1.0]], "one length per row, but row 2"),
+        ],
+        ids=["non-numeric", "ragged"],
+    )
+    def test_offer_rows_rejects_unconvertible_rows_before_ingesting(
+        self, constraint, features, message
+    ):
+        session = repro.open_session(constraint=constraint, algorithm="SFDM2")
+        with pytest.raises(InvalidParameterError, match=message):
+            session.offer_rows(features, groups=[0, 1, 1])
+        assert session.elements_offered == 0
+        session.offer_rows(np.eye(3)[:, :2], groups=[0, 1, 1])
+        assert session.elements_offered == 3
+
+    @pytest.mark.parametrize(
         "labels", [[[0], [1], [1]], [[0, 1, 1]]], ids=["column", "row"]
     )
     def test_offer_rows_reads_a_label_column_or_row_flat(self, constraint, labels):

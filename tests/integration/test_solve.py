@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import repro
+from repro.api.registry import algorithm_names, get_algorithm, query
 from repro.data.element import Element
-from repro.utils.errors import InvalidParameterError
+from repro.evaluation.harness import ExperimentConfig, algorithm_spec, run_algorithm
+from repro.utils.errors import InfeasibleConstraintError, InvalidParameterError
 
 
 @pytest.fixture(scope="module")
@@ -184,3 +186,88 @@ class TestGroupLabels:
         labels[3] = np.nan
         with pytest.raises(InvalidParameterError, match="row 3 has nan"):
             repro.ElementStore(features, labels)
+
+
+def _options(name):
+    """The extra options a registered algorithm needs on the test data."""
+    return {"window": 200} if get_algorithm(name).capabilities.kind == "window" else {}
+
+
+@pytest.fixture(scope="module")
+def three_groups():
+    """300 rows in groups 0, 1 and 2; two-group constraints leave group 2 out."""
+    rng = np.random.default_rng(1)
+    return rng.normal(size=(300, 2)), rng.integers(0, 3, 300)
+
+
+#: Quotas no data with groups 0-2 can meet: group 5 never occurs.
+MISSING_GROUP = {0: 3, 5: 3}
+
+CONSTRAINED = [entry.name for entry in query(constrained=True)]
+
+
+class TestOneResolver:
+    """``solve``, ``open_session`` and the harness resolve a problem in one place."""
+
+    @pytest.mark.parametrize("name", algorithm_names())
+    def test_harness_cell_equals_solve(self, name):
+        dataset = repro.synthetic_blobs(n=600, m=2, seed=11)
+        constraint = repro.equal_representation(6, list(dataset.group_sizes()))
+        cell = algorithm_spec(name, **_options(name)).runner(dataset, constraint, 0.1, 3)
+        direct = repro.solve(
+            dataset, constraint=constraint, algorithm=name, seed=3, **_options(name)
+        )
+        assert cell.solution.uids == direct.solution.uids
+        assert float(cell.solution.diversity).hex() == float(direct.solution.diversity).hex()
+        assert (
+            cell.stats.stream_distance_computations
+            == direct.stats.stream_distance_computations
+        )
+        assert (
+            cell.stats.postprocess_distance_computations
+            == direct.stats.postprocess_distance_computations
+        )
+
+    def test_fair_swap_ignores_groups_outside_the_constraint(self, three_groups):
+        features, groups = three_groups
+        constraint = repro.FairnessConstraint({0: 1, 1: 5})
+        result = repro.solve(
+            features, groups=groups, constraint=constraint, algorithm="FairSwap"
+        )
+        assert result.solution.is_fair
+        assert sorted(element.group for element in result.solution.elements) == [
+            0, 1, 1, 1, 1, 1,
+        ]
+
+    @pytest.mark.parametrize("name", CONSTRAINED)
+    def test_missing_group_raises_for_every_constrained_algorithm(
+        self, three_groups, name
+    ):
+        features, groups = three_groups
+        constraint = repro.FairnessConstraint(MISSING_GROUP)
+        with pytest.raises(InfeasibleConstraintError, match="group 5"):
+            repro.solve(
+                features, groups=groups, constraint=constraint, algorithm=name,
+                **_options(name),
+            )
+        if get_algorithm(name).capabilities.sessions:
+            with pytest.raises(InfeasibleConstraintError, match="group 5"):
+                repro.open_session(
+                    data=features, groups=groups, constraint=constraint,
+                    algorithm=name, **_options(name),
+                )
+
+    def test_group_limit_is_checked_before_feasibility(self, three_groups):
+        features, groups = three_groups
+        constraint = repro.FairnessConstraint({0: 1, 1: 1, 5: 1})
+        with pytest.raises(InvalidParameterError, match="does not support m=3"):
+            repro.solve(features, groups=groups, constraint=constraint, algorithm="SFDM1")
+
+    def test_infeasible_harness_cells_count_as_failures(self):
+        dataset = repro.synthetic_blobs(n=200, m=2, seed=4)
+        config = ExperimentConfig(
+            dataset=dataset, k=6, repetitions=2,
+            constraint=repro.FairnessConstraint(MISSING_GROUP),
+        )
+        record = run_algorithm(algorithm_spec("SFDM2"), config)
+        assert record.failures == 2

@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 from repro.core.coreset import coreset_fair_diversity
 from repro.datasets.synthetic import synthetic_blobs
 from repro.fairness.constraints import equal_representation
-from repro.parallel import ParallelFDM
+from repro.parallel import ParallelFDM, shm
 
 #: The composable-coreset approximation envelope for max-min diversity.
 CORESET_FACTOR = 3.0
@@ -51,18 +51,22 @@ def _run(
     strategy,
     seed,
     summarizer="gmm",
-    transport="auto",
+    fallback=False,
 ):
-    return ParallelFDM(
+    """One run; ``fallback`` hides shared memory so shards ship as pickles."""
+    engine = ParallelFDM(
         metric=dataset.metric,
         constraint=constraint,
         shards=shards,
         backend=backend,
         strategy=strategy,
         summarizer=summarizer,
-        transport=transport,
         seed=seed,
-    ).run(dataset.stream(seed=seed))
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        if fallback:
+            patch.setattr(shm, "shm_available", lambda: False)
+        return engine.run(dataset.stream(seed=seed))
 
 
 class TestBackendTransparency:
@@ -118,35 +122,32 @@ class TestTransportTransparency:
     def test_shm_equals_pickle_on_process_backend(self, shards, seed):
         dataset = _dataset(240, 3, seed=9)
         constraint = equal_representation(6, list(dataset.group_sizes()))
-        shm = _run(
-            dataset, constraint, shards, "process", "stratified", seed,
-            transport="shm",
-        )
+        shared = _run(dataset, constraint, shards, "process", "stratified", seed)
         pickled = _run(
             dataset, constraint, shards, "process", "stratified", seed,
-            transport="pickle",
+            fallback=True,
         )
-        assert shm.params["transport"] in ("shm", "pickle")
+        assert shared.params["transport"] in ("shm", "pickle")
         assert pickled.params["transport"] == "pickle"
-        assert shm.solution.uids == pickled.solution.uids
-        assert shm.solution.diversity == pickled.solution.diversity
+        assert shared.solution.uids == pickled.solution.uids
+        assert shared.solution.diversity == pickled.solution.diversity
         assert (
-            shm.stats.stream_distance_computations
+            shared.stats.stream_distance_computations
             == pickled.stats.stream_distance_computations
         )
         assert (
-            shm.stats.postprocess_distance_computations
+            shared.stats.postprocess_distance_computations
             == pickled.stats.postprocess_distance_computations
         )
 
-    @pytest.mark.parametrize("transport", ["auto", "shm", "pickle"])
-    def test_every_transport_matches_the_serial_reference(self, transport):
+    @pytest.mark.parametrize("fallback", [False, True], ids=["shm", "pickle"])
+    def test_every_transport_matches_the_serial_reference(self, fallback):
         dataset = _dataset(200, 2, seed=13)
         constraint = equal_representation(6, list(dataset.group_sizes()))
         serial = _run(dataset, constraint, 4, "serial", "stratified", seed=2)
         process = _run(
             dataset, constraint, 4, "process", "stratified", seed=2,
-            transport=transport,
+            fallback=fallback,
         )
         assert serial.solution.uids == process.solution.uids
         assert serial.solution.diversity == process.solution.diversity
@@ -161,12 +162,12 @@ class TestTransportTransparency:
         runs = [
             _run(
                 dataset, constraint, 4, backend, "stratified", seed=8,
-                summarizer="stream", transport=transport,
+                summarizer="stream", fallback=fallback,
             )
-            for backend, transport in (
-                ("serial", "auto"),
-                ("process", "shm"),
-                ("process", "pickle"),
+            for backend, fallback in (
+                ("serial", False),
+                ("process", False),
+                ("process", True),
             )
         ]
         uids = {tuple(run.solution.uids) for run in runs}

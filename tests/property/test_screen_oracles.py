@@ -3,16 +3,15 @@
 Every streaming and offline algorithm reduces to a few brute-force
 primitives over the metric kernels: the nearest-member distance
 (``pairwise(X, Y).min(axis=1)``), the radius screen built on it (is a
-point at least ``mu`` from every member?), the store-indexed kernels that
-slice an :class:`ElementStore` directly, and GMM's farthest-point update.
-Each test checks one primitive against an oracle over a grid of metrics
-and dimensions 1 through 16:
+point at least ``mu`` from every member?), and GMM's farthest-point
+update.  Each test checks one primitive against an oracle over a grid of
+metrics and dimensions 1 through 16:
 
-* routes that evaluate the same kernel on the same operands (the
-  store-indexed kernels, the chunked pairwise loop, ``distances_to`` on a
-  subset of rows) must agree *bitwise*, and the union screen of the
-  ingestion engine, whose levels share their in-chunk head rows, must
-  decide as one screen per level and as the sequential ``offer`` do;
+* routes that evaluate the same kernel on the same operands (the chunked
+  pairwise loop, ``distances_to`` on a subset of rows) must agree
+  *bitwise*, and the union screen of the ingestion engine, whose levels
+  share their in-chunk head rows, must decide as one screen per level and
+  as the sequential ``offer`` do;
 * routes that evaluate the scalar ``Metric.distance`` instead must agree
   to ``1e-9``, and screens at radii away from any evaluated distance must
   take identical decisions;
@@ -227,28 +226,6 @@ class TestKernelOracles:
                 assert np.array_equal(metric.distances_to(point, M[subset]), full[subset])
                 assert np.array_equal(counting._head_distances(point, M[subset]), full[subset])
 
-    def test_distances_idx_bitwise_equals_distances_to(self, metric, dim):
-        M = _cloud(metric, seed=dim + 13, n=40, dim=dim)
-        store = ElementStore(M, np.arange(40) % 3)
-        for row, indexer in (
-            (0, slice(0, 40)),
-            (7, slice(5, 31)),
-            (39, np.array([3, 1, 4, 1, 5, 9, 26])),
-        ):
-            assert np.array_equal(
-                metric.distances_idx(store, row, indexer),
-                metric.distances_to(M[row], M[indexer]),
-            )
-
-    def test_pairwise_idx_bitwise_equals_pairwise(self, metric, dim):
-        M = _cloud(metric, seed=dim + 17, n=40, dim=dim)
-        store = ElementStore(M, np.zeros(40, dtype=int))
-        rows = np.array([2, 9, 9, 30, 17])
-        assert np.array_equal(
-            metric.pairwise_idx(store, rows, slice(10, 25)), metric.pairwise(M[rows], M[10:25])
-        )
-        assert np.array_equal(metric.pairwise_idx(store, rows), metric.pairwise(M[rows]))
-
     def test_chunked_pairwise_bitwise_equals_one_block(self, metric, dim, monkeypatch):
         M = _cloud(metric, seed=dim + 19, n=30, dim=dim)
         Q = _cloud(metric, seed=dim + 300, n=20, dim=dim)
@@ -260,15 +237,11 @@ class TestKernelOracles:
 
     def test_counting_charges_every_route_in_full(self, metric, dim):
         M = _cloud(metric, seed=dim + 23, n=30, dim=dim)
-        store = ElementStore(M, np.zeros(30, dtype=int))
         counting = CountingMetric(metric)
         routes = [
             (lambda m: m.distances_to(M[0], M), 30),
             (lambda m: m.pairwise(M[:7], M), 7 * 30),
             (lambda m: m.pairwise(M[:7]), 7 * 7),
-            (lambda m: m.distances_idx(store, 3, slice(4, 20)), 16),
-            (lambda m: m.pairwise_idx(store, np.arange(5), slice(10, 22)), 5 * 12),
-            (lambda m: m.pairwise_idx(store, np.arange(6)), 6 * 6),
             (
                 lambda m: m._radius_screen(
                     M[:7], M[10:], m._screen_union(M[10:]),

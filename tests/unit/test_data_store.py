@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data.store import ElementStore, group_codes, store_rows_of
-from repro.metrics.vector import EuclideanMetric, _as_batch
+from repro.metrics.vector import _as_batch
 from repro.data.element import Element
 from repro.utils.errors import InvalidParameterError
 
@@ -175,21 +175,6 @@ class TestZeroCopyContracts:
         sub = store.select(np.array([9, 0, 4]))
         assert list(sub.uids) == [9, 0, 4]
         assert not np.shares_memory(sub.features, store.features)
-
-    def test_distances_idx_slices_store_directly(self):
-        store = _store(12)
-        metric = EuclideanMetric()
-        result = metric.distances_idx(store, 0, slice(4, 10))
-        expected = metric.distances_to(store.features[0], store.features[4:10])
-        assert np.array_equal(result, expected)
-
-    def test_pairwise_idx_matches_pairwise(self):
-        store = _store(9)
-        metric = EuclideanMetric()
-        rows = np.array([1, 3, 5])
-        result = metric.pairwise_idx(store, rows, slice(0, 4))
-        expected = metric.pairwise(store.features[rows], store.features[0:4])
-        assert np.array_equal(result, expected)
 
 
 class TestViewsAndHelpers:

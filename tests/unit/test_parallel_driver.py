@@ -9,6 +9,7 @@ from repro.metrics.base import CallableMetric
 from repro.metrics.vector import EuclideanMetric
 from repro.data.store import ElementStore
 from repro.parallel import ExecutionPlanner, ParallelFDM, merge_tree
+from repro.parallel import shm as shm_module
 from repro.parallel.driver import _summarize_shard, _ShardJob
 from repro.parallel.shm import ShardRef, ship_shards, shm_available
 from repro.parallel.merge import merge_pair
@@ -31,10 +32,11 @@ def _elements(count, period=2):
 
 
 class TestShardShipping:
-    def test_pickle_transport_ships_columnar_stores(self):
+    def test_pickle_transport_ships_columnar_stores(self, monkeypatch):
+        monkeypatch.setattr(shm_module, "shm_available", lambda: False)
         elements = _elements(7, period=3)
         elements[2].label = "special"
-        payloads, block, used = ship_shards([elements], transport="pickle")
+        payloads, block, used = ship_shards([elements])
         assert block is None and used == "pickle"
         (shipped,) = payloads
         assert isinstance(shipped, ElementStore)
@@ -196,8 +198,6 @@ class TestParallelFDM:
             ParallelFDM(METRIC, constraint, summarizer="magic")
         with pytest.raises(InvalidParameterError):
             ParallelFDM(METRIC, constraint, summary_size=0)
-        with pytest.raises(InvalidParameterError):
-            ParallelFDM(METRIC, constraint, transport="carrier-pigeon")
 
     def test_run_returns_fair_solution_and_accounting(self):
         dataset = synthetic_blobs(n=600, m=3, seed=5)
@@ -303,12 +303,6 @@ class TestExecutionPlanner:
     def test_shards_are_bounded(self):
         plan = ExecutionPlanner(cpus=64, max_shards=32).plan(100_000_000, dim=8)
         assert plan.shards == 32
-
-    def test_chunk_size_is_a_bounded_power_of_two(self):
-        for n in (100, 10_000, 10_000_000):
-            plan = ExecutionPlanner(cpus=4).plan(n, dim=2)
-            assert 256 <= plan.chunk_size <= 4096
-            assert plan.chunk_size & (plan.chunk_size - 1) == 0
 
     def test_planner_validation(self):
         with pytest.raises(InvalidParameterError):

@@ -123,16 +123,27 @@ class TestHttpFraming:
         assert status == 405
         assert "not allowed" in body["error"]
 
-    def test_unconvertible_features_get_500_not_a_dead_connection(self, client):
+    @pytest.mark.parametrize(
+        "features, message",
+        [
+            ([["a", "b"], ["c", "d"]], "features must be numeric, but row 0"),
+            ([[1.0, 2.0], [3.0]], "features must have one length per row, but row 1"),
+        ],
+        ids=["non-numeric", "ragged"],
+    )
+    def test_unconvertible_features_get_400_not_a_dead_connection(
+        self, client, features, message
+    ):
         client.create_session(name="typed", k=K, groups=GROUPS)
         status, body = client.request(
-            "POST", "/sessions/typed/offer",
-            {"features": [["a", "b"], ["c", "d"]], "groups": [0, 1]},
+            "POST", "/sessions/typed/offer", {"features": features, "groups": [0, 1]},
         )
-        assert status == 500
-        assert "error" in body
-        # Keep-alive survives the failed request.
-        assert client.healthz()["status"] == "ok"
+        assert status == 400
+        assert message in body["error"]
+        # Nothing was queued, and keep-alive survives the failed request.
+        health = client.healthz()
+        assert health["status"] == "ok"
+        assert health["queued_rows"] == 0
 
     @pytest.mark.parametrize(
         "column, bad",

@@ -16,7 +16,6 @@ from repro.data.element import Element
 from repro.data.store import ElementStore
 from repro.parallel import shm as shm_module
 from repro.parallel.shm import (
-    TRANSPORTS,
     ShardRef,
     StoreBlock,
     detach_elements,
@@ -160,13 +159,6 @@ class TestDetachElements:
 
 
 class TestShipShards:
-    def test_rejects_unknown_transport(self):
-        with pytest.raises(ValueError, match="transport"):
-            ship_shards([_elements(3)], transport="carrier-pigeon")
-
-    def test_transport_constants_are_exhaustive(self):
-        assert TRANSPORTS == ("auto", "shm", "pickle")
-
     def test_auto_prefers_shm_for_columnar_shards(self):
         payloads, block, used = ship_shards([_elements(5)])
         try:
@@ -176,15 +168,16 @@ class TestShipShards:
         finally:
             block.dispose()
 
-    def test_pickle_payload_is_columnar_store(self):
-        payloads, block, used = ship_shards([_elements(5)], transport="pickle")
+    def test_pickle_payload_is_columnar_store(self, monkeypatch):
+        monkeypatch.setattr(shm_module, "shm_available", lambda: False)
+        payloads, block, used = ship_shards([_elements(5)])
         assert used == "pickle" and block is None
         assert isinstance(payloads[0], ElementStore)
 
     def test_unavailable_shared_memory_degrades_to_pickle(self, monkeypatch, caplog):
         monkeypatch.setattr(shm_module, "_shared_memory", None)
-        with caplog.at_level(logging.WARNING, logger="repro"):
-            payloads, block, used = ship_shards([_elements(5)], transport="shm")
+        with caplog.at_level(logging.DEBUG, logger="repro"):
+            payloads, block, used = ship_shards([_elements(5)])
         assert used == "pickle" and block is None
         assert isinstance(payloads[0], ElementStore)
         assert any("degraded to pickle" in record.message for record in caplog.records)
@@ -195,7 +188,7 @@ class TestShipShards:
 
         monkeypatch.setattr(shm_module, "publish_shards", _boom)
         with caplog.at_level(logging.WARNING, logger="repro"):
-            payloads, block, used = ship_shards([_elements(5)], transport="shm")
+            payloads, block, used = ship_shards([_elements(5)])
         assert used == "pickle" and block is None
         assert any("publish failed" in record.message for record in caplog.records)
 
