@@ -3,12 +3,15 @@
 Every streaming and offline algorithm reduces to a few brute-force
 primitives over the metric kernels: the nearest-member distance
 (``pairwise(X, Y).min(axis=1)``), the radius screen built on it (is a
-point at least ``mu`` from every member?), and GMM's farthest-point
-update.  Each test checks one primitive against an oracle over a grid of
-metrics and dimensions 1 through 16:
+point at least ``mu`` from every member?), the metric-space helpers
+(``div(S)``, ``d(x, S)``, distance matrices and bounds) that gather the
+payloads of store views with one ``features[rows]``, and GMM's
+farthest-point update.  Each test checks one primitive against an oracle
+over a grid of metrics and dimensions 1 through 16:
 
-* routes that evaluate the same kernel on the same operands (the chunked
-  pairwise loop, ``distances_to`` on a subset of rows) must agree
+* routes that evaluate the same kernel on the same operands (the store
+  gather of ``stack_vectors`` against the per-element re-stack, the
+  chunked pairwise loop, ``distances_to`` on a subset of rows) must agree
   *bitwise*, and the union screen of the ingestion engine, whose levels
   share their in-chunk head rows, must decide as one screen per level and
   as the sequential ``offer`` do;
@@ -36,10 +39,16 @@ from repro.baselines.gmm import gmm_elements
 from repro.core.base import _UnionScreen
 from repro.core.candidate import Candidate
 from repro.data.element import Element
-from repro.data.store import ElementStore
+from repro.data.store import ElementStore, store_rows_of
 from repro.metrics import vector as vector_module
-from repro.metrics.base import CallableMetric
+from repro.metrics.base import CallableMetric, stack_vectors
 from repro.metrics.cached import CountingMetric
+from repro.metrics.space import (
+    distance_to_set,
+    diversity_of,
+    exact_distance_bounds,
+    pairwise_distances,
+)
 from repro.metrics.vector import (
     AngularMetric,
     ChebyshevMetric,
@@ -225,6 +234,80 @@ class TestKernelOracles:
             for subset in subsets:
                 assert np.array_equal(metric.distances_to(point, M[subset]), full[subset])
                 assert np.array_equal(counting._head_distances(point, M[subset]), full[subset])
+
+    def test_store_gather_bitwise_equals_element_restack(self, metric, dim):
+        # The space helpers gather the payloads of store views with one
+        # ``features[rows]`` and re-stack standalone elements one payload
+        # at a time; both routes must hand the kernels the same operands.
+        M = _cloud(metric, seed=dim + 13, n=40, dim=dim, duplicates=True)
+        store = ElementStore(M, np.arange(40) % 3)
+        standalone = _elements(M, groups=3)
+        rng = np.random.default_rng(dim + 13)
+        for rows in (
+            np.arange(40),
+            np.arange(5, 31),
+            rng.permutation(40)[:9],
+            np.array([3, 1, 4, 1, 5, 9, 26]),
+        ):
+            views = [store.element(row) for row in rows]
+            plain = [standalone[row] for row in rows]
+            assert store_rows_of(views) is not None and store_rows_of(plain) is None
+            assert np.array_equal(stack_vectors(views), M[rows])
+            assert np.array_equal(stack_vectors(plain), M[rows])
+            via_store, via_list = CountingMetric(metric), CountingMetric(metric)
+            assert np.array_equal(
+                pairwise_distances(views, via_store), pairwise_distances(plain, via_list)
+            )
+            assert diversity_of(views, via_store) == diversity_of(plain, via_list)
+            assert exact_distance_bounds(views, via_store) == exact_distance_bounds(plain, via_list)
+            for probe in (0, 17, 39):
+                assert distance_to_set(store.element(probe), views, via_store) == (
+                    distance_to_set(standalone[probe], plain, via_list)
+                )
+            assert via_store.calls == via_list.calls
+
+    def test_space_helpers_match_scalar_oracle(self, metric, dim):
+        n = 24
+        M = _cloud(metric, seed=dim + 17, n=n, dim=dim)
+        store = ElementStore(M, np.zeros(n, dtype=int))
+        views = [store.element(row) for row in range(n)]
+        oracle = _oracle(metric, M, M)
+        upper = oracle[np.triu_indices(n, k=1)]
+        counting = CountingMetric(metric)
+        matrix = pairwise_distances(views, counting)
+        assert counting.calls == n * n
+        assert np.all(np.diag(matrix) == 0.0)
+        np.testing.assert_allclose(
+            matrix[~np.eye(n, dtype=bool)], oracle[~np.eye(n, dtype=bool)],
+            rtol=TOLERANCE, atol=TOLERANCE,
+        )
+        np.testing.assert_allclose(
+            diversity_of(views, metric), upper.min(), rtol=TOLERANCE, atol=TOLERANCE
+        )
+        d_min, d_max = exact_distance_bounds(views, metric)
+        np.testing.assert_allclose(d_max, upper.max(), rtol=TOLERANCE, atol=TOLERANCE)
+        positive = upper[upper > 0.0]
+        expected = positive.min() if positive.size else 1.0
+        np.testing.assert_allclose(d_min, expected, rtol=TOLERANCE, atol=TOLERANCE)
+        for row in (0, 11, 23):
+            others = views[:row] + views[row + 1 :]
+            np.testing.assert_allclose(
+                distance_to_set(views[row], others, metric),
+                np.delete(oracle[row], row).min(),
+                rtol=TOLERANCE, atol=TOLERANCE,
+            )
+        # Fewer than two elements, or an empty set, evaluate no distance;
+        # a one-member set costs one scalar ``distance``, a larger one
+        # ``len(S)`` kernel entries.
+        counting = CountingMetric(metric)
+        assert pairwise_distances(views[:1], counting).shape == (1, 1)
+        assert diversity_of(views[:1], counting) == float("inf")
+        assert distance_to_set(views[0], [], counting) == float("inf")
+        assert counting.calls == 0
+        assert distance_to_set(views[0], views[5:6], counting) == metric.distance(M[0], M[5])
+        assert counting.calls == 1
+        distance_to_set(views[0], views[5:12], counting)
+        assert counting.calls == 1 + 7
 
     def test_chunked_pairwise_bitwise_equals_one_block(self, metric, dim, monkeypatch):
         M = _cloud(metric, seed=dim + 19, n=30, dim=dim)
