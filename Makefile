@@ -32,19 +32,23 @@ doctest:
 golden:
 	$(PYTHON) tests/integration/test_golden_solutions.py --write
 
-## Small-scale end-to-end benchmark pass: the parallel-scaling, window,
-## observability, serving and quality benches at a reduced n plus one
-## representative figure bench. Their sections go to the gitignored
-## .bench_out/bench_smoke.json, never to the tracked BENCH_hot_paths.json,
-## so the perf gate that follows in `make ci` compares against the
-## committed baseline. The full acceptance runs are the per-bench targets
-## below.
+## Small-scale end-to-end benchmark pass, and the only one: the hot-path,
+## parallel-scaling, window, observability, serving and quality benches at
+## a reduced n plus one representative figure bench. Their sections go to
+## the gitignored .bench_out/bench_smoke.json (deleted first, so no section
+## of an earlier run survives), never to the tracked BENCH_hot_paths.json;
+## the perf gate checks that file against the committed baseline. The obs
+## bench skips its own overhead assertion here, which scheduler noise can
+## trip at this scale; the gate bounds the same figure. The full acceptance
+## runs are the per-bench targets below.
 BENCH_SMOKE_JSON := .bench_out/bench_smoke.json
 bench-smoke:
 	@mkdir -p $(dir $(BENCH_SMOKE_JSON))
+	rm -f $(BENCH_SMOKE_JSON)
+	REPRO_BENCH_JSON=$(BENCH_SMOKE_JSON) REPRO_BENCH_HOT_N=8000 $(PYTHON) -m pytest benchmarks/bench_hot_paths.py -q -s
 	REPRO_BENCH_JSON=$(BENCH_SMOKE_JSON) REPRO_BENCH_PARALLEL_N=4000 $(PYTHON) -m pytest benchmarks/bench_parallel_scaling.py -q -s
 	REPRO_BENCH_JSON=$(BENCH_SMOKE_JSON) REPRO_BENCH_WINDOW_N=6000 $(PYTHON) -m pytest benchmarks/bench_window.py -q -s
-	REPRO_BENCH_JSON=$(BENCH_SMOKE_JSON) REPRO_BENCH_OBS_N=8000 $(PYTHON) -m pytest benchmarks/bench_obs_overhead.py -q -s
+	REPRO_BENCH_JSON=$(BENCH_SMOKE_JSON) REPRO_BENCH_OBS_N=8000 REPRO_BENCH_HOT_NO_ASSERT=1 $(PYTHON) -m pytest benchmarks/bench_obs_overhead.py -q -s
 	REPRO_BENCH_JSON=$(BENCH_SMOKE_JSON) REPRO_BENCH_SERVING_ROWS=4000 $(PYTHON) -m pytest benchmarks/bench_serving.py -q -s
 	REPRO_BENCH_JSON=$(BENCH_SMOKE_JSON) REPRO_BENCH_QUALITY_N=2000 $(PYTHON) -m pytest benchmarks/bench_quality.py -q -s
 	REPRO_BENCH_JSON=$(BENCH_SMOKE_JSON) REPRO_BENCH_N=500 $(PYTHON) -m pytest benchmarks/bench_fig7_time_vs_k.py -q -s
@@ -56,8 +60,7 @@ bench-smoke:
 ## every scale; the >= 2.5x process-over-serial assertion applies on
 ## machines with >= 4 usable cores). Refreshes the `parallel_scaling`
 ## section of BENCH_hot_paths.json; the committed `parallel_scaling_smoke`
-## section is the perf gate's baseline, which the gate re-proves with a
-## fresh smoke run into a scratch file.
+## section is the perf gate's baseline for the bench-smoke run.
 bench-parallel:
 	$(PYTHON) -m pytest benchmarks/bench_parallel_scaling.py -q -s
 
@@ -87,7 +90,7 @@ bench-obs:
 ## latency, micro-batched vs unbatched front end, plus the always-on
 ## eviction-identity schedule). Refreshes the `serving` section of
 ## BENCH_hot_paths.json; the committed `serving_smoke` section is the perf
-## gate's baseline, which the gate re-proves with a fresh smoke run.
+## gate's baseline for the bench-smoke run.
 bench-serving:
 	$(PYTHON) -m pytest benchmarks/bench_serving.py -q -s
 
@@ -97,7 +100,7 @@ bench-serving:
 ## the seeded exact sweep proving MWU within 10% of exact_fdm on every
 ## small configuration). Refreshes the `quality` section of
 ## BENCH_hot_paths.json; the committed `quality_smoke` section is the perf
-## gate's baseline, which the gate re-proves with a fresh smoke run.
+## gate's baseline for the bench-smoke run.
 bench-quality:
 	$(PYTHON) -m pytest benchmarks/bench_quality.py -q -s
 
@@ -132,10 +135,11 @@ trace-smoke:
 		--expect-span solve --expect-span ingest.chunk \
 		--expect-attr ingest.chunk:rechecked --expect-attr ingest.chunk:heads
 
-## Perf-regression gate: fresh smoke run of the hot-path bench compared
-## against the committed BENCH_hot_paths.json baseline (wall-clock checks
-## are hardware-gated; accounting and speedup-ratio checks always apply).
-perf-gate:
+## Perf-regression gate: the bench-smoke output checked against the
+## committed BENCH_hot_paths.json baseline, one table of rows in
+## tools/perf_gate.py (wall-clock rows are hardware-gated; accounting,
+## scale, invariant and speedup-ratio rows always apply).
+perf-gate: bench-smoke
 	$(PYTHON) tools/perf_gate.py
 
 ## Docstring completeness gate for the public API.

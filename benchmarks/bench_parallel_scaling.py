@@ -40,8 +40,8 @@ cosmetics.
 
 Acceptance-scale runs record the ``parallel_scaling`` section of
 ``BENCH_hot_paths.json``; smoke runs record ``parallel_scaling_smoke``
-(same schema, smaller ``n``), which ``tools/perf_gate.py`` re-proves on
-every ``make ci``.
+(same schema, smaller ``n``), which ``tools/perf_gate.py`` checks the
+``make bench-smoke`` run against on every ``make ci``.
 """
 
 from __future__ import annotations

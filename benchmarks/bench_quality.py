@@ -18,7 +18,7 @@ it; override the scale with ``REPRO_BENCH_QUALITY_N``):
    :func:`exact_fdm`, MWU must land within 10% of the optimum on *every*
    configuration; the sweep's integer counters (cases, cases within 10%,
    MWU's counted distance evaluations) are deterministic per seed, so
-   ``tools/perf_gate.py`` re-proves them exactly on every smoke run.
+   ``tools/perf_gate.py`` checks every smoke run reproduces them exactly.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ Three claims of the serving PR get numbers here:
 1. **Eviction identity** (always asserted, hardware-independent) — a
    session churned through evict/restore cycles answers byte-identically
    to a resident one; the deterministic offer/evict/restore counts of
-   this fixed schedule are recorded so ``tools/perf_gate.py`` can re-run
-   and compare them exactly.
+   this fixed schedule are recorded so ``tools/perf_gate.py`` can check
+   that every smoke run reproduces them exactly.
 2. **Throughput / latency** — a load generator drives ``S`` sessions
    over real HTTP (keep-alive, 16-row offers, interleaved solution
    queries): sustained offered rows/s and the p99 solution-query

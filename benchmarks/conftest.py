@@ -26,11 +26,12 @@ if str(SRC) not in sys.path:
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-#: The shared perf-trajectory file at the repo root.  Every engine bench
-#: appends its headline numbers here (under its own section key) so the
-#: perf history lives in one tracked JSON; ``tools/perf_gate.py`` compares
-#: a fresh smoke run against the committed copy.  Overridable so the gate
-#: can write a scratch copy without touching the committed baseline.
+#: The shared perf-baseline file at the repo root.  Every engine bench
+#: writes its headline numbers here (under its own section key) so the
+#: baseline lives in one tracked JSON; ``tools/perf_gate.py`` checks the
+#: smoke run against the committed copy.  Overridable so ``make
+#: bench-smoke`` writes its sections to a gitignored copy without touching
+#: the committed baseline.
 BENCH_JSON = Path(
     os.environ.get(
         "REPRO_BENCH_JSON", str(Path(__file__).parent.parent / "BENCH_hot_paths.json")

@@ -23,7 +23,7 @@ from repro.baselines.fair_gmm import fair_gmm
 from repro.baselines.fair_swap import fair_swap
 from repro.baselines.gmm import gmm
 from repro.baselines.mwu import mwu_fair
-from repro.core.base import DEFAULT_BATCH_SIZE
+from repro.core.base import DEFAULT_BATCH_SIZE, stream_chunks
 from repro.core.coreset import coreset_fair_diversity
 from repro.core.result import RunResult
 from repro.core.sfdm1 import SFDM1
@@ -35,7 +35,6 @@ from repro.parallel.planner import ShardPlanner
 from repro.parallel.summarize import resolve_summarizer
 from repro.metrics.cached import CountingMetric
 from repro.streaming.stats import StreamStats
-from repro.streaming.stream import iter_batches
 from repro.utils.errors import InvalidParameterError
 from repro.windowing import CheckpointedWindowFDM, SlidingWindowFDM
 from repro.utils.timer import Timer
@@ -271,11 +270,12 @@ def _run_coreset(context: RunContext) -> RunResult:
     constraint = context.require_constraint()
     num_parts = context.option("num_parts", 4)
     elements = context.elements
+    counting = CountingMetric(context.metric)
     timer = Timer()
     with timer.measure():
         solution = coreset_fair_diversity(
             elements,
-            context.metric,
+            counting,
             constraint,
             num_parts=num_parts,
             refine_with_swap=context.option("refine_with_swap", True),
@@ -285,6 +285,7 @@ def _run_coreset(context: RunContext) -> RunResult:
         elements_processed=size,
         peak_stored_elements=size,
         final_stored_elements=size,
+        stream_distance_computations=counting.calls,
         stream_seconds=timer.elapsed,
     )
     return RunResult(
@@ -346,8 +347,8 @@ def _windowed_session(factory):
 def _run_windowed(context: RunContext, factory: Any) -> RunResult:
     """One-pass run of a windowed algorithm: its session, offered the stream and queried once."""
     session = _windowed_session(factory)(context)
-    for batch in iter_batches(context.stream(), DEFAULT_BATCH_SIZE):
-        session.offer_batch(batch)
+    for chunk in stream_chunks(context.stream(), DEFAULT_BATCH_SIZE):
+        session._ingest(chunk)
     return session.solution()
 
 

@@ -36,7 +36,7 @@ import copy
 import dataclasses
 import os
 from pathlib import Path
-from typing import Any, Iterable, List, Optional, Tuple, Union
+from typing import Any, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -81,7 +81,7 @@ class SessionBase:
 
     @property
     def _stream_seconds(self) -> float:
-        """Total wall-clock seconds spent inside ``_offer_many``."""
+        """Total wall-clock seconds spent inside ``_ingest``."""
         return self._stream_timer.elapsed
 
     # ------------------------------------------------------------------
@@ -94,13 +94,13 @@ class SessionBase:
 
     def offer(self, element: Element) -> None:
         """Ingest one element."""
-        self._offer_many([element])
+        self._ingest(StreamChunk.of_elements([element]))
 
     def offer_batch(self, elements: Iterable[Element]) -> None:
         """Ingest a chunk of elements, in order."""
         chunk = list(elements)
         if chunk:
-            self._offer_many(chunk)
+            self._ingest(StreamChunk.of_elements(chunk))
 
     def offer_rows(
         self,
@@ -134,20 +134,11 @@ class SessionBase:
         else:
             uid_array = group_codes(uids, n, "uids")
         if n:
-            self._offer_rows(matrix, codes, uid_array)
+            self._ingest(StreamChunk(matrix, codes, uid_array))
 
-    def _offer_many(self, chunk: List[Element]) -> None:
+    def _ingest(self, chunk: StreamChunk) -> None:
         """Subclasses ingest an in-order, non-empty chunk here."""
         raise NotImplementedError
-
-    def _offer_rows(self, matrix: np.ndarray, codes: np.ndarray, uids: np.ndarray) -> None:
-        """Ingest validated, non-empty feature rows (as elements by default)."""
-        self._offer_many(
-            [
-                Element(uid=uids[i], vector=matrix[i], group=codes[i])
-                for i in range(matrix.shape[0])
-            ]
-        )
 
     def _publish(self, stats: StreamStats) -> None:
         """Feed one query's stats to the obs registry, counting ingested work once.
@@ -171,11 +162,10 @@ class SessionBase:
             stream_distance_computations=grown_distances,
         ).publish(self.algorithm_name)
 
-    def _track_uids(self, count: int, highest: int) -> None:
-        """Count ``count`` ingested elements; keep auto-uids past ``highest``."""
-        self._offered += count
-        if highest >= self._next_uid:
-            self._next_uid = highest + 1
+    def _track_uids(self, chunk: StreamChunk) -> None:
+        """Count ``chunk``'s rows; keep auto-uids past its largest uid."""
+        self._offered += len(chunk)
+        self._next_uid = max(self._next_uid, int(chunk.uids().max()) + 1)
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -303,16 +293,10 @@ class StreamingSession(SessionBase):
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
-    def _offer_many(self, chunk: List[Element]) -> None:
-        self._ingest(StreamChunk.of_elements(chunk), max(element.uid for element in chunk))
-
-    def _offer_rows(self, matrix: np.ndarray, codes: np.ndarray, uids: np.ndarray) -> None:
-        self._ingest(StreamChunk(matrix, codes, uids), int(uids.max()))
-
-    def _ingest(self, chunk: StreamChunk, highest_uid: int) -> None:
+    def _ingest(self, chunk: StreamChunk) -> None:
         obs.event("session.offer", algorithm=self._algorithm.name, count=len(chunk))
         with self._stream_timer.measure():
-            self._track_uids(len(chunk), highest_uid)
+            self._track_uids(chunk)
             self._state.offer(chunk)
 
     # ------------------------------------------------------------------
@@ -409,14 +393,14 @@ class WindowSession(SessionBase):
         metric = getattr(self._algorithm, "metric", None)
         return metric if isinstance(metric, CountingMetric) else None
 
-    def _offer_many(self, chunk: List[Element]) -> None:
+    def _ingest(self, chunk: StreamChunk) -> None:
         obs.event(
             "session.offer", algorithm=self.algorithm_name, count=len(chunk)
         )
         with self._stream_timer.measure():
-            self._track_uids(len(chunk), max(element.uid for element in chunk))
-            for element in chunk:
-                self._algorithm.process(element)
+            self._track_uids(chunk)
+            for position in range(len(chunk)):
+                self._algorithm.process(chunk.element(position))
                 self._stats.elements_processed += 1
                 self._stats.record_stored(self._algorithm.stored_elements)
 

@@ -37,6 +37,7 @@ import numpy as np
 
 from repro import obs
 from repro.api.registry import RegisteredAlgorithm, RunContext, get_algorithm
+from repro.core.base import DEFAULT_BATCH_SIZE, stream_chunks
 from repro.data.store import ElementStore
 from repro.datasets.spec import DatasetSpec
 from repro.fairness.constraints import (
@@ -426,8 +427,9 @@ def open_session(spec: Optional[SolveSpec] = None, **kwargs: Any) -> Any:
     :class:`SolveSpec` or as keyword arguments — except that ``data`` is
     optional: sessions usually start empty and ingest through
     ``offer``/``offer_batch``/``offer_rows``.  When ``data`` *is* given,
-    its elements are offered to the fresh session up front (in the spec's
-    stream order).
+    its rows are offered to the fresh session up front (in the spec's
+    stream order), in chunks cut as :func:`repro.solve` cuts them: a
+    columnar source builds an element only for a row the session keeps.
 
     For sessions without data, ``groups`` lists the group labels the
     fairness constraint should cover (quotas come from the ``fairness``
@@ -468,5 +470,6 @@ def open_session(spec: Optional[SolveSpec] = None, **kwargs: Any) -> Any:
         obs.configure(sink=spec.trace, enabled=True)
     session = entry.session_factory(context)
     if resolved is not None:
-        session.offer_batch(context.stream())
+        for chunk in stream_chunks(context.stream(), DEFAULT_BATCH_SIZE):
+            session._ingest(chunk)
     return session

@@ -108,6 +108,18 @@ class StreamChunk:
             source = source[window]
         return StreamChunk(self.vectors[window], self.codes[window], source)
 
+    def uids(self) -> np.ndarray:
+        """The int64 uid of every row (the store's uids for store rows)."""
+        source = self.source
+        if isinstance(source, list):
+            return np.fromiter(
+                (element.uid for element in source), dtype=np.int64, count=len(source)
+            )
+        if isinstance(source, tuple):
+            store, rows = source
+            return store.uids[rows]
+        return source
+
     def element(self, position: int) -> Element:
         """The element of row ``position``."""
         source = self.source

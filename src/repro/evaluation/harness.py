@@ -321,7 +321,10 @@ def run_algorithm(
     Offline algorithms are order-insensitive, so they are run once;
     streaming algorithms are run ``config.repetitions`` times over different
     stream permutations (matching the paper's protocol of averaging over ten
-    permutations, with a smaller default for quick local runs).
+    permutations, with a smaller default for quick local runs).  A
+    repetition that raises a :class:`ReproError` or returns no solution
+    (a window that lacks a quota) counts as a failure and is left out of
+    every mean.
     """
     constraint = config.resolve_constraint()
     if not spec.supports(constraint):
@@ -340,6 +343,9 @@ def run_algorithm(
         try:
             result = spec.runner(config.dataset, constraint, config.epsilon, seed)
         except ReproError:
+            failures += 1
+            continue
+        if not result.succeeded:
             failures += 1
             continue
         diversities.append(result.diversity)

@@ -1,19 +1,26 @@
 """Integration tests for the experiment harness end-to-end."""
 
+import numpy as np
 import pytest
 
+from repro.api.solve import solve
+from repro.data.element import Element
+from repro.datasets.spec import DatasetSpec
 from repro.datasets.synthetic import synthetic_blobs
 from repro.evaluation.harness import (
     ExperimentConfig,
+    algorithm_spec,
     coreset_algorithm,
     default_algorithms,
     extended_algorithms,
     parallel_algorithm,
+    run_algorithm,
     run_experiment,
     streaming_algorithms,
     window_algorithm,
 )
 from repro.evaluation.reporting import format_table, records_to_rows, write_csv
+from repro.metrics.vector import EuclideanMetric
 from repro.utils.errors import InvalidParameterError
 
 
@@ -116,3 +123,24 @@ class TestRunExperiment:
         records = run_experiment(configs, algorithms=streaming_algorithms())
         assert all(record.fairness == "proportional" for record in records)
         assert all(record.diversity > 0 for record in records)
+
+
+class TestFailureAccounting:
+    @pytest.mark.parametrize("name", ["SlidingWindowFDM", "WindowFDM"])
+    def test_repetition_without_solution_counts_as_failure(self, name):
+        # Group 1 has three rows in 400, so no 50-row window meets its quota:
+        # the windowed run answers None rather than raising.
+        features = np.random.default_rng(0).normal(size=(400, 2))
+        elements = [
+            Element(uid=i, vector=row, group=int(i in (10, 20, 30)))
+            for i, row in enumerate(features)
+        ]
+        dataset = DatasetSpec(
+            name="sparse-group", elements=elements, metric=EuclideanMetric()
+        )
+        config = ExperimentConfig(dataset=dataset, k=6, repetitions=3)
+        direct = solve(dataset, k=6, algorithm=name, window=50)
+        assert not direct.succeeded
+        record = run_algorithm(algorithm_spec(name, window=50), config)
+        assert record.failures == 3
+        assert record.diversity == 0.0

@@ -6,6 +6,8 @@ import pytest
 import repro
 from repro import obs
 from repro.core.sfdm2 import SFDM2
+from repro.data.element import Element
+from repro.data.store import ElementStore
 from repro.utils.errors import (
     EmptyStreamError,
     InvalidParameterError,
@@ -128,6 +130,36 @@ class TestStreamingSession:
         assert [e.uid for e in result.solution.elements] == [
             e.uid for e in direct.solution.elements
         ]
+
+    def test_data_prefeed_builds_the_elements_solve_builds(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        features = rng.normal(size=(5000, 4))
+        groups = rng.integers(0, 2, 5000)
+        built = []
+        element_init = Element.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            element_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Element, "__init__", counting_init)
+        answer = repro.open_session(
+            data=features, groups=groups, k=10, algorithm="SFDM2"
+        ).solution()
+        session_built = len(built)
+        del built[:]
+        direct = repro.solve(features, groups=groups, k=10, algorithm="SFDM2")
+        assert session_built == len(built) < 5000 // 10
+        assert answer.solution.uids == direct.solution.uids
+        assert answer.diversity == direct.diversity
+        assert (
+            answer.stats.stream_distance_computations
+            == direct.stats.stream_distance_computations
+        )
+        assert (
+            answer.stats.postprocess_distance_computations
+            == direct.stats.postprocess_distance_computations
+        )
 
 
 def _candidates(state):
@@ -314,6 +346,22 @@ class TestWindowSession:
         assert result.algorithm == "WindowFDM"
         assert result.succeeded and result.solution.is_fair
         assert result.stats.peak_stored_elements < dataset.size
+
+    def test_auto_uids_continue_past_the_data_uids(self):
+        rng = np.random.default_rng(5)
+        store = ElementStore(
+            rng.normal(size=(300, 2)),
+            groups=rng.integers(0, 2, 300),
+            uids=np.arange(1000, 1300),
+        )
+        session = repro.open_session(
+            data=store, k=4, algorithm="SlidingWindowFDM", window=100, blocks=4
+        )
+        # The window now holds only auto-assigned rows.
+        session.offer_rows(rng.normal(size=(200, 2)), groups=rng.integers(0, 2, 200))
+        assert session.elements_offered == 500
+        uids = session.solution().solution.uids
+        assert all(1300 <= uid < 1500 for uid in uids)
 
     def test_window_session_requires_window(self, dataset, constraint):
         with pytest.raises(InvalidParameterError, match="window"):

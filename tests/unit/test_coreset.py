@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.core.coreset import (
     composable_fair_coreset,
     coreset_fair_diversity,
@@ -12,6 +13,7 @@ from repro.core.coreset import (
 from repro.core.solution import diversity_of
 from repro.baselines.exact import exact_fdm
 from repro.fairness.constraints import FairnessConstraint, equal_representation
+from repro.metrics.cached import CountingMetric
 from repro.metrics.vector import EuclideanMetric
 from repro.data.element import Element
 from repro.utils.errors import InvalidParameterError
@@ -127,3 +129,20 @@ class TestCoresetFairDiversity:
             elements, METRIC, constraint, num_parts=3, refine_with_swap=True
         )
         assert refined.diversity >= plain.diversity - 1e-12
+
+    def test_run_charges_its_distance_evaluations(self):
+        rng = np.random.default_rng(1)
+        features = rng.normal(size=(2000, 4))
+        groups = rng.integers(0, 2, 2000)
+        result = repro.solve(features, groups=groups, k=10, algorithm="Coreset")
+        elements = [
+            Element(uid=i, vector=row, group=group)
+            for i, (row, group) in enumerate(zip(features, groups))
+        ]
+        counting = CountingMetric(METRIC)
+        direct = coreset_fair_diversity(
+            elements, counting, equal_representation(10, [0, 1]), num_parts=4
+        )
+        assert sorted(result.solution.uids) == sorted(direct.uids)
+        assert result.stats.stream_distance_computations == counting.calls > 0
+        assert result.stats.postprocess_distance_computations == 0
