@@ -387,10 +387,7 @@ def _run_sliding_window(context: RunContext) -> RunResult:
 def _validate_parallel(options: Mapping[str, Any]) -> None:
     """Eager checks for the parallel-engine options (backend, strategy, ...)."""
     shards = options.get("shards", 4)
-    if shards not in ("auto", None):
-        shards = require_positive_int(shards, "shards")
-    else:
-        shards = 1
+    shards = 1 if shards == "auto" else require_positive_int(shards, "shards")
     backend = options.get("backend", "serial")
     if backend != "auto":
         resolve_backend(backend)

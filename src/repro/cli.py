@@ -260,8 +260,8 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         type=_shards_arg,
         default=4,
         help=(
-            "shard count for the ParallelFDM engine, or 'auto' to let the "
-            "execution planner size it (default 4)"
+            "shard count for the ParallelFDM engine, or 'auto' to plan it "
+            "from the input size and usable CPUs (default 4)"
         ),
     )
     parser.add_argument(

@@ -686,9 +686,7 @@ class ChunkScreen:
 
     One :class:`_UnionScreen` covers the group-blind candidates and one per
     group covers that group's candidates across all levels; a group screen
-    sees only the chunk rows of its group.  Groups can also be added as
-    they first appear (:meth:`add_group`), which is how the shard
-    summarizer builds its per-group candidates lazily.
+    sees only the chunk rows of its group.
     """
 
     __slots__ = ("_blind", "_groups")
@@ -704,10 +702,6 @@ class ChunkScreen:
             for group, candidate in per_group.items():
                 by_group.setdefault(group, []).append(candidate)
         self._groups = {group: _UnionScreen(levels) for group, levels in by_group.items()}
-
-    def add_group(self, group: int, candidates: List[Candidate]) -> None:
-        """Screen the rows of ``group`` through ``candidates`` from now on."""
-        self._groups[group] = _UnionScreen(candidates)
 
     @property
     def exhausted(self) -> bool:

@@ -50,7 +50,8 @@ class ElementStore:
         ``(n, d)`` feature matrix; coerced once, at construction, to a
         C-contiguous float64 array so no kernel ever pays a per-call
         conversion.  A 1-D input is treated as ``n`` one-dimensional
-        payloads.
+        payloads.  A NaN or infinite entry raises
+        :class:`InvalidParameterError` naming the first row that holds one.
     groups:
         ``n`` integer group labels, stored as an int64 column after
         :func:`group_codes` has checked them.
@@ -77,6 +78,7 @@ class ElementStore:
             raise InvalidParameterError(
                 f"features must be a 2-D (n, d) matrix, got ndim={features.ndim}"
             )
+        require_finite(features)
         n = features.shape[0]
         groups = group_codes(groups, n)
         uids = np.arange(n, dtype=np.int64) if uids is None else group_codes(uids, n, "uids")
@@ -300,8 +302,7 @@ def feature_rows(features: Any) -> np.ndarray:
     row stands for one row.  Anything else than a matrix raises
     :class:`InvalidParameterError`: a row that is not numeric or not as
     long as the first, naming the first such row, and a NaN or infinite
-    entry, naming the first row that holds one — a non-finite row would
-    otherwise poison the bounds estimate or win every distance comparison.
+    entry (see :func:`require_finite`).
     """
     try:
         matrix = np.asarray(features, dtype=float)
@@ -313,6 +314,20 @@ def feature_rows(features: Any) -> np.ndarray:
         raise InvalidParameterError(
             f"features must be a (n, d) matrix or a single row, got shape {matrix.shape}"
         )
+    return require_finite(matrix)
+
+
+def require_finite(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` itself, once every entry is known to be finite.
+
+    A NaN or infinite entry raises :class:`InvalidParameterError` naming
+    the first row that holds one: such a row would otherwise poison the
+    bounds estimate, or win every distance comparison and return one uid
+    twice.  Every array entry point checks its features here, once:
+    :class:`ElementStore` construction (and so ``stream_from_arrays`` and
+    ``solve`` on arrays or stores), session ``offer_rows`` and the served
+    offer.
+    """
     finite = np.isfinite(matrix)
     if not finite.all():
         row = int(np.argmin(finite.all(axis=1)))

@@ -148,7 +148,7 @@ def parallel_algorithm(
     """The sharded ParallelFDM engine as a harness algorithm.
 
     ``shards`` and ``backend`` accept ``"auto"`` to defer the decision to
-    the execution planner.  Parameters are validated eagerly through the
+    :func:`~repro.parallel.planner.plan_execution`.  Parameters are validated eagerly through the
     registry entry: an invalid shard count, backend name, strategy, or
     summarizer raises :class:`InvalidParameterError` here, before any run
     starts.

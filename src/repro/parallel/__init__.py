@@ -4,9 +4,9 @@ This package scales the library beyond a single core by combining four
 orthogonal pieces — each independently replaceable:
 
 * **planning** (:mod:`repro.parallel.planner`): partition a stream into
-  shards, contiguously or group-stratified, and — for ``backend="auto"``
-  — pick the backend and shard count from a tunable cost model over the
-  input size and usable CPUs;
+  shards, contiguously or group-stratified, and — for ``"auto"`` — pick
+  the backend and shard count from one rule over the input size and
+  usable CPUs;
 * **transport** (:mod:`repro.parallel.shm`): ship shards to process
   workers through one read-only ``multiprocessing.shared_memory`` block
   (workers attach zero-copy NumPy views from ``(offset, length)``
@@ -18,15 +18,16 @@ orthogonal pieces — each independently replaceable:
   contract;
 * **merging** (:mod:`repro.parallel.summarize`,
   :mod:`repro.parallel.merge`): compress each shard to a fair composable
-  coreset and reduce the summaries through a binary merge tree whose
-  levels run on batched columnar kernels.
+  coreset and reduce the summaries through a binary merge tree.
 
 :class:`~repro.parallel.driver.ParallelFDM` wires them into a runnable
 algorithm with the library's standard :class:`~repro.core.result.RunResult`
 interface; the evaluation harness and the CLI expose it next to the
-paper's algorithms (``--shards`` / ``--backend``).  Neither the backend,
-the transport, nor the planner's choices ever change the computed
-solution — only where and how fast it is computed.
+paper's algorithms (``--shards`` / ``--backend``).  Neither the backend
+nor the transport ever changes the computed solution — only where and
+how fast it is computed.  The shard count does: an ``"auto"`` count
+depends on the usable CPUs, so only an explicit count gives the same
+answer on every machine.
 """
 
 from repro.parallel.backends import (
@@ -44,8 +45,8 @@ from repro.parallel.merge import merge_pair, merge_tree
 from repro.parallel.planner import (
     STRATEGIES,
     ExecutionPlan,
-    ExecutionPlanner,
     ShardPlanner,
+    plan_execution,
 )
 from repro.parallel.shm import (
     AttachedShard,
@@ -76,7 +77,7 @@ __all__ = [
     "ShardPlanner",
     "STRATEGIES",
     "ExecutionPlan",
-    "ExecutionPlanner",
+    "plan_execution",
     "ShardRef",
     "AttachedShard",
     "StoreBlock",

@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Callable, List, Optional, Sequence, Union
+from typing import Any, Callable, List, Sequence, Union
 
 from repro.utils.errors import InvalidParameterError
 
@@ -82,27 +82,8 @@ class SerialBackend(Backend):
         return [fn(task) for task in tasks]
 
 
-class _PoolBackend(Backend):
-    """Shared executor plumbing for the thread and process backends."""
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise InvalidParameterError(
-                f"max_workers must be a positive integer, got {max_workers}"
-            )
-        self.max_workers = max_workers
-
-    def _worker_count(self, num_tasks: int) -> int:
-        """Workers for ``num_tasks`` tasks: bounded by tasks and the configured cap."""
-        workers = self.max_workers if self.max_workers is not None else num_tasks
-        return max(1, min(workers, num_tasks))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(max_workers={self.max_workers!r})"
-
-
-class ThreadBackend(_PoolBackend):
-    """Run shards on a thread pool.
+class ThreadBackend(Backend):
+    """Run shards on a thread pool, one worker per task.
 
     Threads share the interpreter, so the payoff depends on the per-shard
     work releasing the GIL — which the NumPy batch kernels used by the
@@ -112,6 +93,11 @@ class ThreadBackend(_PoolBackend):
     """
 
     name = "thread"
+
+    @staticmethod
+    def _worker_count(num_tasks: int) -> int:
+        """Workers for ``num_tasks`` tasks: one each."""
+        return num_tasks
 
     def map_shards(
         self, fn: Callable[[ShardTask], Any], tasks: Sequence[ShardTask]
@@ -123,12 +109,12 @@ class ThreadBackend(_PoolBackend):
             return list(executor.map(fn, tasks))
 
 
-class ProcessBackend(_PoolBackend):
+class ProcessBackend(Backend):
     """Run shards on a process pool — true CPU parallelism.
 
     The mapped callable must be a module-level function and the tasks must
     be picklable (the driver packs shards into compact arrays for exactly
-    this reason).  Worker count defaults to ``min(tasks, usable CPUs)``
+    this reason).  The pool runs ``min(tasks, usable CPUs)`` workers
     (affinity-aware, see :func:`usable_cpus`); oversubscribing a box with
     more worker processes than cores only adds scheduling overhead.
     """
@@ -136,10 +122,10 @@ class ProcessBackend(_PoolBackend):
     name = "process"
     requires_pickling = True
 
-    def _worker_count(self, num_tasks: int) -> int:
-        """Like the pool default but additionally capped at the usable CPUs."""
-        cap = self.max_workers if self.max_workers is not None else usable_cpus()
-        return max(1, min(cap, num_tasks))
+    @staticmethod
+    def _worker_count(num_tasks: int) -> int:
+        """Workers for ``num_tasks`` tasks: one each, at most one per usable CPU."""
+        return min(num_tasks, usable_cpus())
 
     def map_shards(
         self, fn: Callable[[ShardTask], Any], tasks: Sequence[ShardTask]

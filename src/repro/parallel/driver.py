@@ -2,8 +2,8 @@
 
 The driver stitches the parallel layer together:
 
-1. an :class:`~repro.parallel.planner.ExecutionPlanner` (when
-   ``backend="auto"``) or the caller picks the backend and shard count; a
+1. :func:`~repro.parallel.planner.plan_execution` (for ``"auto"``) or
+   the caller picks the backend and shard count; a
    :class:`~repro.parallel.planner.ShardPlanner` then partitions the
    stream (group-stratified by default, so small protected groups are
    spread across shards rather than stranded in one);
@@ -17,8 +17,8 @@ The driver stitches the parallel layer together:
    columns (or plain element lists for non-columnar payloads) when the
    platform or the payload rules shared memory out.  In-process backends
    hand the shard over untouched;
-3. the per-shard summaries are reduced through the binary, per-level
-   store-batched :func:`~repro.parallel.merge.merge_tree` on the driver;
+3. the per-shard summaries are reduced through the binary
+   :func:`~repro.parallel.merge.merge_tree` on the driver;
 4. the fair post-processing runs on the merged coreset: greedy fair fill
    plus (optionally) the same-group local-search polish, exactly the
    extraction rule :func:`repro.core.coreset.coreset_fair_diversity`
@@ -29,7 +29,9 @@ strategy, seed)``: the planner is order-preserving, backends return
 results in shard order, the merge pairs summaries positionally, and GMM
 seed positions are derived from the run seed.  Neither the *backend* nor
 the *transport* ever affects the solution — only where and how fast the
-shard work runs — which the property tests pin down.
+shard work runs — which the property tests pin down.  The shard count
+does: an ``"auto"`` count depends on the usable CPUs, so only an explicit
+count gives the same answer on every machine.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from repro.metrics.base import Metric
 from repro.metrics.cached import CountingMetric
 from repro.parallel.backends import Backend, resolve_backend
 from repro.parallel.merge import merge_tree
-from repro.parallel.planner import ExecutionPlanner, ShardPlanner
+from repro.parallel.planner import ShardPlanner, plan_execution
 from repro.parallel.shm import ShardRef, detach_elements, ship_shards
 from repro.parallel.summarize import ShardSummarizer, resolve_summarizer
 from repro.data.element import Element
@@ -118,15 +120,19 @@ class ParallelFDM:
         Fairness constraint; its total size ``k`` is the per-group summary
         budget unless ``summary_size`` overrides it.
     shards:
-        Requested shard count (the plan may contain fewer for tiny
-        inputs), or ``"auto"`` to let the execution planner derive it from
-        the input size and CPU count.
+        Requested shard count, a positive integer (the plan may contain
+        fewer for tiny inputs), or ``"auto"`` to let
+        :func:`~repro.parallel.planner.plan_execution` derive it from the
+        input size and usable CPUs.  The shard count shapes the coreset,
+        so an ``"auto"`` count can answer differently on machines with
+        different CPU counts; an explicit count answers the same on every
+        machine.
     backend:
         A :class:`Backend` instance, one of ``"serial"``, ``"thread"``,
-        ``"process"`` (validated eagerly), or ``"auto"`` — the
-        :class:`~repro.parallel.planner.ExecutionPlanner` then picks the
+        ``"process"`` (validated eagerly), or ``"auto"`` —
+        :func:`~repro.parallel.planner.plan_execution` then picks the
         backend per run from the input size, dimensionality, and usable
-        CPUs (small inputs stay serial).  The choice never affects the
+        CPUs (small inputs stay serial).  The backend never affects the
         computed solution.
     strategy:
         Shard planning strategy; defaults to ``"stratified"`` so protected
@@ -137,9 +143,6 @@ class ParallelFDM:
         ``"stream"``; defaults to the per-group GMM composable coreset.
     summary_size:
         Per-group summary budget; defaults to ``constraint.total_size``.
-    planner:
-        The :class:`~repro.parallel.planner.ExecutionPlanner` consulted
-        for ``"auto"`` decisions (a default-configured one if omitted).
     refine_with_swap:
         Apply the same-group local-search polish to the extracted solution
         (cheap — the merged coreset is small).
@@ -166,7 +169,6 @@ class ParallelFDM:
         strategy: str = "stratified",
         summarizer: Union[str, ShardSummarizer, None] = "gmm",
         summary_size: Optional[int] = None,
-        planner: Optional[ExecutionPlanner] = None,
         refine_with_swap: bool = True,
         seed: Optional[int] = None,
     ) -> None:
@@ -174,14 +176,10 @@ class ParallelFDM:
         self.constraint = constraint
         self._auto_backend = isinstance(backend, str) and backend == "auto"
         self.backend = None if self._auto_backend else resolve_backend(backend)
-        self._auto_shards = shards in ("auto", None)
-        if self._auto_shards:
-            self.shards = None
-        else:
-            self.shards = require_positive_int(shards, "shards")
+        self._auto_shards = shards == "auto"
+        self.shards = None if self._auto_shards else require_positive_int(shards, "shards")
         # Validates the strategy eagerly even when the count is planned.
         self.planner = ShardPlanner(self.shards or 1, strategy=strategy)
-        self.execution_planner = planner if planner is not None else ExecutionPlanner()
         self.summarizer = resolve_summarizer(summarizer)
         self.summary_size = require_positive_int(
             summary_size if summary_size is not None else constraint.total_size,
@@ -202,15 +200,15 @@ class ParallelFDM:
     ) -> Tuple[Backend, ShardPlanner, Optional[str]]:
         """The concrete (backend, shard planner) for this input.
 
-        Fixed configurations pass through untouched; ``"auto"`` asks the
-        execution planner, using the first element's payload width as the
-        dimensionality signal.
+        Fixed configurations pass through untouched; ``"auto"`` asks
+        :func:`~repro.parallel.planner.plan_execution`, using the first
+        element's payload width as the dimensionality signal.
         """
         if not (self._auto_backend or self._auto_shards):
             return self.backend, self.planner, None
         first = elements[0].vector
         dim = int(getattr(first, "shape", (1,))[0]) if hasattr(first, "shape") else 1
-        plan = self.execution_planner.plan(len(elements), dim)
+        plan = plan_execution(len(elements), dim)
         backend = self.backend
         if self._auto_backend:
             backend = resolve_backend(plan.backend)

@@ -1,4 +1,4 @@
-"""Binary merge tree over per-shard coreset summaries, batched per level.
+"""Binary merge tree over per-shard coreset summaries.
 
 Composable coresets merge by union: the union of per-shard summaries is
 itself a coreset of the full data.  Unioning all shards at once would let
@@ -11,19 +11,6 @@ summary and the tree has ``ceil(log2(shards))`` rounds — the shape a
 distributed aggregation (tree-reduce) would use, run here on the driver
 because merged summaries are tiny.
 
-The recompositions are *kernel-dense*: each level concatenates its
-surviving summaries into one columnar
-:class:`~repro.data.store.ElementStore` (one vectorized stack), dedups
-each pair's rows with one ``np.unique`` over the uid column, and runs the
-per-group GMM re-summarisation on zero-copy row slices of the level store
-— so the per-element object loops the tree used to pay per pair are gone,
-while the selected uids (and the charged distance counts) are provably
-identical to the object path: :func:`~repro.core.coreset.gmm_coreset` on
-a store reproduces the element-path selection bitwise, and first-
-occurrence uid dedup is exactly the ``dict.setdefault`` union order.
-Summaries that cannot columnarise (ragged or categorical payloads) fall
-back to that object path per pair.
-
 The pairing is strictly positional (shard order, not completion order),
 which is one half of the cross-backend determinism guarantee; the other
 half is :meth:`Backend.map_shards` returning results in task order.
@@ -31,39 +18,21 @@ half is :meth:`Backend.map_shards` returning results in task order.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro import obs
 from repro.core.coreset import gmm_coreset
-from repro.data.store import ElementStore
-from repro.metrics.base import Metric
 from repro.data.element import Element
+from repro.metrics.base import Metric
 from repro.utils.validation import require_positive_int
 
 
-def _first_occurrence_rows(uids: np.ndarray) -> Optional[np.ndarray]:
-    """Rows keeping the first occurrence of every uid, in original order.
-
-    Returns ``None`` when every uid is already distinct (the common case
-    once summaries come from disjoint shards), so callers can skip the
-    gather entirely and stay zero-copy.
-    """
-    _, first = np.unique(uids, return_index=True)
-    if len(first) == len(uids):
-        return None
-    return np.sort(first)
-
-
-def _merge_pair_store(
-    pair: ElementStore, metric: Metric, k: int, start_index: int
-) -> List[Element]:
-    """Re-summarise one deduplicated pair slice with the per-group GMM rule."""
-    keep = _first_occurrence_rows(pair.uids)
-    if keep is not None:
-        pair = pair.select(keep)
-    return gmm_coreset(pair, metric, k, per_group=True, start_index=start_index)
+def _union(elements: Iterable[Element]) -> List[Element]:
+    """The first occurrence of every uid, in order."""
+    union: Dict[int, Element] = {}
+    for element in elements:
+        union.setdefault(element.uid, element)
+    return list(union.values())
 
 
 def merge_pair(
@@ -77,18 +46,10 @@ def merge_pair(
 
     Re-summarising keeps every merged summary at ``O(k)`` elements per
     group plus ``k`` group-blind picks, so the tree's working set does not
-    grow with its depth.  Columnar payloads take the store-backed kernel
-    path; any other payload falls back to the element-object union.
+    grow with its depth.
     """
-    combined = list(left) + list(right)
-    store = ElementStore.try_from_elements(combined)
-    if store is not None:
-        return _merge_pair_store(store, metric, k, start_index)
-    union: Dict[int, Element] = {}
-    for element in combined:
-        union.setdefault(element.uid, element)
     return gmm_coreset(
-        list(union.values()), metric, k, per_group=True, start_index=start_index
+        _union([*left, *right]), metric, k, per_group=True, start_index=start_index
     )
 
 
@@ -102,48 +63,22 @@ def merge_tree(
 
     Empty summaries are dropped up front; an odd summary at any round is
     carried to the next round unchanged.  A single (or no) summary needs no
-    merging and is returned after deduplication by uid.  Each round stacks
-    its paired summaries into one level store and re-summarises every pair
-    on zero-copy row slices (see the module docstring); the selected uids
-    are identical to per-pair :func:`merge_pair` calls.
+    merging and is returned after deduplication by uid.  Every round calls
+    :func:`merge_pair` on each positional pair.
     """
     k = require_positive_int(k, "k")
-    level: List[List[Element]] = [list(summary) for summary in summaries if summary]
+    level: List[Sequence[Element]] = [summary for summary in summaries if summary]
     if not level:
         return [], 0
     rounds = 0
     while len(level) > 1:
         with obs.span("merge.batch", level=rounds, summaries=len(level)):
-            paired = len(level) - len(level) % 2
-            flat: List[Element] = [
-                element for summary in level[:paired] for element in summary
+            merged: List[Sequence[Element]] = [
+                merge_pair(level[index], level[index + 1], metric, k, start_index)
+                for index in range(0, len(level) - 1, 2)
             ]
-            level_store = ElementStore.try_from_elements(flat)
-            merged: List[List[Element]] = []
-            cursor = 0
-            for index in range(0, paired, 2):
-                span = len(level[index]) + len(level[index + 1])
-                if level_store is not None:
-                    merged.append(
-                        _merge_pair_store(
-                            level_store.slice(cursor, cursor + span),
-                            metric,
-                            k,
-                            start_index,
-                        )
-                    )
-                else:
-                    merged.append(
-                        merge_pair(
-                            level[index], level[index + 1], metric, k, start_index
-                        )
-                    )
-                cursor += span
             if len(level) % 2 == 1:
                 merged.append(level[-1])
             level = merged
         rounds += 1
-    deduplicated: Dict[int, Element] = {}
-    for element in level[0]:
-        deduplicated.setdefault(element.uid, element)
-    return list(deduplicated.values()), rounds
+    return _union(level[0]), rounds

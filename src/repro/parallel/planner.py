@@ -1,11 +1,10 @@
 """Shard planning: how a stream is partitioned and where the shards run.
 
-Two planners live here.  :class:`ShardPlanner` turns a
-:class:`~repro.streaming.stream.DataStream` (or any element sequence)
-into a list of shards — disjoint element lists whose concatenation covers
-the input — and :class:`ExecutionPlanner` decides, from the input size,
-the dimensionality, and the usable CPU count, *which backend and how many
-shards* are worth using at all (``backend="auto"``).
+:class:`ShardPlanner` turns a :class:`~repro.streaming.stream.DataStream`
+(or any element sequence) into a list of shards — disjoint element lists
+whose concatenation covers the input — and :func:`plan_execution`
+decides, from the input size, the dimensionality, and the usable CPU
+count, *which backend and how many shards* an ``"auto"`` run uses.
 
 :class:`ShardPlanner` supports two strategies:
 
@@ -32,7 +31,7 @@ gracefully to one element per shard.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from repro.core.coreset import partition_elements
 from repro.data.element import Element
@@ -114,78 +113,45 @@ class ExecutionPlan(NamedTuple):
     reason: str
 
 
-class ExecutionPlanner:
-    """Pick backend and shard count from a tunable cost model.
+#: Effective rows below which an ``"auto"`` plan stays serial: at that
+#: size a full per-shard summary takes milliseconds, less than a process
+#: pool costs to start.
+SERIAL_CUTOFF = 32_768
+#: Target effective rows per planned shard.
+ROWS_PER_SHARD = 16_384
+#: Upper bound on a planned shard count.
+MAX_SHARDS = 32
 
-    The model is deliberately coarse — three knobs, all in row units —
-    because the decision it guards is coarse: forking a process pool and
-    shipping shards only pays off once the per-shard summary work
-    dominates the fixed pool start-up cost.  Wider feature rows mean more
-    kernel work per row, so the effective size scales ``n · max(1, d/8)``.
 
-    Parameters
-    ----------
-    serial_cutoff:
-        Effective rows below which the plan always stays serial (default
-        32 768 — at that size a full per-shard summary takes milliseconds,
-        less than a process pool costs to start).
-    rows_per_shard:
-        Target effective rows per shard; the shard count is the input
-        size divided by this, clamped to ``[1, max_shards]`` (and to the
-        CPU count on the process backend — more workers than cores only
-        adds scheduling overhead).
-    max_shards:
-        Hard upper bound on the planned shard count (default 32).
-    cpus:
-        Usable CPU count override, for tests; defaults to the scheduler
-        affinity mask via :func:`~repro.parallel.backends.usable_cpus`.
+def plan_execution(n: int, dim: int) -> ExecutionPlan:
+    """The ``"auto"`` decision for an input of ``n`` rows of width ``dim``.
 
-    The decision never affects the computed solution — backends are
-    solution-transparent by construction — so an ``"auto"`` run on a
-    laptop and on a 64-core box return byte-identical answers.
+    Forking a process pool and shipping shards only pays off once the
+    per-shard summary work dominates the pool's start-up cost.  Wider rows
+    mean more kernel work per row, so the effective size is
+    ``n · max(1, d/8)``.  Small inputs, and any input on a single usable
+    CPU, stay serial with just enough shards to keep the merge tree
+    exercised; large inputs go to the process backend with one shard per
+    usable CPU (or more, up to :data:`ROWS_PER_SHARD` effective rows per
+    shard and twice the CPU count, so shards stay cache-sized), never
+    more than :data:`MAX_SHARDS`.
+
+    The backend never changes the answer, but the planned shard count
+    depends on :func:`~repro.parallel.backends.usable_cpus`, so an
+    ``"auto"`` shard count can answer differently on another machine; an
+    explicit shard count answers the same everywhere.
     """
-
-    def __init__(
-        self,
-        serial_cutoff: int = 32_768,
-        rows_per_shard: int = 16_384,
-        max_shards: int = 32,
-        cpus: Optional[int] = None,
-    ) -> None:
-        self.serial_cutoff = require_positive_int(serial_cutoff, "serial_cutoff")
-        self.rows_per_shard = require_positive_int(rows_per_shard, "rows_per_shard")
-        self.max_shards = require_positive_int(max_shards, "max_shards")
-        self.cpus = cpus if cpus is None else require_positive_int(cpus, "cpus")
-
-    def _effective_rows(self, n: int, dim: int) -> int:
-        """Input size scaled by kernel work per row (``n · max(1, d/8)``)."""
-        return int(n * max(1.0, dim / 8.0))
-
-    def plan(self, n: int, dim: int = 1) -> ExecutionPlan:
-        """The execution decision for an input of ``n`` rows of width ``dim``.
-
-        Small inputs stay serial with just enough shards to keep the merge
-        tree exercised; large inputs on a multi-core machine go to the
-        process backend with one shard per usable CPU (or more, up to the
-        per-shard row target, so shards stay cache-sized).
-        """
-        cpus = self.cpus if self.cpus is not None else usable_cpus()
-        rows = self._effective_rows(max(n, 1), max(dim, 1))
-        by_rows = max(1, math.ceil(rows / self.rows_per_shard))
-        if rows < self.serial_cutoff or cpus <= 1:
-            shards = min(4, by_rows, self.max_shards)
-            reason = (
-                f"single usable cpu (n={n})"
-                if cpus <= 1
-                else f"input below serial cutoff ({rows} < {self.serial_cutoff} effective rows)"
-            )
-            return ExecutionPlan("serial", shards, reason)
-        shards = min(self.max_shards, max(cpus, min(by_rows, 2 * cpus)))
-        reason = f"{rows} effective rows across {cpus} usable cpus"
-        return ExecutionPlan("process", shards, reason)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ExecutionPlanner(serial_cutoff={self.serial_cutoff}, "
-            f"rows_per_shard={self.rows_per_shard}, max_shards={self.max_shards})"
+    cpus = usable_cpus()
+    rows = int(max(n, 1) * max(1.0, dim / 8.0))
+    by_rows = max(1, math.ceil(rows / ROWS_PER_SHARD))
+    if rows < SERIAL_CUTOFF or cpus <= 1:
+        shards = min(4, by_rows, MAX_SHARDS)
+        reason = (
+            f"single usable cpu (n={n})"
+            if cpus <= 1
+            else f"input below serial cutoff ({rows} < {SERIAL_CUTOFF} effective rows)"
         )
+        return ExecutionPlan("serial", shards, reason)
+    shards = min(MAX_SHARDS, max(cpus, min(by_rows, 2 * cpus)))
+    reason = f"{rows} effective rows across {cpus} usable cpus"
+    return ExecutionPlan("process", shards, reason)

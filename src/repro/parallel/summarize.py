@@ -19,16 +19,15 @@ the process backend can pickle them into workers:
   (:class:`repro.core.base.ChunkScreen`): the shard is consumed in chunks
   through a geometric ladder of distance thresholds, maintaining one
   group-blind and one per-group candidate per level, exactly like the
-  stream phase of the paper's algorithms.  Its working set is
-  ``O(k · m · log(Δ)/ε)`` independent of the shard size, which matters
-  when shards are streamed from disk rather than materialised.
+  stream phase of the paper's algorithms.  Its candidates, and so its
+  summary, hold ``O(k · m · log(Δ)/ε)`` elements, independent of the
+  shard size (the shard itself is held in memory, like every shard).
 """
 
 from __future__ import annotations
 
-import itertools
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 import numpy as np
 
@@ -178,25 +177,26 @@ class StreamShardSummarizer(ShardSummarizer):
                 elements = elements.elements()
             return _first_k_per_group(elements, k)
         ladder = GuessLadder(d_min / 4.0, d_max * 4.0, self.epsilon)
-        blind: List[Candidate] = [Candidate(mu, k, metric) for mu in ladder]
-        screens = ChunkScreen(blind)
-        grouped: Dict[int, List[Candidate]] = {}
-
-        for chunk in itertools.chain([first], chunks):
-            for group in np.unique(chunk.codes).tolist():
-                if group not in grouped:
-                    grouped[group] = [Candidate(mu, k, metric, group=group) for mu in ladder]
-                    screens.add_group(group, grouped[group])
+        groups = np.unique(
+            elements.groups
+            if isinstance(elements, ElementStore)
+            else [element.group for element in elements]
+        ).tolist()
+        blind = [Candidate(mu, k, metric) for mu in ladder]
+        specific = [
+            {group: Candidate(mu, k, metric, group=group) for group in groups}
+            for mu in ladder
+        ]
+        screens = ChunkScreen(blind, specific)
+        screens.screen(metric, first)
+        for chunk in chunks:
             screens.screen(metric, chunk)
 
         summary: Dict[int, Element] = {}
-        for candidate in blind:
+        candidates = blind + [level[group] for group in groups for level in specific]
+        for candidate in candidates:
             for element in candidate:
                 summary.setdefault(element.uid, element)
-        for group in sorted(grouped):
-            for candidate in grouped[group]:
-                for element in candidate:
-                    summary.setdefault(element.uid, element)
         return list(summary.values())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -188,6 +188,35 @@ class TestGroupLabels:
             repro.ElementStore(features, labels)
 
 
+class TestFeatures:
+    """Array features are refused where they enter when any entry is NaN or infinite."""
+
+    @pytest.fixture(scope="class")
+    def blobs(self):
+        dataset = repro.synthetic_blobs(n=500, m=2, seed=7)
+        store = repro.ElementStore.from_elements(dataset.elements)
+        return store.features, store.groups
+
+    @pytest.mark.parametrize("row, bad", [(200, np.nan), (3, np.inf)], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", algorithm_names())
+    def test_every_algorithm_refuses_non_finite_arrays(self, blobs, name, row, bad):
+        features, groups = blobs
+        features = features.copy()
+        features[row, 0] = bad
+        shown = rf"features must be finite, but row {row} holds {bad}"
+        with pytest.raises(InvalidParameterError, match=shown):
+            repro.solve(features, groups=groups, k=4, algorithm=name, seed=42, **_options(name))
+
+    def test_stores_and_streams_refuse_non_finite_rows(self, blobs):
+        features, groups = blobs
+        features = features.copy()
+        features[200, 1] = -np.inf
+        with pytest.raises(InvalidParameterError, match="row 200 holds -inf"):
+            repro.ElementStore(features, groups)
+        with pytest.raises(InvalidParameterError, match="row 200 holds -inf"):
+            repro.stream_from_arrays(features, groups)
+
+
 def _options(name):
     """The extra options a registered algorithm needs on the test data."""
     return {"window": 200} if get_algorithm(name).capabilities.kind == "window" else {}

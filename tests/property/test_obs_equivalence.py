@@ -124,11 +124,12 @@ def test_chunk_spans_record_the_screen_recheck_and_exact_fallback():
     """``ingest.chunk`` says which chunks the rounding band or the exact matrix decided.
 
     Points one apart on a line meet the integer thresholds 1, 2, 4, ...
-    exactly, so the Euclidean screen's band fires; the NaN row 300 sends
-    the blind screen of its chunk to the exact matrix.
+    exactly, so the Euclidean screen's band fires; row 390, at 1e200,
+    overflows the screen's squared norms and sends the blind screen of its
+    chunk to the exact matrix.
     """
     features = np.column_stack([np.arange(400.0), np.zeros(400)])
-    features[300] = np.nan
+    features[390] = 1e200
     options = dict(
         k=K, groups=np.arange(400) % 2, algorithm="SFDM2", epsilon=0.5,
         distance_bounds=(1.0, 256.0), batch_size=50,
@@ -140,7 +141,7 @@ def test_chunk_spans_record_the_screen_recheck_and_exact_fallback():
     assert traced.solution.diversity == untraced.solution.diversity
     chunks = {span["attrs"]["start"]: span["attrs"] for span in sink.spans("ingest.chunk")}
     assert sorted(chunks) == list(range(0, 400, 50))
-    assert [start for start, attrs in chunks.items() if attrs["exact"]] == [300]
+    assert [start for start, attrs in chunks.items() if attrs["exact"]] == [350]
     assert all(isinstance(attrs["rechecked"], int) for attrs in chunks.values())
     assert sum(attrs["rechecked"] for attrs in chunks.values()) > 0
 

@@ -179,7 +179,7 @@ class TestAutoPlanning:
     """``"auto"`` picks where to run; the answer must not depend on it."""
 
     def test_auto_backend_matches_explicit_configuration(self):
-        from repro.parallel import ExecutionPlanner
+        from repro.parallel import plan_execution
 
         dataset = _dataset(180, 2, seed=31)
         constraint = equal_representation(6, list(dataset.group_sizes()))
@@ -190,7 +190,7 @@ class TestAutoPlanning:
             backend="auto",
             seed=4,
         ).run(dataset.stream(seed=4))
-        planned = ExecutionPlanner().plan(180, dim=2)
+        planned = plan_execution(180, 2)
         explicit = _run(
             dataset, constraint, planned.shards, planned.backend, "stratified",
             seed=4,
@@ -201,20 +201,21 @@ class TestAutoPlanning:
         assert auto.solution.uids == explicit.solution.uids
         assert auto.solution.diversity == explicit.solution.diversity
 
-    def test_forced_multicore_auto_plan_is_solution_transparent(self):
-        from repro.parallel import ExecutionPlanner
+    def test_forced_multicore_auto_plan_is_solution_transparent(self, monkeypatch):
+        from repro.parallel import planner
 
         dataset = _dataset(220, 2, seed=37)
         constraint = equal_representation(6, list(dataset.group_sizes()))
-        # A planner pretending to see 4 CPUs and a tiny cutoff must pick the
-        # process backend — and still reproduce the serial answer exactly.
-        planner = ExecutionPlanner(serial_cutoff=2, rows_per_shard=64, cpus=4)
+        # A plan that sees 4 CPUs and a tiny cutoff must pick the process
+        # backend — and still reproduce the serial answer exactly.
+        monkeypatch.setattr(planner, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(planner, "SERIAL_CUTOFF", 2)
+        monkeypatch.setattr(planner, "ROWS_PER_SHARD", 64)
         auto = ParallelFDM(
             metric=dataset.metric,
             constraint=constraint,
             shards="auto",
             backend="auto",
-            planner=planner,
             seed=6,
         ).run(dataset.stream(seed=6))
         assert auto.params["backend"] == "process"

@@ -45,23 +45,18 @@ class TestMapShardsContract:
 
 
 class TestWorkerCounts:
-    def test_invalid_max_workers_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            ThreadBackend(max_workers=0)
-        with pytest.raises(InvalidParameterError):
-            ProcessBackend(max_workers=-1)
-
     def test_thread_workers_bounded_by_tasks(self):
         assert ThreadBackend()._worker_count(3) == 3
-        assert ThreadBackend(max_workers=2)._worker_count(8) == 2
 
-    def test_process_workers_bounded_by_usable_cpus(self):
-        from repro.parallel.backends import usable_cpus
+    def test_process_workers_bounded_by_usable_cpus(self, monkeypatch):
+        from repro.parallel import backends
 
-        cap = usable_cpus()
+        cap = backends.usable_cpus()
         assert cap >= 1
         assert ProcessBackend()._worker_count(64) == min(64, cap)
-        assert ProcessBackend(max_workers=1)._worker_count(8) == 1
+        monkeypatch.setattr(backends, "usable_cpus", lambda: 4)
+        assert ProcessBackend()._worker_count(8) == 4
+        assert ProcessBackend()._worker_count(3) == 3
 
 
 class TestResolveBackend:
@@ -75,7 +70,7 @@ class TestResolveBackend:
         assert isinstance(resolve_backend(None), SerialBackend)
 
     def test_instance_passthrough(self):
-        backend = ThreadBackend(max_workers=2)
+        backend = ThreadBackend()
         assert resolve_backend(backend) is backend
 
     def test_unknown_name_rejected_eagerly(self):

@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.datasets.synthetic import synthetic_blobs
 from repro.fairness.constraints import equal_representation
 from repro.metrics.base import CallableMetric
-from repro.metrics.vector import EuclideanMetric
+from repro.metrics.cached import CountingMetric
+from repro.metrics.vector import EuclideanMetric, ManhattanMetric
 from repro.data.store import ElementStore
-from repro.parallel import ExecutionPlanner, ParallelFDM, merge_tree
+from repro.parallel import ParallelFDM, merge_tree, plan_execution
+from repro.parallel import planner as planner_module
 from repro.parallel import shm as shm_module
 from repro.parallel.driver import _summarize_shard, _ShardJob
-from repro.parallel.shm import ShardRef, ship_shards, shm_available
+from repro.parallel.shm import ShardRef, detach_elements, ship_shards, shm_available
 from repro.parallel.merge import merge_pair
 from repro.parallel.summarize import (
     GMMShardSummarizer,
@@ -110,6 +113,14 @@ class TestSummarizers:
         uids = [e.uid for e in summary]
         assert len(uids) == len(set(uids))
 
+    def test_stream_summary_keeps_a_group_first_seen_after_the_first_chunk(self):
+        rng = np.random.default_rng(5)
+        groups = np.r_[np.arange(1100) % 2, np.full(200, 2), np.arange(300) % 3]
+        store = ElementStore(rng.normal(size=(groups.size, 2)), groups)
+        assert np.flatnonzero(store.groups == 2)[0] > 1024
+        summary = StreamShardSummarizer().summarize(store, METRIC, 3)
+        assert {e.group for e in summary} == {0, 1, 2}
+
     def test_stream_summary_single_element_shard(self):
         summary = StreamShardSummarizer().summarize(_elements(1), METRIC, 3)
         assert [e.uid for e in summary] == [0]
@@ -178,6 +189,37 @@ class TestMergeTree:
         assert rounds == 2
         assert {e.uid for e in coreset} <= {0, 1, 2, 3, 4, 5}
 
+    @pytest.mark.parametrize("shard_form", ["store", "list"])
+    @pytest.mark.parametrize(
+        "summarizer",
+        [GMMShardSummarizer(), StreamShardSummarizer(chunk_size=64)],
+        ids=["gmm", "stream"],
+    )
+    @pytest.mark.parametrize(
+        "metric", [EuclideanMetric(), ManhattanMetric()], ids=["euclidean", "manhattan"]
+    )
+    def test_summary_form_does_not_change_the_merge(self, metric, summarizer, shard_form):
+        """Store views, detached copies and a mix merge to one coreset and count."""
+        store = ElementStore.from_elements(synthetic_blobs(n=600, m=3, seed=12).elements)
+        shards = [store.slice(start, start + 100) for start in range(0, 600, 100)]
+        if shard_form == "list":
+            shards = [store.elements(range(start, start + 100)) for start in range(0, 600, 100)]
+        views = [
+            summarizer.summarize(shard, metric, 4, start_index=index)
+            for index, shard in enumerate(shards)
+        ]
+        forms = [
+            views,
+            [detach_elements(summary) for summary in views],
+            [detach_elements(s) if index % 2 else s for index, s in enumerate(views)],
+        ]
+        outcomes = set()
+        for summaries in forms:
+            counting = CountingMetric(metric)
+            coreset, rounds = merge_tree(summaries, counting, 4, start_index=1)
+            outcomes.add((tuple(e.uid for e in coreset), counting.calls, rounds))
+        assert len(outcomes) == 1
+
     def test_empty_and_single_inputs(self):
         assert merge_tree([], METRIC, 3) == ([], 0)
         coreset, rounds = merge_tree([[], _elements(4)], METRIC, 3)
@@ -198,6 +240,19 @@ class TestParallelFDM:
             ParallelFDM(METRIC, constraint, summarizer="magic")
         with pytest.raises(InvalidParameterError):
             ParallelFDM(METRIC, constraint, summary_size=0)
+
+    def test_auto_is_the_only_spelling_of_a_planned_shard_count(self):
+        dataset = synthetic_blobs(n=600, m=2, seed=3)
+        constraint = equal_representation(6, list(dataset.group_sizes()))
+        with pytest.raises(InvalidParameterError, match="shards"):
+            ParallelFDM(dataset.metric, constraint, shards=None)
+        # solve() drops a None option like any other: the default 4 shards.
+        default = repro.solve(dataset, k=6, algorithm="ParallelFDM", seed=1)
+        dropped = repro.solve(dataset, k=6, algorithm="ParallelFDM", shards=None, seed=1)
+        auto = repro.solve(dataset, k=6, algorithm="ParallelFDM", shards="auto", seed=1)
+        assert dropped.params["shards"] == default.params["shards"] == 4
+        assert dropped.solution.uids == default.solution.uids
+        assert "plan" in auto.params and "plan" not in dropped.params
 
     def test_run_returns_fair_solution_and_accounting(self):
         dataset = synthetic_blobs(n=600, m=3, seed=5)
@@ -277,35 +332,36 @@ class TestParallelFDM:
             assert result.params["transport"] == "inline"
 
 
-class TestExecutionPlanner:
-    def test_small_inputs_stay_serial(self):
-        plan = ExecutionPlanner(cpus=16).plan(1000, dim=2)
+class TestPlanExecution:
+    """The ``"auto"`` rule, at CPU counts this machine may not have."""
+
+    @staticmethod
+    def _plan(monkeypatch, cpus, n, dim):
+        monkeypatch.setattr(planner_module, "usable_cpus", lambda: cpus)
+        return plan_execution(n, dim)
+
+    def test_small_inputs_stay_serial(self, monkeypatch):
+        plan = self._plan(monkeypatch, 16, 1000, 2)
         assert plan.backend == "serial"
         assert 1 <= plan.shards <= 4
         assert "cutoff" in plan.reason
 
-    def test_single_cpu_stays_serial_at_any_size(self):
-        plan = ExecutionPlanner(cpus=1).plan(10_000_000, dim=32)
+    def test_single_cpu_stays_serial_at_any_size(self, monkeypatch):
+        plan = self._plan(monkeypatch, 1, 10_000_000, 32)
         assert plan.backend == "serial"
         assert "single usable cpu" in plan.reason
 
-    def test_large_inputs_go_to_processes(self):
-        plan = ExecutionPlanner(cpus=8).plan(1_000_000, dim=8)
+    def test_large_inputs_go_to_processes(self, monkeypatch):
+        plan = self._plan(monkeypatch, 8, 1_000_000, 8)
         assert plan.backend == "process"
         assert 8 <= plan.shards <= 16
 
-    def test_wide_rows_lower_the_cutoff(self):
-        narrow = ExecutionPlanner(cpus=8).plan(20_000, dim=2)
-        wide = ExecutionPlanner(cpus=8).plan(20_000, dim=128)
+    def test_wide_rows_lower_the_cutoff(self, monkeypatch):
+        narrow = self._plan(monkeypatch, 8, 20_000, 2)
+        wide = self._plan(monkeypatch, 8, 20_000, 128)
         assert narrow.backend == "serial"
         assert wide.backend == "process"
 
-    def test_shards_are_bounded(self):
-        plan = ExecutionPlanner(cpus=64, max_shards=32).plan(100_000_000, dim=8)
-        assert plan.shards == 32
-
-    def test_planner_validation(self):
-        with pytest.raises(InvalidParameterError):
-            ExecutionPlanner(serial_cutoff=0)
-        with pytest.raises(InvalidParameterError):
-            ExecutionPlanner(cpus=0)
+    def test_shards_are_bounded(self, monkeypatch):
+        plan = self._plan(monkeypatch, 64, 100_000_000, 8)
+        assert plan.shards == planner_module.MAX_SHARDS == 32

@@ -90,6 +90,17 @@ CHECKS = (
     ("parallel_scaling", "shm_payload_bytes", "ceiling", Key("pickle_payload_bytes")),
     ("parallel_scaling", "pickle_payload_bytes", "exact", SMOKE),
     ("parallel_scaling", "per_shards.4.speedup", "floor", MultiCore(1.5)),
+    # Window: the stale-pool counts are deterministic per seed and scale,
+    # and so are the sliding window's quality ratios (a dip is a regression).
+    ("window", "n", "exact", SMOKE),
+    ("window", "k", "exact", SMOKE),
+    ("window", "blocks", "exact", SMOKE),
+    ("window", "baseline_w750_stale_pool", "exact", SMOKE),
+    ("window", "baseline_w1500_stale_pool", "exact", SMOKE),
+    ("window", "baseline_w3000_stale_pool", "exact", SMOKE),
+    ("window", "sliding_w750_quality_ratio", "floor", SMOKE),
+    ("window", "sliding_w1500_quality_ratio", "floor", SMOKE),
+    ("window", "sliding_w3000_quality_ratio", "floor", SMOKE),
     # Serving: eviction never changes an answer, micro-batching wins, and
     # the fixed identity schedule's counters are deterministic.
     ("serving", "rows", "exact", SMOKE),
