@@ -148,10 +148,10 @@ def parallel_algorithm(
     """The sharded ParallelFDM engine as a harness algorithm.
 
     ``shards`` and ``backend`` accept ``"auto"`` to defer the decision to
-    :func:`~repro.parallel.planner.plan_execution`.  Parameters are validated eagerly through the
-    registry entry: an invalid shard count, backend name, strategy, or
-    summarizer raises :class:`InvalidParameterError` here, before any run
-    starts.
+    :func:`~repro.parallel.planner.plan_execution`.  Parameters are
+    validated eagerly through the registry entry: an invalid shard count,
+    backend name, strategy, or summarizer raises
+    :class:`InvalidParameterError` here, before any run starts.
     """
     return algorithm_spec(
         "ParallelFDM",

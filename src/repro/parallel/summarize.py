@@ -21,7 +21,7 @@ the process backend can pickle them into workers:
   group-blind and one per-group candidate per level, exactly like the
   stream phase of the paper's algorithms.  Its candidates, and so its
   summary, hold ``O(k · m · log(Δ)/ε)`` elements, independent of the
-  shard size (the shard itself is held in memory, like every shard).
+  shard size; the shard itself, like every shard, is held in memory.
 """
 
 from __future__ import annotations
