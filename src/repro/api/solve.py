@@ -172,16 +172,16 @@ def _resolve_metric(spec: SolveSpec, data_metric: Optional[Metric]) -> Metric:
 def _resolve_data(spec: SolveSpec) -> _ResolvedData:
     """Normalise ``spec.data`` into a one-pass stream factory plus an element view.
 
-    Columnar inputs (arrays, stores, data streams) hand over the stream's
-    ``elements`` method rather than its result: the per-row element list is
-    built only if an offline runner reads it, so a streaming run goes from
-    the caller's matrix straight to chunk screens.
+    Columnar inputs (arrays, stores, data streams, and a ``DatasetSpec``
+    over a store) hand over a way to build the element list rather than
+    the list: it is built only if an offline runner reads it, so a
+    streaming run goes from the caller's matrix straight to chunk screens.
     """
     data = spec.data
     seed = spec.seed
     if isinstance(data, DatasetSpec):
         return _ResolvedData(
-            elements=data.elements,
+            elements=lambda: data.elements,
             stream_factory=lambda: data.stream(seed=seed),
             size=data.size,
             group_sizes=data.group_sizes(),

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
+
+import numpy as np
 
 from repro.data.store import ElementStore
 from repro.metrics.base import Metric
@@ -16,12 +18,22 @@ from repro.streaming.stream import DataStream
 class DatasetSpec:
     """A fully materialised dataset ready to be streamed or used offline.
 
+    A spec holds its rows in one of two forms.  ``DatasetSpec(name,
+    elements, metric)`` keeps the given element list (categorical and
+    ragged payloads stay on this path).  :meth:`from_store` keeps one
+    columnar :class:`ElementStore`, which is how every generator in
+    :mod:`repro.datasets` returns its data: sizes, group counts and
+    streams read the store's columns, and the element list is built only
+    when something reads ``elements``.
+
     Attributes
     ----------
     name:
         Dataset identifier used in reports (e.g. ``"adult-sex"``).
     elements:
-        The generated elements in canonical order.
+        The elements in canonical order.  For a spec over a store, the
+        first read builds one plain :class:`Element` per row (its
+        ``vector`` a row of the store's matrix) and caches the list.
     metric:
         The distance metric the paper uses for this dataset.
     group_names:
@@ -39,28 +51,71 @@ class DatasetSpec:
     _store: Optional[ElementStore] = field(default=None, init=False, repr=False, compare=False)
     _store_resolved: bool = field(default=False, init=False, repr=False, compare=False)
 
+    @classmethod
+    def from_store(
+        cls,
+        name: str,
+        store: ElementStore,
+        metric: Metric,
+        group_names: Optional[Dict[int, str]] = None,
+        notes: str = "",
+    ) -> DatasetSpec:
+        """A spec over the rows of ``store``, which :meth:`columnar` returns."""
+        spec = cls.__new__(cls)
+        spec.name = name
+        spec.metric = metric
+        spec.group_names = {} if group_names is None else dict(group_names)
+        spec.notes = notes
+        spec._store = store
+        spec._store_resolved = True
+        return spec
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for an attribute the instance lacks: the element
+        # list of a spec over a store, before its first read.
+        if name != "elements" or self._store is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        store = self._store
+        columns = [store.uids.tolist(), list(store.features), store.groups.tolist()]
+        if store.labels is not None:
+            columns.append(store.labels)
+        self.elements = list(map(Element, *columns))
+        return self.elements
+
     @property
     def size(self) -> int:
         """Number of elements ``n``."""
-        return len(self.elements)
+        return len(self._store) if self._store is not None else len(self.elements)
 
     @property
     def num_groups(self) -> int:
         """Number of distinct groups ``m``."""
-        return len({element.group for element in self.elements})
+        return len(self.group_sizes())
 
     def group_sizes(self) -> Dict[int, int]:
-        """Mapping of group label to element count."""
-        sizes: Dict[int, int] = {}
-        for element in self.elements:
-            sizes[element.group] = sizes.get(element.group, 0) + 1
-        return sizes
+        """Mapping of group label to element count, in first-appearance order.
+
+        ``equal_representation`` takes its quota order from this mapping.
+        """
+        if self._store is not None:
+            groups = self._store.groups
+        else:
+            groups = np.fromiter(
+                (element.group for element in self.elements),
+                dtype=np.int64,
+                count=len(self.elements),
+            )
+        labels, first, counts = np.unique(groups, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        return dict(zip(labels[order].tolist(), counts[order].tolist()))
 
     def columnar(self) -> Optional[ElementStore]:
-        """The dataset as a columnar :class:`ElementStore`, built lazily once.
+        """The dataset as a columnar :class:`ElementStore`.
 
-        ``None`` when the payloads are not uniformly numeric (ragged or
-        categorical data stays on the object path).
+        A spec over a store returns that store; an element-list spec
+        builds one lazily, once.  ``None`` when the payloads are not
+        uniformly numeric (ragged or categorical data stays on the object
+        path).
         """
         if not self._store_resolved:
             self._store = ElementStore.try_from_elements(self.elements)

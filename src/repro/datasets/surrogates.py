@@ -17,13 +17,13 @@ long-tailed genre distribution over 15 genres).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.data.store import ElementStore
 from repro.datasets.spec import DatasetSpec
 from repro.metrics.vector import AngularMetric, EuclideanMetric, ManhattanMetric
-from repro.data.element import Element
 from repro.utils.errors import InvalidParameterError
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import require_positive_int
@@ -118,12 +118,9 @@ def adult_surrogate(
         raise InvalidParameterError(
             f"group_by must be 'sex', 'race', or 'sex+race', got {group_by!r}"
         )
-    elements = [
-        Element(uid=i, vector=features[i], group=int(groups[i])) for i in range(n)
-    ]
-    return DatasetSpec(
+    return DatasetSpec.from_store(
         name=f"adult-{group_by}",
-        elements=elements,
+        store=ElementStore(features, groups),
         metric=EuclideanMetric(),
         group_names=names,
         notes=(
@@ -171,12 +168,9 @@ def celeba_surrogate(
         raise InvalidParameterError(
             f"group_by must be 'sex', 'age', or 'sex+age', got {group_by!r}"
         )
-    elements = [
-        Element(uid=i, vector=features[i], group=int(groups[i])) for i in range(n)
-    ]
-    return DatasetSpec(
+    return DatasetSpec.from_store(
         name=f"celeba-{group_by}",
-        elements=elements,
+        store=ElementStore(features, groups),
         metric=ManhattanMetric(),
         group_names=names,
         notes=(
@@ -219,12 +213,9 @@ def census_surrogate(
         raise InvalidParameterError(
             f"group_by must be 'sex', 'age', or 'sex+age', got {group_by!r}"
         )
-    elements = [
-        Element(uid=i, vector=features[i], group=int(groups[i])) for i in range(n)
-    ]
-    return DatasetSpec(
+    return DatasetSpec.from_store(
         name=f"census-{group_by}",
-        elements=elements,
+        store=ElementStore(features, groups),
         metric=ManhattanMetric(),
         group_names=names,
         notes=(
@@ -269,12 +260,9 @@ def lyrics_surrogate(
         count = int(mask.sum())
         if count:
             features[mask] = rng.dirichlet(concentrations[genre], size=count)
-    elements = [
-        Element(uid=i, vector=features[i], group=int(genres[i])) for i in range(n)
-    ]
-    return DatasetSpec(
+    return DatasetSpec.from_store(
         name="lyrics-genre",
-        elements=elements,
+        store=ElementStore(features, genres),
         metric=AngularMetric(),
         group_names={i: f"genre-{i}" for i in range(num_genres)},
         notes=(

@@ -12,9 +12,9 @@ from typing import Optional
 
 import numpy as np
 
+from repro.data.store import ElementStore
 from repro.datasets.spec import DatasetSpec
 from repro.metrics.vector import EuclideanMetric
-from repro.data.element import Element
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import require_positive_int
 
@@ -57,12 +57,9 @@ def synthetic_blobs(
     assignments = rng.integers(0, num_blobs, size=n)
     points = centers[assignments] + rng.normal(0.0, cluster_std, size=(n, dimensions))
     groups = rng.integers(0, m, size=n)
-    elements = [
-        Element(uid=i, vector=points[i], group=int(groups[i])) for i in range(n)
-    ]
-    return DatasetSpec(
+    return DatasetSpec.from_store(
         name=f"synthetic-blobs(n={n},m={m})",
-        elements=elements,
+        store=ElementStore(points, groups),
         metric=EuclideanMetric(),
         notes=(
             f"{num_blobs} Gaussian blobs in [-{center_range},{center_range}]^{dimensions}, "
@@ -91,12 +88,9 @@ def uniform_points(
     rng = ensure_rng(seed)
     points = rng.uniform(low, high, size=(n, dimensions))
     groups = rng.integers(0, m, size=n)
-    elements = [
-        Element(uid=i, vector=points[i], group=int(groups[i])) for i in range(n)
-    ]
-    return DatasetSpec(
+    return DatasetSpec.from_store(
         name=f"uniform(n={n},m={m})",
-        elements=elements,
+        store=ElementStore(points, groups),
         metric=EuclideanMetric(),
         notes=f"uniform points in [{low},{high}]^{dimensions}, groups uniform at random",
     )

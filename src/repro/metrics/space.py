@@ -79,22 +79,52 @@ def payload_distance_bounds(payloads: Sequence[Any], metric: Metric) -> Tuple[fl
     """:func:`exact_distance_bounds` over a stack of raw payloads.
 
     The ingestion engine estimates its guess-ladder bounds on the warmup
-    rows with this, so offered feature rows need no :class:`Element`.  One
-    ``pairwise`` call evaluates the whole stack.
+    rows with this, so offered feature rows need no :class:`Element`.  It
+    is :func:`distance_range`, except that a stack of one repeated point
+    gets the bounds ``(1.0, 1.0)``.
+    """
+    d_min, d_max = distance_range(payloads, metric)
+    if not np.isfinite(d_min):
+        # All points identical: fall back to an arbitrary positive value so
+        # downstream code does not divide by zero; any solution is optimal.
+        return 1.0, max(d_max, 1.0)
+    return d_min, d_max
+
+
+def distance_range(payloads: Sequence[Any], metric: Metric) -> Tuple[float, float]:
+    """``(smallest positive, largest)`` distance over all pairs of ``payloads``.
+
+    The smallest positive distance is ``inf`` when the payloads hold one
+    repeated point.  One ``pairwise`` call evaluates the whole stack.  A
+    distance that is not finite raises :class:`InvalidParameterError`:
+    finite features whose distances overflow (features near ``1e300``)
+    would otherwise give an infinite ``d_max`` the caller never chose.
     """
     n = len(payloads)
     if n < 2:
         raise InvalidParameterError("need at least two elements to compute distance bounds")
     upper = metric.pairwise(payloads)[np.triu_indices(n, k=1)]
-    d_max = float(upper.max())
+    finite = np.isfinite(upper)
+    if not finite.all():
+        raise _unbounded_distance(payloads, float(upper[~finite][0]))
     positive = upper[upper > 0.0]
     d_min = float(positive.min()) if positive.size else float("inf")
-    if not np.isfinite(d_min):
-        # All points identical: fall back to an arbitrary positive value so
-        # downstream code does not divide by zero; any solution is optimal.
-        d_min = 1.0
-        d_max = max(d_max, 1.0)
-    return d_min, d_max
+    return d_min, float(upper.max())
+
+
+def _unbounded_distance(payloads: Sequence[Any], distance: float) -> InvalidParameterError:
+    """The error for a stack of payloads two of which are ``distance`` apart."""
+    message = f"distance bounds need finite distances, but two rows are {distance} apart"
+    try:
+        scale = float(np.max(np.abs(np.asarray(payloads, dtype=float))))
+    except (TypeError, ValueError):  # non-numeric payloads: nothing to rescale
+        return InvalidParameterError(message)
+    if not np.isfinite(scale):
+        return InvalidParameterError(f"{message}; features must be finite")
+    return InvalidParameterError(
+        f"{message}; the largest absolute feature value among the estimate's rows "
+        f"is {scale:.6g}, so rescale the features"
+    )
 
 
 def estimate_distance_bounds(

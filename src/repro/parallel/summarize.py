@@ -26,18 +26,19 @@ the process backend can pickle them into workers:
 
 from __future__ import annotations
 
+import itertools
 from abc import ABC, abstractmethod
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.base import ChunkScreen, stream_chunks
+from repro.core.base import ChunkScreen, StreamChunk, stream_chunks
 from repro.core.candidate import Candidate
 from repro.core.coreset import gmm_coreset
 from repro.core.guesses import GuessLadder
 from repro.data.store import ElementStore
-from repro.metrics.base import Metric
-from repro.metrics.space import payload_distance_bounds
+from repro.metrics.base import Metric, join_payloads
+from repro.metrics.space import distance_range
 from repro.data.element import Element
 from repro.utils.errors import InvalidParameterError
 from repro.utils.validation import require_in_open_interval, require_positive_int
@@ -66,6 +67,29 @@ def _first_k_per_group(elements: Sequence[Element], k: int) -> List[Element]:
             summary.append(element)
             taken[element.group] = taken.get(element.group, 0) + 1
     return summary
+
+
+def _spread(
+    leading: List[StreamChunk], chunk: StreamChunk, metric: Metric
+) -> Optional[Tuple[float, float]]:
+    """``(d_min, d_max)`` of ``chunk`` once the rows so far hold two distinct points.
+
+    ``leading`` holds the chunks before ``chunk``, all one repeated point;
+    ``None`` while ``chunk`` adds no other point.  The first chunk's
+    bounds are its own; a later chunk's are those of its rows and the
+    repeated point, once one of its rows lies at a positive distance from
+    that point.
+    """
+    if not leading:
+        if len(chunk) < 2:
+            return None
+        bounds = distance_range(chunk.vectors, metric)
+    else:
+        point = leading[0].vectors[:1]
+        if not (metric.distances_to(point[0], chunk.vectors) > 0.0).any():
+            return None
+        bounds = distance_range(join_payloads([point, chunk.vectors]), metric)
+    return None if np.isinf(bounds[0]) else bounds
 
 
 class ShardSummarizer(ABC):
@@ -155,27 +179,30 @@ class StreamShardSummarizer(ShardSummarizer):
     ) -> List[Element]:
         """Feed the shard chunk-wise through per-level blind and group candidates.
 
-        Distance bounds are estimated on the first chunk and widened by the
-        same factor-4 margin the streaming algorithms use; ``start_index``
-        is unused (the one-pass rule has no seed choice) but kept so every
-        summarizer shares one call signature.  Store-form shards are
-        consumed as zero-copy row ranges; only accepted rows become
-        (view) elements.
+        Distance bounds are estimated on the first chunk that, with the
+        rows before it, holds two distinct points (the first chunk, unless
+        that is one repeated point), and widened by the same factor-4
+        margin the streaming algorithms use; the one-point chunks before
+        it are screened first, in order.  Only a shard of one repeated
+        point has no usable ladder: it keeps the first ``k`` elements of
+        every group.  ``start_index`` is unused (the one-pass rule has no
+        seed choice) but kept so every summarizer shares one call
+        signature.  Store-form shards are consumed as zero-copy row
+        ranges; only accepted rows become (view) elements.
         """
         del start_index  # the one-pass threshold rule has no seed element
         chunks = stream_chunks(elements, self.chunk_size)
-        first = next(chunks, None)
-        if first is None:
-            return []
-        if len(first) > 1:
-            d_min, d_max = payload_distance_bounds(first.vectors, metric)
+        leading: List[StreamChunk] = []  # one-point chunks before the ladder's
+        for chunk in chunks:
+            bounds = _spread(leading, chunk, metric)
+            if bounds is not None:
+                break
+            leading.append(chunk)
         else:
-            d_min = d_max = 0.0
-        if d_min <= 0.0 or not np.isfinite(d_max) or d_max <= 0.0:
-            # Single-row or duplicate-only sample: no usable ladder.
             if isinstance(elements, ElementStore):
                 elements = elements.elements()
             return _first_k_per_group(elements, k)
+        d_min, d_max = bounds
         ladder = GuessLadder(d_min / 4.0, d_max * 4.0, self.epsilon)
         groups = np.unique(
             elements.groups
@@ -188,9 +215,8 @@ class StreamShardSummarizer(ShardSummarizer):
             for mu in ladder
         ]
         screens = ChunkScreen(blind, specific)
-        screens.screen(metric, first)
-        for chunk in chunks:
-            screens.screen(metric, chunk)
+        for piece in itertools.chain(leading, [chunk], chunks):
+            screens.screen(metric, piece)
 
         summary: Dict[int, Element] = {}
         candidates = blind + [level[group] for group in groups for level in specific]

@@ -1,5 +1,7 @@
 """Integration tests for the ``repro.solve`` façade and its data resolution."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,18 @@ class TestFeatures:
             repro.ElementStore(features, groups)
         with pytest.raises(InvalidParameterError, match="row 200 holds -inf"):
             repro.stream_from_arrays(features, groups)
+
+    @pytest.mark.parametrize("name", ["SFDM1", "SFDM2", "StreamingDM"])
+    def test_overflowing_warmup_names_the_feature_scale(self, blobs, name):
+        features, groups = blobs
+        shown = (
+            r"two rows are inf apart; the largest absolute feature value among the "
+            r"estimate's rows is (\S+), so rescale the features"
+        )
+        with pytest.raises(InvalidParameterError, match=shown) as raised:
+            repro.solve(features * 1e300, k=4, groups=groups, algorithm=name, seed=42)
+        largest = float(re.search(shown, str(raised.value)).group(1))
+        assert 1e300 < largest <= np.abs(features * 1e300).max()
 
 
 def _options(name):

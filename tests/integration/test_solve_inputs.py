@@ -152,3 +152,14 @@ def test_open_session_with_data_builds_at_most_one_element_per_row(name, large, 
     session = repro.open_session(data=features, groups=groups, k=K, algorithm=name)
     assert session.elements_offered == N_LARGE
     assert built.calls <= N_LARGE
+
+
+@pytest.mark.parametrize("name", ["auto", "GMM"])
+def test_generated_dataset_builds_elements_only_where_needed(name, built):
+    dataset = repro.synthetic_blobs(n=N_LARGE, m=3, dimensions=16, seed=7)
+    assert built.calls == 0
+    result = repro.solve(dataset, k=K, algorithm=name, seed=1)
+    if name == "auto":
+        assert built.calls <= result.stats.peak_stored_elements
+    else:
+        assert built.calls == N_LARGE

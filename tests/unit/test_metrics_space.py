@@ -5,6 +5,7 @@ import pytest
 
 from repro.metrics.space import (
     MetricSpace,
+    distance_range,
     estimate_distance_bounds,
     exact_distance_bounds,
     pairwise_distances,
@@ -65,6 +66,31 @@ class TestDistanceBounds:
         assert d_min > 0
         assert d_max >= d_min * 0  # no crash; d_max may be 0-adjusted upward
         assert d_max >= 0
+
+
+class TestDistanceRange:
+    def test_smallest_positive_and_largest(self, euclidean_metric):
+        payloads = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
+        assert distance_range(payloads, euclidean_metric) == (1.0, 5.0)
+
+    def test_one_repeated_point_has_no_positive_distance(self, euclidean_metric):
+        assert distance_range(np.ones((4, 2)), euclidean_metric) == (float("inf"), 0.0)
+
+    def test_overflowing_distances_name_the_feature_scale(self, euclidean_metric):
+        payloads = np.array([[1e300, 0.0], [-1e300, 0.0], [0.0, 0.0]])
+        shown = r"inf apart; the largest absolute feature value among the estimate's rows is 1e\+300"
+        with pytest.raises(InvalidParameterError, match=shown):
+            distance_range(payloads, euclidean_metric)
+        with pytest.raises(InvalidParameterError, match=shown):
+            exact_distance_bounds(
+                [Element(uid=i, vector=row, group=0) for i, row in enumerate(payloads)],
+                euclidean_metric,
+            )
+
+    def test_non_finite_features_are_named_as_such(self, euclidean_metric):
+        payloads = np.array([[np.nan, 0.0], [0.0, 0.0]])
+        with pytest.raises(InvalidParameterError, match="nan apart; features must be finite"):
+            distance_range(payloads, euclidean_metric)
 
 
 class TestMetricSpace:

@@ -6,8 +6,10 @@ import pytest
 import repro
 from repro.datasets.synthetic import synthetic_blobs
 from repro.fairness.constraints import equal_representation
+from repro.baselines.gmm import gmm_elements
 from repro.metrics.base import CallableMetric
 from repro.metrics.cached import CountingMetric
+from repro.metrics.space import diversity_of
 from repro.metrics.vector import EuclideanMetric, ManhattanMetric
 from repro.data.store import ElementStore
 from repro.parallel import ParallelFDM, merge_tree, plan_execution
@@ -144,6 +146,26 @@ class TestSummarizers:
         summary = StreamShardSummarizer(chunk_size=4).summarize(elements, METRIC, 2)
         assert {e.group for e in summary} == {0, 1}
         assert sum(1 for e in summary if e.group == 0) <= 2
+
+    def test_stream_ladder_waits_for_two_distinct_points(self):
+        # The first chunk (rows 0-1023) is one repeated point: the ladder
+        # comes from the first rows that hold a second point, so the
+        # summary reaches past that chunk in every group and is about as
+        # diverse as the summary of the same shard without that chunk (a
+        # ladder taken from the one-point chunk alone reached 0.35 of it).
+        rng = np.random.default_rng(0)
+        features = rng.normal(0.0, 10.0, size=(5000, 2))
+        features[:1024] = features[0]
+        groups = rng.integers(0, 2, size=5000)
+        summarizer = StreamShardSummarizer()
+        summary = summarizer.summarize(ElementStore(features, groups), METRIC, 5)
+        for group in (0, 1):
+            assert max(e.uid for e in summary if e.group == group) > 1023
+        assert len({e.uid for e in summary}) == len(summary)
+        tail = ElementStore(features[1024:], groups[1024:], uids=np.arange(1024, 5000))
+        reference = summarizer.summarize(tail, METRIC, 5)
+        spread = diversity_of(gmm_elements(summary, METRIC, 5), METRIC)
+        assert spread >= 0.8 * diversity_of(gmm_elements(reference, METRIC, 5), METRIC)
 
     def test_stream_summary_works_without_batch_kernels(self):
         scalar_metric = CallableMetric(

@@ -36,7 +36,12 @@ def _signature_of(obj) -> str:
 
 
 def _describe_class(cls) -> dict:
-    """Constructor signature plus public method/property signatures."""
+    """Constructor signature plus public method/property signatures.
+
+    A class that inherits ``object.__init__`` is recorded with the
+    signature of calling the class itself, ``()``, not the inherited
+    ``(self, /, *args, **kwargs)``: such a class takes no arguments.
+    """
     methods = {}
     for name, member in sorted(vars(cls).items()):
         if name.startswith("_"):
@@ -49,9 +54,10 @@ def _describe_class(cls) -> dict:
             methods[name] = "class" + _signature_of(member.__func__)
         elif callable(member):
             methods[name] = _signature_of(member)
+    init = cls if cls.__init__ is object.__init__ else cls.__init__
     return {
         "kind": "class",
-        "init": _signature_of(cls.__init__),
+        "init": _signature_of(init),
         "methods": methods,
     }
 
